@@ -26,6 +26,7 @@ from repro.classifiers.regression import (
     mean_absolute_error,
     r2_score,
 )
+from repro.core.session import SessionConfig
 from repro.data.schema import Dataset, FeatureSpec
 from repro.data.warfarin import generate_warfarin_with_dose
 from repro.privacy.adversary import NaiveBayesAdversary
@@ -67,8 +68,10 @@ def test_e15_secure_regression(benchmark):
         model, dataset.features,
         sizes=ProtocolSizes(BENCH_PAILLIER_BITS, BENCH_DGK_BITS),
     )
-    ctx = make_context(seed=5, paillier_bits=BENCH_PAILLIER_BITS,
-                       dgk_bits=BENCH_DGK_BITS, dgk_plaintext_bits=16)
+    ctx = make_context(config=SessionConfig(
+        seed=5, paillier_bits=BENCH_PAILLIER_BITS, dgk_bits=BENCH_DGK_BITS,
+        dgk_plaintext_bits=16,
+    ))
 
     quality = Table("E15a: dosing-model quality and secure parity",
                     ["metric", "value"])

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.bench import Table
+from repro.core.session import SessionConfig
 from repro.crypto.paillier import PaillierKeyPair
 from repro.crypto.precompute import PrecomputedEncryptionPool
 from repro.crypto.rand import fresh_rng
@@ -64,8 +65,10 @@ def test_e18_online_offline_split(fitted_pipelines, warfarin_train_test,
     disclosure = list(range(8))
 
     start = time.perf_counter()
-    ctx = make_context(seed=31337, paillier_bits=BENCH_PAILLIER_BITS,
-                       dgk_bits=BENCH_DGK_BITS, dgk_plaintext_bits=16)
+    ctx = make_context(config=SessionConfig(
+        seed=31337, paillier_bits=BENCH_PAILLIER_BITS,
+        dgk_bits=BENCH_DGK_BITS, dgk_plaintext_bits=16,
+    ))
     secure.classify(ctx, test.X[0], disclosure)
     first_query = time.perf_counter() - start
 

@@ -22,6 +22,7 @@ from repro.classifiers import (
     RandomForestClassifier,
     accuracy,
 )
+from repro.core.session import SessionConfig
 from repro.secure.costing import ProtocolSizes
 from repro.secure.secure_forest import SecureRandomForestClassifier
 from repro.smc.context import make_context
@@ -88,8 +89,10 @@ def test_e19_secure_forest(warfarin_train_test, benchmark):
     scaling.print()
 
     # Live spot check.
-    ctx = make_context(seed=6, paillier_bits=BENCH_PAILLIER_BITS,
-                       dgk_bits=BENCH_DGK_BITS, dgk_plaintext_bits=16)
+    ctx = make_context(config=SessionConfig(
+        seed=6, paillier_bits=BENCH_PAILLIER_BITS, dgk_bits=BENCH_DGK_BITS,
+        dgk_plaintext_bits=16,
+    ))
     row = test.X[0]
     label = secure.classify(ctx, row, list(range(8)))
     counts = forest.vote_counts(row)

@@ -1,16 +1,14 @@
-"""E20 -- Extension: parallel batch crypto engine throughput.
+"""E20 -- Extension: batch crypto engine throughput.
 
-Measures the three engine-level wins this repo's batch paths build on:
+Measures the engine-level wins this repo's batch paths build on:
 
 1. **Batch encryption** of 256 values: the seed serial loop (one
-   ``pow`` per value, inline) vs the engine's serial batch vs the
-   process-pool backend. The parallel speedup tracks the core count.
+   ``pow`` per value, inline) vs the engine's batch.
 2. **64-feature encrypted dot product**: the seed serial path (one
    counted scalar-mul ``pow`` plus one multiply per nonzero weight,
    signed-encoded exponents) vs the engine's fused simultaneous
-   multi-exponentiation, serial and parallel. The fused path wins even
-   on one core because negative weights no longer pay full-modulus
-   exponents.
+   multi-exponentiation. The fused path wins because negative weights
+   no longer pay full-modulus exponents.
 3. **CRT decryption** vs the standard single full-width exponentiation.
 4. **Modexp backends and fixed-base windows**: the pure-Python ``pow``
    vs gmpy2 (when installed) on raw blinding exponentiations, and a
@@ -33,7 +31,7 @@ import os
 import time
 
 from repro.bench import Table, write_bench_json
-from repro.crypto.engine import CryptoEngine, make_engine
+from repro.crypto.engine import CryptoEngine
 from repro.crypto.modexp import (
     FixedBaseWindow,
     get_default_backend,
@@ -71,13 +69,7 @@ def test_e20_engine_throughput():
     keys = PaillierKeyPair.generate(key_bits=ENGINE_KEY_BITS,
                                     rng=fresh_rng(20))
     public, private = keys.public_key, keys.private_key
-    cores = os.cpu_count() or 1
-    workers = min(cores, 8)
-    serial = make_engine("serial")
-    parallel = make_engine("parallel", workers=workers)
-    # Warm the worker pool up front so fork cost is not billed to the
-    # first measurement.
-    parallel.encrypt_batch(public, list(range(16)), rng=fresh_rng(0))
+    serial = CryptoEngine()
 
     metrics = {}
 
@@ -92,24 +84,18 @@ def test_e20_engine_throughput():
     serial_enc = _best_of(
         lambda: serial.encrypt_batch(public, values, rng=fresh_rng(1))
     )
-    parallel_enc = _best_of(
-        lambda: parallel.encrypt_batch(public, values, rng=fresh_rng(1))
-    )
     metrics["encrypt_batch_values"] = ENCRYPT_BATCH
     metrics["encrypt_seed_seconds"] = seed_enc
     metrics["encrypt_serial_seconds"] = serial_enc
-    metrics["encrypt_parallel_seconds"] = parallel_enc
-    metrics["encrypt_parallel_speedup"] = seed_enc / parallel_enc
-    metrics["encrypt_parallel_throughput_per_s"] = ENCRYPT_BATCH / parallel_enc
+    metrics["encrypt_serial_speedup"] = seed_enc / serial_enc
 
     table = Table(
         f"E20a: batch encryption of {ENCRYPT_BATCH} values "
-        f"({ENGINE_KEY_BITS}-bit key, {workers} workers)",
+        f"({ENGINE_KEY_BITS}-bit key)",
         ["path", "seconds", "speedup vs seed"],
     )
     table.add_row(["seed serial loop", seed_enc, 1.0])
-    table.add_row(["engine serial", serial_enc, seed_enc / serial_enc])
-    table.add_row(["engine parallel", parallel_enc, seed_enc / parallel_enc])
+    table.add_row(["engine batch", serial_enc, seed_enc / serial_enc])
     table.print()
 
     # 2. 64-feature encrypted dot product (signed weights, zero-free).
@@ -131,25 +117,19 @@ def test_e20_engine_throughput():
 
     seed_dot_s = _best_of(seed_dot)
     serial_dot_s = _best_of(lambda: serial.dot_product(cts, weights))
-    parallel_dot_s = _best_of(lambda: parallel.dot_product(cts, weights))
     assert private.decrypt(serial.dot_product(cts, weights)) == expected
-    assert private.decrypt(parallel.dot_product(cts, weights)) == expected
     metrics["dot_features"] = DOT_FEATURES
     metrics["dot_seed_seconds"] = seed_dot_s
     metrics["dot_serial_seconds"] = serial_dot_s
-    metrics["dot_parallel_seconds"] = parallel_dot_s
-    metrics["dot_parallel_speedup"] = seed_dot_s / parallel_dot_s
-    metrics["dot_parallel_throughput_per_s"] = 1.0 / parallel_dot_s
+    metrics["dot_serial_speedup"] = seed_dot_s / serial_dot_s
 
     table = Table(
         f"E20b: {DOT_FEATURES}-feature encrypted dot product",
         ["path", "seconds", "speedup vs seed"],
     )
     table.add_row(["seed serial loop", seed_dot_s, 1.0])
-    table.add_row(["fused multi-exp (serial)", serial_dot_s,
+    table.add_row(["fused multi-exp", serial_dot_s,
                    seed_dot_s / serial_dot_s])
-    table.add_row(["fused multi-exp (parallel)", parallel_dot_s,
-                   seed_dot_s / parallel_dot_s])
     table.print()
 
     # 3. CRT vs standard decryption.
@@ -166,22 +146,21 @@ def test_e20_engine_throughput():
 
     std_s = _best_of(standard_decrypt)
     crt_s = _best_of(crt_decrypt)
-    parallel_dec_s = _best_of(lambda: parallel.decrypt_batch(private, dec_cts))
+    batch_dec_s = _best_of(lambda: serial.decrypt_batch(private, dec_cts))
     metrics["decrypt_batch_values"] = DECRYPT_BATCH
     metrics["decrypt_standard_seconds"] = std_s
     metrics["decrypt_crt_seconds"] = crt_s
     metrics["decrypt_crt_speedup"] = std_s / crt_s
-    metrics["decrypt_parallel_crt_seconds"] = parallel_dec_s
-    metrics["decrypt_parallel_crt_speedup"] = std_s / parallel_dec_s
+    metrics["decrypt_batch_crt_seconds"] = batch_dec_s
+    metrics["decrypt_batch_crt_speedup"] = std_s / batch_dec_s
 
     table = Table(
         f"E20c: decryption of {DECRYPT_BATCH} ciphertexts",
         ["path", "seconds", "speedup vs standard"],
     )
     table.add_row(["standard", std_s, 1.0])
-    table.add_row(["CRT (serial)", crt_s, std_s / crt_s])
-    table.add_row(["CRT (parallel batch)", parallel_dec_s,
-                   std_s / parallel_dec_s])
+    table.add_row(["CRT", crt_s, std_s / crt_s])
+    table.add_row(["CRT (engine batch)", batch_dec_s, std_s / batch_dec_s])
     table.print()
 
     # 4. Modexp backends and fixed-base window sweep. The workload is
@@ -306,26 +285,22 @@ def test_e20_engine_throughput():
         _BENCH_JSON,
         "e20_engine",
         metrics,
-        meta={"key_bits": ENGINE_KEY_BITS, "workers": workers,
+        meta={"key_bits": ENGINE_KEY_BITS, "cpu_count": os.cpu_count(),
               "gmpy2": gmpy2_available()},
     )
     print(f"wrote {_BENCH_JSON}: "
-          f"encrypt x{metrics['encrypt_parallel_speedup']:.1f}, "
-          f"dot x{metrics['dot_parallel_speedup']:.1f}, "
+          f"encrypt x{metrics['encrypt_serial_speedup']:.1f}, "
+          f"dot x{metrics['dot_serial_speedup']:.1f}, "
           f"crt x{metrics['decrypt_crt_speedup']:.1f}")
     assert record["metrics"]
 
-    # The engine must never lose to the seed path by more than pool
-    # overhead noise on any machine.
+    # The engine must never lose to the seed path by more than
+    # measurement noise on any machine.
     assert serial_enc <= seed_enc * 1.25
     assert serial_dot_s <= seed_dot_s
     # CRT decryption is a machine-independent algorithmic win (~4x
     # fewer bit operations); keep a conservative floor for CI noise.
     assert std_s / crt_s >= 1.5
-    if cores >= 4:
-        # The headline targets only hold with real cores to fan out to.
-        assert seed_enc / parallel_enc >= 3.0
-        assert seed_dot_s / parallel_dot_s >= 3.0
 
     # Modexp-layer gates. Fixed-base windows are an algorithmic win
     # (zero squarings), independent of machine; the pooled path --
@@ -342,5 +317,3 @@ def test_e20_engine_throughput():
         # GMP makes both the refill and the comparison loop faster;
         # the pooled total must still win by the headline margin.
         assert pooled_speedup >= 5.0
-
-    parallel.close()

@@ -24,6 +24,7 @@ import os
 import time
 
 from repro.bench import Table, write_bench_json
+from repro.core.session import SessionConfig
 from repro.smc import wire
 from repro.smc.argmax import secure_argmax
 from repro.smc.comparison import compare_values_encrypted, dgk_compare
@@ -55,8 +56,10 @@ def _contexts(count):
     """Pre-built identical contexts, so key generation is not billed to
     the transport measurement."""
     return [
-        make_context(seed=_SEED, paillier_bits=BENCH_PAILLIER_BITS,
-                     dgk_bits=BENCH_DGK_BITS, dgk_plaintext_bits=16)
+        make_context(config=SessionConfig(
+            seed=_SEED, paillier_bits=BENCH_PAILLIER_BITS,
+            dgk_bits=BENCH_DGK_BITS, dgk_plaintext_bits=16,
+        ))
         for _ in range(count)
     ]
 

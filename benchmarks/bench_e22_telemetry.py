@@ -19,7 +19,7 @@ import time
 import repro.telemetry as telemetry
 from repro.bench import Table, write_bench_json
 from repro.core.session import SessionConfig
-from repro.crypto.engine import make_engine
+from repro.crypto.engine import CryptoEngine
 from repro.crypto.paillier import PaillierKeyPair
 from repro.crypto.rand import fresh_rng
 from repro.smc.comparison import dgk_compare
@@ -50,7 +50,7 @@ def _best_of(fn, repeats=5):
 def test_e22_telemetry_overhead():
     keys = PaillierKeyPair.generate(key_bits=KEY_BITS, rng=fresh_rng(22))
     public = keys.public_key
-    engine = make_engine("serial")
+    engine = CryptoEngine()
     values = [(i * 37) % 200 - 100 for i in range(ENCRYPT_BATCH)]
     weights = [(i * 131) % 512 - 256 or 3 for i in range(DOT_FEATURES)]
     cts = engine.encrypt_batch(public, values[:DOT_FEATURES],

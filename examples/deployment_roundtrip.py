@@ -20,6 +20,7 @@ import tempfile
 
 from repro.api import PipelineConfig, PrivacyAwareClassifier
 from repro.core.serialization import load_deployment, save_deployment
+from repro.core.session import SessionConfig
 from repro.data import generate_warfarin, train_test_split
 from repro.smc.context import make_context
 
@@ -47,8 +48,9 @@ def main() -> None:
 
     # ---- online: the service's side (no cohort, no optimizer) ----------
     deployed = load_deployment(bundle_path)
-    ctx = make_context(seed=99, paillier_bits=384, dgk_bits=192,
-                       dgk_plaintext_bits=16)
+    ctx = make_context(config=SessionConfig(
+        seed=99, paillier_bits=384, dgk_bits=192, dgk_plaintext_bits=16,
+    ))
     print("\nonline: serving 5 live hybrid queries from the bundle")
     for patient_id, row in enumerate(test.X[:5]):
         label = deployed.classify(ctx, row)

@@ -14,6 +14,7 @@ Each step prints what was computed and what it cost on the wire.
 Run:  python examples/secure_protocols_tour.py
 """
 
+from repro.core.session import SessionConfig
 from repro.crypto import GMKeyPair
 from repro.crypto.ot import one_of_n_transfer
 from repro.crypto.rand import fresh_rng
@@ -37,8 +38,9 @@ def show_cost(ctx, label: str, before_bytes: int, before_rounds: int) -> None:
 
 
 def main() -> None:
-    ctx = make_context(seed=2024, paillier_bits=384, dgk_bits=192,
-                       dgk_plaintext_bits=16)
+    ctx = make_context(config=SessionConfig(
+        seed=2024, paillier_bits=384, dgk_bits=192, dgk_plaintext_bits=16,
+    ))
     public = ctx.paillier.public_key
     private = ctx.paillier.private_key
 

@@ -19,9 +19,6 @@ The public surface lives in :mod:`repro.api`::
     print(pac.speedup(), "x faster than pure SMC")
     print(pac.classify(test.X[0]))      # live crypto, hybrid protocol
 
-Importing those names from the top-level ``repro`` package still works
-but is deprecated (one :class:`DeprecationWarning` per process).
-
 Package map: :mod:`repro.crypto` (Paillier/DGK/GM/OT primitives),
 :mod:`repro.smc` (two-party runtime and protocols),
 :mod:`repro.classifiers` (plaintext trainers), :mod:`repro.secure`
@@ -33,63 +30,8 @@ pipeline tying it together), :mod:`repro.telemetry` (spans, counters,
 metrics export), :mod:`repro.api` (the unified facade).
 """
 
-from __future__ import annotations
-
-import warnings
-from typing import Any
-
 from repro.core.exceptions import ReproError
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DisclosureProblem",
-    "DisclosureSolution",
-    "PipelineConfig",
-    "PrivacyAwareClassifier",
-    "ReproError",
-    "RiskMetric",
-    "SessionConfig",
-    "TradeoffAnalyzer",
-    "TradeoffPoint",
-    "__version__",
-]
-
-#: Names whose top-level import is deprecated in favour of repro.api.
-_LEGACY_API_NAMES = frozenset(
-    name for name in __all__
-    if name not in ("ReproError", "__version__")
-)
-
-_legacy_import_warned = False
-
-
-def __getattr__(name: str) -> Any:
-    """PEP 562 shim: serve legacy top-level names from :mod:`repro.api`.
-
-    The first legacy access per process emits one deprecation warning;
-    resolved names are cached in the module namespace so the shim (and
-    the warning machinery) is off the path afterwards.
-    """
-    if name not in _LEGACY_API_NAMES:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    global _legacy_import_warned
-    if not _legacy_import_warned:
-        warnings.warn(
-            f"importing {name} from the top-level 'repro' package is "
-            f"deprecated; import it from repro.api instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        _legacy_import_warned = True
-    import repro.api as api
-
-    value = getattr(api, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(__all__))
+__all__ = ["ReproError", "__version__"]

@@ -27,8 +27,10 @@ matching how the serving runtime is actually written. Findings render
 the thread entry chain that reaches the offending method.
 
 Scope: ``repro.serving``, ``repro.telemetry``,
-``repro.crypto.precompute`` -- the three packages that share state
-across threads today. Widen the tuple as concurrency spreads.
+``repro.crypto.stockpile`` (the one stockpile behind both offline
+phases, with its background refiller) and ``repro.crypto.triples`` --
+the code that shares state across threads today. Widen the tuple as
+concurrency spreads.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition"})
 
 #: Packages whose classes share mutable state across threads.
 THREADED_SCOPE = ("repro.serving", "repro.telemetry",
-                  "repro.crypto.precompute")
+                  "repro.crypto.stockpile", "repro.crypto.triples")
 
 
 def _self_attr(node: ast.AST) -> Optional[str]:

@@ -53,7 +53,6 @@ from repro.bench import Table
 from repro.cliutil import add_format_argument, add_metrics_argument, emit
 from repro.core.session import (
     CRYPTO_BACKENDS,
-    ENGINE_BACKENDS,
     PROTOCOL_BACKENDS,
     RNG_MODES,
     TRANSPORT_BACKENDS,
@@ -145,12 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "each shard runs its own crypto engine and "
                             "--workers thread pool (default 1: a single "
                             "in-process server)")
-    serve.add_argument("--engine", choices=ENGINE_BACKENDS, default="serial",
-                       help="batch crypto engine shared by all request "
-                            "handlers (default serial)")
-    serve.add_argument("--engine-workers", type=int, default=None,
-                       help="worker processes for --engine parallel "
-                            "(default: CPU count)")
     serve.add_argument("--crypto-backend", choices=CRYPTO_BACKENDS,
                        default=None, dest="crypto_backend",
                        help="bignum kernel for modular exponentiation "
@@ -237,12 +230,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dataset", choices=sorted(DATASETS), default="warfarin")
     sub.add_argument("--classifier", choices=CLASSIFIERS,
                      default="naive_bayes")
-    sub.add_argument("--engine", choices=ENGINE_BACKENDS, default="serial",
-                     help="batch crypto engine backend (default serial; "
-                          "parallel fans work across processes)")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes for --engine parallel "
-                          "(default: CPU count)")
     sub.add_argument("--crypto-backend", choices=CRYPTO_BACKENDS,
                      default=None, dest="crypto_backend",
                      help="bignum kernel for modular exponentiation "
@@ -319,8 +306,6 @@ def _fitted_pipeline(args: argparse.Namespace) -> tuple:
     pipeline = PrivacyAwareClassifier(
         PipelineConfig(
             classifier=args.classifier, paillier_bits=384, dgk_bits=192,
-            engine_backend=session.engine_backend,
-            engine_workers=session.engine_workers,
             crypto_backend=session.crypto_backend,
             seed=args.seed,
             session=session,
@@ -468,8 +453,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         queue_depth=args.queue_depth,
         request_timeout_s=args.request_timeout,
-        engine_backend=args.engine,
-        engine_workers=args.engine_workers,
         crypto_backend=args.crypto_backend or "auto",
         protocol_backend=args.backend or "paillier",
         shards=args.shards,

@@ -27,7 +27,6 @@ import numpy as np
 
 import repro.telemetry as telemetry
 from repro.classifiers.decision_tree import DecisionTreeClassifier
-from repro.crypto.engine import BACKENDS as ENGINE_BACKENDS
 from repro.crypto.modexp import MODEXP_BACKENDS as CRYPTO_BACKENDS
 from repro.classifiers.linear import LogisticRegressionClassifier
 from repro.classifiers.naive_bayes import NaiveBayesClassifier
@@ -92,12 +91,6 @@ class PipelineConfig:
     paillier_bits / dgk_bits / dgk_plaintext_bits:
         Key sizes for the *live* protocol context created by
         :meth:`PrivacyAwareClassifier.make_context`.
-    engine_backend / engine_workers:
-        Execution backend for batch Paillier work in live contexts:
-        ``"serial"`` (default) or ``"parallel"`` (process-pool fan-out
-        across ``engine_workers`` processes, defaulting to the CPU
-        count). The backend changes wall-clock speed only -- transcripts,
-        ciphertexts and traces are identical.
     crypto_backend:
         Bignum kernel for modular exponentiation in live contexts:
         ``"auto"`` (probe for gmpy2, fall back to pure Python),
@@ -116,7 +109,7 @@ class PipelineConfig:
         Optional :class:`repro.core.session.SessionConfig` governing the
         live crypto session wholesale. When given it takes precedence
         over the per-parameter ``paillier_bits`` / ``dgk_bits`` /
-        ``engine_backend`` / ``seed`` fields above for context creation
+        ``crypto_backend`` / ``seed`` fields above for context creation
         (those remain in force for the analytic cost model's sizes).
 
     Example::
@@ -140,8 +133,6 @@ class PipelineConfig:
     paillier_bits: int = 512
     dgk_bits: int = 256
     dgk_plaintext_bits: int = 16
-    engine_backend: str = "serial"
-    engine_workers: Optional[int] = None
     crypto_backend: str = "auto"
     protocol_backend: str = "paillier"
     tree_max_depth: int = 6
@@ -159,11 +150,6 @@ class PipelineConfig:
             raise ReproError(
                 f"unknown adversary model {self.adversary_model!r}; "
                 f"expected 'naive_bayes' or 'chow_liu'"
-            )
-        if self.engine_backend not in ENGINE_BACKENDS:
-            raise ReproError(
-                f"unknown engine backend {self.engine_backend!r}; "
-                f"expected one of {ENGINE_BACKENDS}"
             )
         if self.crypto_backend not in CRYPTO_BACKENDS:
             raise ReproError(
@@ -197,7 +183,7 @@ class PipelineConfig:
         """The session configuration for live crypto contexts.
 
         The explicit ``session`` field wins; otherwise one is assembled
-        from the pipeline's per-parameter key-size/engine/seed fields.
+        from the pipeline's per-parameter key-size/backend/seed fields.
         """
         if self.session is not None:
             return self.session
@@ -206,8 +192,6 @@ class PipelineConfig:
             paillier_bits=self.paillier_bits,
             dgk_bits=self.dgk_bits,
             dgk_plaintext_bits=self.dgk_plaintext_bits,
-            engine_backend=self.engine_backend,
-            engine_workers=self.engine_workers,
             crypto_backend=self.crypto_backend,
             protocol_backend=self.protocol_backend,
         )

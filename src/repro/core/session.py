@@ -1,12 +1,11 @@
 """Session configuration: one object for a whole two-party session.
 
-Key sizes, engine backend, transport policy, randomness mode and the
-telemetry switch used to be scattered keyword arguments across
-:func:`repro.smc.context.make_context`, :class:`repro.core.pipeline
-.PipelineConfig` and the CLI. :class:`SessionConfig` consolidates them
-into a single validated dataclass accepted everywhere a session is
-built; the old keyword arguments keep working through a deprecation
-shim that warns once per process.
+Key sizes, bignum and protocol backends, transport policy, randomness
+mode, serving policy and the telemetry switch live in one validated
+dataclass, :class:`SessionConfig`, accepted everywhere a session is
+built (:func:`repro.smc.context.make_context`,
+:class:`repro.core.pipeline.PipelineConfig`, the CLI and the serving
+runtime).
 
 This module is deliberately light: it imports no sockets, no process
 pools, no numpy -- the :mod:`repro.api` facade re-exports it without
@@ -20,13 +19,10 @@ from typing import Optional
 
 from repro.core.exceptions import ReproError
 
-#: Engine backends, mirrored from :data:`repro.crypto.engine.BACKENDS`
-#: (kept literal here so this module stays import-light; a unit test
-#: asserts the two stay in sync).
-ENGINE_BACKENDS = ("serial", "parallel")
-
 #: Bignum (modular-exponentiation) backends, mirrored from
-#: :data:`repro.crypto.modexp.MODEXP_BACKENDS` (same sync test).
+#: :data:`repro.crypto.modexp.MODEXP_BACKENDS` (kept literal here so
+#: this module stays import-light; a unit test asserts the two stay in
+#: sync).
 CRYPTO_BACKENDS = ("auto", "python", "gmpy2")
 
 #: Transport backends, mirrored from
@@ -56,9 +52,6 @@ class SessionConfig:
         cryptosystems.
     statistical_security_bits:
         Width of the additive blinding margin (``kappa``).
-    engine_backend / engine_workers:
-        Batch crypto execution backend (``"serial"`` or ``"parallel"``)
-        and its process count (``None`` = CPU count).
     crypto_backend:
         Bignum kernel for the modular exponentiations: ``"auto"``
         (default; probes for ``gmpy2`` and falls back to pure Python),
@@ -117,7 +110,7 @@ class SessionConfig:
 
         config = SessionConfig(seed=7, paillier_bits=384, dgk_bits=192)
         ctx = make_context(config=config)
-        faster = config.with_overrides(engine_backend="parallel")
+        gmp = config.with_overrides(crypto_backend="gmpy2")
     """
 
     seed: int = 0
@@ -125,8 +118,6 @@ class SessionConfig:
     dgk_bits: int = 256
     dgk_plaintext_bits: int = 16
     statistical_security_bits: int = DEFAULT_STATISTICAL_SECURITY_BITS
-    engine_backend: str = "serial"
-    engine_workers: Optional[int] = None
     crypto_backend: str = "auto"
     transport_backend: str = "inproc"
     protocol_backend: str = "paillier"
@@ -144,11 +135,6 @@ class SessionConfig:
     privacy_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.engine_backend not in ENGINE_BACKENDS:
-            raise ReproError(
-                f"unknown engine backend {self.engine_backend!r}; "
-                f"expected one of {ENGINE_BACKENDS}"
-            )
         if self.crypto_backend not in CRYPTO_BACKENDS:
             raise ReproError(
                 f"unknown crypto backend {self.crypto_backend!r}; "
@@ -173,10 +159,6 @@ class SessionConfig:
                      "statistical_security_bits"):
             if getattr(self, name) <= 0:
                 raise ReproError(f"{name} must be positive")
-        if self.engine_workers is not None and self.engine_workers < 1:
-            raise ReproError(
-                f"engine_workers must be positive, got {self.engine_workers}"
-            )
         if self.transport_retries < 0:
             raise ReproError("transport_retries must be non-negative")
         if self.max_workers < 1:
@@ -210,9 +192,8 @@ class SessionConfig:
     def from_args(cls, args, **extra) -> "SessionConfig":
         """Build a config from a parsed CLI namespace.
 
-        Reads whichever of ``--seed``, ``--engine``, ``--workers``,
-        ``--crypto-backend``, ``--transport``, ``--backend``,
-        ``--rng-mode``,
+        Reads whichever of ``--seed``, ``--crypto-backend``,
+        ``--transport``, ``--backend``, ``--rng-mode``,
         ``--metrics``, ``--queue-depth``, ``--request-timeout``,
         ``--shards``, ``--ledger`` and ``--privacy-budget`` the
         subcommand defined; anything absent keeps its default.
@@ -221,8 +202,6 @@ class SessionConfig:
         values = {}
         for field_name, arg_name in (
             ("seed", "seed"),
-            ("engine_backend", "engine"),
-            ("engine_workers", "workers"),
             ("crypto_backend", "crypto_backend"),
             ("transport_backend", "transport"),
             ("protocol_backend", "backend"),

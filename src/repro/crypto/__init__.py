@@ -15,9 +15,13 @@ arbitrary-precision integers. The package provides:
   optional ``gmpy2`` (GMP) backend, fixed-base windowed
   exponentiation tables and CRT-split powmod. All backends are
   bit-for-bit interchangeable.
-* :mod:`repro.crypto.engine` -- the batch crypto engine: serial or
-  process-pool execution of bulk encrypt/decrypt/scalar-mul/
-  re-randomise work and fused multi-exponentiation dot products.
+* :mod:`repro.crypto.engine` -- the batch crypto engine: bulk
+  encrypt/decrypt/scalar-mul/re-randomise work and fused
+  multi-exponentiation dot products.
+* :mod:`repro.crypto.stockpile` -- the one thread-safe stockpile with
+  background refill behind the offline phases: the precomputed
+  encryption pool (:mod:`repro.crypto.precompute`) and the Beaver
+  triple store (:mod:`repro.crypto.triples`).
 * :mod:`repro.crypto.gm` -- Goldwasser-Micali bitwise (XOR-homomorphic)
   encryption.
 * :mod:`repro.crypto.dgk` -- a Damgaard-Geisler-Kroigaard style
@@ -38,12 +42,7 @@ sizes. Do not use this package to protect real data.
 
 from repro.crypto.beaver import BeaverTriple, TrustedDealer
 from repro.crypto.dgk import DgkCiphertext, DgkKeyPair, DgkPrivateKey, DgkPublicKey
-from repro.crypto.engine import (
-    CryptoEngine,
-    ProcessPoolBackend,
-    SerialBackend,
-    make_engine,
-)
+from repro.crypto.engine import CryptoEngine
 from repro.crypto.gm import GMCiphertext, GMKeyPair, GMPrivateKey, GMPublicKey
 from repro.crypto.modexp import (
     MODEXP_BACKENDS,
@@ -90,13 +89,10 @@ __all__ = [
     "PaillierPrivateKey",
     "PaillierPublicKey",
     "PrecomputedEncryptionPool",
-    "ProcessPoolBackend",
-    "SerialBackend",
     "ShamirSecretSharer",
     "TrustedDealer",
     "default_rng",
     "gmpy2_available",
-    "make_engine",
     "powmod",
     "resolve_backend",
 ]

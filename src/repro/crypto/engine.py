@@ -3,32 +3,23 @@
 Every Paillier-heavy protocol step in this library reduces to a handful
 of bulk shapes -- encrypt N values, decrypt N ciphertexts, N independent
 scalar multiplications, N re-randomisations, or one fused dot product.
-:class:`CryptoEngine` exposes exactly those batch APIs over two
-interchangeable execution backends:
-
-* :class:`SerialBackend` -- the in-process reference implementation;
-* :class:`ProcessPoolBackend` -- chunks the big-int exponentiations
-  across a :class:`concurrent.futures.ProcessPoolExecutor`. Python's
-  arbitrary-precision ``pow`` holds the GIL, so genuine speedup needs
-  processes, and the work units (hundreds of microseconds to
-  milliseconds each) amortise the pickling of a few hundred bytes per
-  ciphertext easily.
+:class:`CryptoEngine` exposes exactly those batch APIs.
 
 Determinism is preserved by construction: all randomness (encryption
-nonces, re-randomisation factors) is drawn *serially in the caller's
-process*, in input order, from the caller's
-:class:`~repro.crypto.rand.DeterministicRandom` stream. Workers only
-ever evaluate deterministic modular arithmetic, so the serial and
-parallel backends produce byte-identical ciphertexts under a fixed
-seed -- the property the parity tests pin down.
+nonces, re-randomisation factors) is drawn serially, in input order,
+from the caller's :class:`~repro.crypto.rand.DeterministicRandom`
+stream, so a batch is transcript-identical to the per-value loop it
+replaces. One engine is stateless apart from its attached pools and is
+shared by every request context of a server; request-level
+parallelism comes from the server's handler threads and, across cores,
+from fleet shard processes (:mod:`repro.serving.fleet`).
 
 The big-integer kernel itself is pluggable (:mod:`repro.crypto.modexp`):
-every execution backend carries a *modexp backend* -- pure-Python
-``pow`` (canonical) or GMP via ``gmpy2`` when available -- selected by
-name through :func:`make_engine`, ``SessionConfig.crypto_backend`` or
-``--crypto-backend``. Modexp backends are bit-for-bit interchangeable,
-so this is a wall-clock knob only; worker processes resolve the backend
-by name on their side of the pickle boundary.
+every engine carries a *modexp backend* -- pure-Python ``pow``
+(canonical) or GMP via ``gmpy2`` when available -- selected by name
+through ``CryptoEngine(modexp=...)``, ``SessionConfig.crypto_backend``
+or ``--crypto-backend``. Modexp backends are bit-for-bit
+interchangeable, so this is a wall-clock knob only.
 
 An engine can also *drain a precompute pool*
 (:meth:`CryptoEngine.attach_pool`): when a
@@ -50,10 +41,6 @@ the full modulus width and erase the gain.
 
 from __future__ import annotations
 
-import atexit
-import os
-import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -89,22 +76,8 @@ class EngineError(Exception):
     """Raised on misconfiguration or misuse of the crypto engine."""
 
 
-# -- worker kernels (module level so they pickle under 'fork'/'spawn') ------
-
-
-def _pow_chunk(jobs: Sequence[PowJob], modexp: str = "python") -> List[int]:
-    """Evaluate a chunk of independent modular exponentiations.
-
-    ``modexp`` names the bignum backend (worker processes resolve it on
-    their side; names pickle, backend instances need not).
-    """
-    powmod = resolve_backend(modexp).powmod
-    return [powmod(base, exponent, modulus)
-            for base, exponent, modulus in jobs]
-
-
 def _multiexp(bases: Sequence[int], exponents: Sequence[int],
-              modulus: int, modexp: str = "python") -> int:
+              modulus: int, backend: ModexpBackend) -> int:
     """``prod_i bases[i]^exponents[i] mod modulus`` by interleaved
     binary multi-exponentiation.
 
@@ -120,7 +93,6 @@ def _multiexp(bases: Sequence[int], exponents: Sequence[int],
             raise EngineError("multi-exponentiation needs non-negative exponents")
         if exponent.bit_length() > max_bits:
             max_bits = exponent.bit_length()
-    backend = resolve_backend(modexp)
     mod = backend.wrap(modulus)
     wrapped = [backend.wrap(base) for base in bases]
     accumulator = backend.wrap(1)
@@ -132,276 +104,55 @@ def _multiexp(bases: Sequence[int], exponents: Sequence[int],
     return backend.unwrap(accumulator)
 
 
-def _multiexp_chunk(
-    args: Tuple[Sequence[int], Sequence[int], int, str]
-) -> int:
-    bases, exponents, modulus, modexp = args
-    return _multiexp(bases, exponents, modulus, modexp)
+class CryptoEngine:
+    """Batch Paillier operations on one bignum (modexp) backend.
 
+    The engine is stateless apart from any attached precompute pools
+    (:meth:`attach_pool`), so one engine can serve any number of keys
+    and sessions concurrently, from any number of threads. Operation
+    *accounting* stays with the caller
+    (:class:`repro.smc.context.TwoPartyContext` counts ops into its
+    trace before dispatching).
 
-def _pow_chunk_metered(
-    jobs: Sequence[PowJob], modexp: str = "python"
-) -> Tuple[List[int], dict]:
-    """Like :func:`_pow_chunk`, but also returns a telemetry snapshot.
-
-    Worker processes never share the parent's registry (and may not even
-    inherit its enabled flag under ``spawn``), so metered kernels build
-    a private :class:`~repro.telemetry.MetricsRegistry`, record into it,
-    and ship the plain-dict snapshot home with the results; the parent
-    folds it in with :func:`repro.telemetry.merge_snapshot`.
+    Parameters
+    ----------
+    modexp:
+        Bignum backend name (``"auto"`` / ``"python"`` / ``"gmpy2"``)
+        or instance; ``None`` keeps the process default. The resolved
+        choice is recorded in telemetry as ``engine.modexp.<name>`` so
+        metrics documents say which kernel produced their numbers.
     """
-    registry = telemetry.MetricsRegistry()
-    start = time.perf_counter()
-    results = _pow_chunk(jobs, modexp)
-    registry.count("engine.worker.pow_jobs", len(jobs))
-    registry.observe(
-        "engine.worker.chunk_seconds", time.perf_counter() - start
-    )
-    return results, registry.snapshot()
-
-
-def _multiexp_chunk_metered(
-    args: Tuple[Sequence[int], Sequence[int], int, str]
-) -> Tuple[int, dict]:
-    """Metered variant of :func:`_multiexp_chunk` (see above)."""
-    registry = telemetry.MetricsRegistry()
-    start = time.perf_counter()
-    result = _multiexp_chunk(args)
-    registry.count("engine.worker.multiexp_bases", len(args[0]))
-    registry.observe(
-        "engine.worker.chunk_seconds", time.perf_counter() - start
-    )
-    return result, registry.snapshot()
-
-
-def _split_chunks(items: Sequence, pieces: int) -> List[Sequence]:
-    """Split ``items`` into at most ``pieces`` contiguous, near-equal
-    chunks (order preserved; no empty chunks)."""
-    count = len(items)
-    pieces = max(1, min(pieces, count))
-    base, extra = divmod(count, pieces)
-    chunks: List[Sequence] = []
-    start = 0
-    for index in range(pieces):
-        size = base + (1 if index < extra else 0)
-        chunks.append(items[start:start + size])
-        start += size
-    return chunks
-
-
-# -- execution backends ------------------------------------------------------
-
-
-class SerialBackend:
-    """Reference backend: runs every job inline in the calling process."""
-
-    name = "serial"
-    workers = 1
 
     def __init__(
         self, modexp: Union[str, ModexpBackend, None] = None
     ) -> None:
         self.modexp = resolve_backend(modexp or get_default_backend())
+        self._pools: Dict[int, "PrecomputedEncryptionPool"] = {}
+        if telemetry.enabled():
+            telemetry.count(f"engine.modexp.{self.modexp_name}")
 
     @property
     def modexp_name(self) -> str:
+        """Name of the bignum backend evaluating the exponentiations."""
         return self.modexp.name
+
+    # -- exponentiation kernels ---------------------------------------------
 
     def map_pow(self, jobs: Sequence[PowJob]) -> List[int]:
         """Evaluate independent modular exponentiations, in order."""
         if telemetry.enabled():
             telemetry.count("engine.pow_jobs", len(jobs))
-            telemetry.count("engine.inline_chunks")
-        return _pow_chunk(jobs, self.modexp_name)
+        powmod = self.modexp.powmod
+        return [powmod(base, exponent, modulus)
+                for base, exponent, modulus in jobs]
 
     def multiexp(self, bases: Sequence[int], exponents: Sequence[int],
                  modulus: int) -> int:
-        """One fused multi-exponentiation."""
+        """One fused multi-exponentiation (see :func:`_multiexp`)."""
         if telemetry.enabled():
             telemetry.count("engine.multiexp_calls")
             telemetry.count("engine.multiexp_bases", len(bases))
-        return _multiexp(bases, exponents, modulus, self.modexp_name)
-
-    def close(self) -> None:
-        """No resources to release."""
-
-
-class ProcessPoolBackend:
-    """Chunks batch work across a lazily created process pool.
-
-    Parameters
-    ----------
-    workers:
-        Pool size; defaults to ``os.cpu_count()``.
-    min_batch:
-        Batches smaller than this run inline -- the fork/pickle overhead
-        would dominate sub-millisecond workloads.
-    """
-
-    name = "parallel"
-
-    def __init__(self, workers: Optional[int] = None,
-                 min_batch: int = 8,
-                 modexp: Union[str, ModexpBackend, None] = None) -> None:
-        resolved = workers if workers is not None else (os.cpu_count() or 1)
-        if resolved < 1:
-            raise EngineError(f"worker count must be positive, got {resolved}")
-        self.workers = resolved
-        self.min_batch = min_batch
-        self.modexp = resolve_backend(modexp or get_default_backend())
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def modexp_name(self) -> str:
-        return self.modexp.name
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            atexit.register(self.close)
-        return self._executor
-
-    def map_pow(self, jobs: Sequence[PowJob]) -> List[int]:
-        """Evaluate independent modular exponentiations, in order,
-        fanned out across the pool.
-
-        While telemetry is enabled the metered kernel variant runs in
-        the workers; each chunk's private snapshot travels back with its
-        results and is merged into the parent registry.
-        """
-        metered = telemetry.enabled()
-        if metered:
-            telemetry.count("engine.pow_jobs", len(jobs))
-        if self.workers == 1 or len(jobs) < self.min_batch:
-            if metered:
-                telemetry.count("engine.inline_chunks")
-            return _pow_chunk(jobs, self.modexp_name)
-        chunks = _split_chunks(list(jobs), self.workers)
-        results: List[int] = []
-        if metered:
-            telemetry.count("engine.pool_dispatches")
-            futures = [
-                self._pool().submit(_pow_chunk_metered, chunk,
-                                    self.modexp_name)
-                for chunk in chunks
-            ]
-            for future in futures:
-                chunk_results, snap = future.result()
-                results.extend(chunk_results)
-                telemetry.merge_snapshot(snap)
-            return results
-        futures = [
-            self._pool().submit(_pow_chunk, chunk, self.modexp_name)
-            for chunk in chunks
-        ]
-        for future in futures:
-            results.extend(future.result())
-        return results
-
-    def multiexp(self, bases: Sequence[int], exponents: Sequence[int],
-                 modulus: int) -> int:
-        """Fused multi-exponentiation; each worker multi-exponentiates a
-        slice of the bases and the partial products are combined (the
-        group is commutative, so chunking never changes the result)."""
-        metered = telemetry.enabled()
-        if metered:
-            telemetry.count("engine.multiexp_calls")
-            telemetry.count("engine.multiexp_bases", len(bases))
-        if self.workers == 1 or len(bases) < self.min_batch:
-            return _multiexp(bases, exponents, modulus, self.modexp_name)
-        base_chunks = _split_chunks(list(bases), self.workers)
-        exp_chunks = _split_chunks(list(exponents), self.workers)
-        if metered:
-            telemetry.count("engine.pool_dispatches")
-            metered_futures = [
-                self._pool().submit(
-                    _multiexp_chunk_metered,
-                    (b, e, modulus, self.modexp_name),
-                )
-                for b, e in zip(base_chunks, exp_chunks)
-            ]
-            accumulator = 1
-            for future in metered_futures:
-                partial, snap = future.result()
-                accumulator = accumulator * partial % modulus
-                telemetry.merge_snapshot(snap)
-            return accumulator
-        futures = [
-            self._pool().submit(
-                _multiexp_chunk, (b, e, modulus, self.modexp_name)
-            )
-            for b, e in zip(base_chunks, exp_chunks)
-        ]
-        accumulator = 1
-        for future in futures:
-            accumulator = accumulator * future.result() % modulus
-        return accumulator
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
-
-BACKENDS = ("serial", "parallel")
-
-
-def make_engine(backend: str = "serial",
-                workers: Optional[int] = None,
-                modexp: Union[str, ModexpBackend, None] = None,
-                ) -> "CryptoEngine":
-    """Build an engine by backend name (``"serial"`` or ``"parallel"``).
-
-    ``modexp`` selects the bignum backend by name (``"auto"`` /
-    ``"python"`` / ``"gmpy2"``); ``None`` keeps the process default
-    (itself ``"auto"`` unless overridden). The resolved choice is
-    recorded in telemetry as ``engine.modexp.<name>`` so metrics
-    documents say which kernel produced their numbers.
-    """
-    if backend == "serial":
-        engine = CryptoEngine(SerialBackend(modexp=modexp))
-    elif backend == "parallel":
-        engine = CryptoEngine(
-            ProcessPoolBackend(workers=workers, modexp=modexp)
-        )
-    else:
-        raise EngineError(
-            f"unknown engine backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if telemetry.enabled():
-        telemetry.count(f"engine.modexp.{engine.modexp_name}")
-    return engine
-
-
-class CryptoEngine:
-    """Batch Paillier operations over a pluggable execution backend.
-
-    The engine is stateless apart from the backend (and its pool) and
-    any attached precompute pools (:meth:`attach_pool`), so one engine
-    can serve any number of keys and sessions concurrently.
-    Operation *accounting* stays with the caller
-    (:class:`repro.smc.context.TwoPartyContext` counts ops into its
-    trace before dispatching), so serial and parallel runs produce
-    identical :class:`~repro.smc.protocol.ExecutionTrace` summaries.
-    """
-
-    def __init__(self, backend=None) -> None:
-        self.backend = backend or SerialBackend()
-        self._pools: Dict[int, "PrecomputedEncryptionPool"] = {}
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
-
-    @property
-    def workers(self) -> int:
-        return self.backend.workers
-
-    @property
-    def modexp_name(self) -> str:
-        """Name of the bignum backend evaluating the exponentiations."""
-        return getattr(self.backend, "modexp_name", "python")
+        return _multiexp(bases, exponents, modulus, self.modexp)
 
     # -- precompute pools ---------------------------------------------------
 
@@ -452,7 +203,7 @@ class CryptoEngine:
             n_sq = public_key.n_squared
             nonces = [rng.random_unit(n) for _ in range(shortfall)]
             factors.extend(
-                self.backend.map_pow([(r, n, n_sq) for r in nonces])
+                self.map_pow([(r, n, n_sq) for r in nonces])
             )
         return factors
 
@@ -485,7 +236,7 @@ class CryptoEngine:
 
         With no pool attached (:meth:`attach_pool`), nonces are drawn
         serially from ``rng`` in input order, then the ``r^n mod n^2``
-        blinding exponentiations fan out; the combine step matches
+        blinding exponentiations run as one batch; the combine step matches
         :meth:`PaillierPublicKey.encrypt` bit for bit. With a pool
         attached for this key, ready factors are drained first -- the
         online cost collapses to two modular multiplications per
@@ -516,8 +267,7 @@ class CryptoEngine:
         signed: bool = True,
     ) -> List[int]:
         """Decrypt ``ciphertexts``; CRT-accelerated when the key holds
-        its prime factors (two half-width jobs per ciphertext, which
-        also doubles the parallel fan-out)."""
+        its prime factors (two half-width jobs per ciphertext)."""
         if not ciphertexts:
             return []
         for ciphertext in ciphertexts:
@@ -535,7 +285,7 @@ class CryptoEngine:
                              params.p_squared))
                 jobs.append((c % params.q_squared, params.q - 1,
                              params.q_squared))
-            powers = self.backend.map_pow(jobs)
+            powers = self.map_pow(jobs)
             raws = [
                 params.recombine(
                     params.half_decrypt_p(powers[2 * i]),
@@ -546,7 +296,7 @@ class CryptoEngine:
         else:
             n = public_key.n
             n_sq = public_key.n_squared
-            powers = self.backend.map_pow(
+            powers = self.map_pow(
                 [(ct.value, private_key.lam, n_sq) for ct in ciphertexts]
             )
             raws = [((u - 1) // n) * private_key.mu % n for u in powers]
@@ -578,7 +328,7 @@ class CryptoEngine:
         exponents = [
             public_key.encode_signed(s) if signed else s % n for s in scalars
         ]
-        powers = self.backend.map_pow(
+        powers = self.map_pow(
             [(ct.value, e, n_sq) for ct, e in zip(ciphertexts, exponents)]
         )
         return [
@@ -645,17 +395,5 @@ class CryptoEngine:
                 exponents.append(-weight)
         if public_key is None:
             return None
-        value = self.backend.multiexp(bases, exponents, n_sq)
+        value = self.multiexp(bases, exponents, n_sq)
         return PaillierCiphertext(public_key=public_key, value=value)
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> None:
-        """Release backend resources (worker processes, if any)."""
-        self.backend.close()
-
-    def __enter__(self) -> "CryptoEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

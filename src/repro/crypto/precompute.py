@@ -40,22 +40,19 @@ three strategies (see ``docs/PERFORMANCE.md`` for the accounting):
 
 ``strategy="auto"`` picks ``"crt"`` when a private key is supplied and
 ``"pow"`` otherwise, so the default never changes the blinding
-distribution. Pass a :class:`~repro.crypto.engine.CryptoEngine` to fan
-the refill exponentiations out across its execution backend
-(``map_pow``); the ``"crt"`` strategy then parallelises at twice the
-job count since every factor is two half-width jobs.
+distribution. Pass a :class:`~repro.crypto.engine.CryptoEngine` to run
+the refill exponentiations on that engine's bignum backend.
 
-All pool state is guarded by one lock, so a daemon refiller thread
+The factors live in a :class:`~repro.crypto.stockpile.Stockpile`, so a
+daemon refiller thread
 (:meth:`PrecomputedEncryptionPool.start_background_refill`) can top the
-pool up below a low-water mark while the main thread keeps draining it.
-Refill takes the lock exactly twice per batch -- once to draw all the
-randomness, once to append all the results -- so concurrent encrypts
-never contend with the expensive exponentiation phase.
+pool up below a low-water mark while the main thread keeps draining it;
+the expensive exponentiations run outside the stock's lock, so
+concurrent encrypts never contend with them.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, List, Optional
 
 import repro.telemetry as telemetry
@@ -67,6 +64,7 @@ from repro.crypto.paillier import (
     PaillierPublicKey,
 )
 from repro.crypto.rand import DeterministicRandom, default_rng
+from repro.crypto.stockpile import Stockpile
 
 if TYPE_CHECKING:  # typing-only; engine imports nothing from here at runtime
     from repro.crypto.engine import CryptoEngine
@@ -94,8 +92,8 @@ class PrecomputedEncryptionPool:
         Optional matching private key; unlocks the CRT refill strategy
         (half-width exponentiations, identical factors).
     engine:
-        Optional :class:`~repro.crypto.engine.CryptoEngine` whose
-        execution backend fans the refill exponentiations out.
+        Optional :class:`~repro.crypto.engine.CryptoEngine` whose bignum
+        backend evaluates the refill exponentiations.
     strategy:
         One of ``"auto"`` (CRT with a private key, canonical ``pow``
         without), ``"pow"``, ``"crt"`` or ``"fixed-base"`` -- see the
@@ -106,8 +104,7 @@ class PrecomputedEncryptionPool:
 
     Thread safety: ``remaining``, ``refill``, ``encrypt`` and
     ``take_factors`` may be called concurrently from multiple threads;
-    the factor list and the rng draws are serialised under an internal
-    lock.
+    every factor is handed out exactly once.
     """
 
     def __init__(
@@ -147,14 +144,9 @@ class PrecomputedEncryptionPool:
         self.strategy = strategy
         self._rng = rng or default_rng()
         self._engine = engine
-        self._factors: List[int] = []
-        self._lock = threading.Lock()
-        self._refill_needed = threading.Condition(self._lock)
-        self._refiller: Optional[threading.Thread] = None
-        self._refiller_stop = False
-        self._low_water = 0
-        self._refill_batch = 0
-        self._total_precomputed = 0
+        self._stock: Stockpile[int] = Stockpile(
+            self._produce, metric="precompute"
+        )
 
         n = public_key.n
         self._crt: Optional[CrtPowmod] = None
@@ -180,38 +172,25 @@ class PrecomputedEncryptionPool:
     @property
     def remaining(self) -> int:
         """Number of online encryptions the pool can still serve."""
-        with self._lock:
-            return len(self._factors)
+        return self._stock.remaining
 
     @property
     def total_precomputed(self) -> int:
         """Factors ever precomputed (offline-work accounting)."""
-        with self._lock:
-            return self._total_precomputed
+        return self._stock.total_produced
 
     def refill(self, count: int) -> None:
-        """Offline phase: precompute ``count`` more blinding factors.
+        """Offline phase: precompute ``count`` more blinding factors."""
+        self._stock.refill(count)
 
-        Two lock acquisitions total: one batch of randomness draws, the
-        expensive exponentiations unlocked (strategy-dispatched, fanned
-        out through the engine when one is attached), one batch append.
-        """
-        if count < 0:
-            raise ValueError(f"refill count must be non-negative, got {count}")
-        if count == 0:
-            return
-        telemetry.count("precompute.refilled", count)
-        with self._lock:
-            draws = self._draw_batch(count)
-        factors = self._compute_factors(draws)
-        with self._lock:
-            self._factors.extend(factors)
-            self._total_precomputed += len(factors)
+    def _produce(self, count: int) -> List[int]:
+        """``count`` fresh blinding factors (the stockpile's producer)."""
+        return self._compute_factors(self._draw_batch(count))
 
     def _draw_batch(self, count: int) -> List[int]:
-        """``count`` randomness draws for one refill (caller holds the
-        lock). Fixed-base draws window exponents; the other strategies
-        draw uniform units of ``Z_n^*``."""
+        """``count`` randomness draws for one refill. Fixed-base draws
+        window exponents; the other strategies draw uniform units of
+        ``Z_n^*``."""
         if self.strategy == "fixed-base":
             draws = []
             while len(draws) < count:
@@ -223,7 +202,7 @@ class PrecomputedEncryptionPool:
         return [self._rng.random_unit(n) for _ in range(count)]
 
     def _compute_factors(self, draws: List[int]) -> List[int]:
-        """The strategy-specific exponentiations (no lock held)."""
+        """The strategy-specific exponentiations."""
         n = self.public_key.n
         n_squared = self.public_key.n_squared
         if self.strategy == "fixed-base":
@@ -243,10 +222,10 @@ class PrecomputedEncryptionPool:
         return self._map_pow([(nonce, n, n_squared) for nonce in draws])
 
     def _map_pow(self, jobs: List[tuple]) -> List[int]:
-        """Independent exponentiations, through the engine's execution
-        backend when one is attached."""
+        """Independent exponentiations, on the engine's bignum backend
+        when one is attached."""
         if self._engine is not None:
-            return self._engine.backend.map_pow(jobs)
+            return self._engine.map_pow(jobs)
         return [powmod(base, exponent, modulus)
                 for base, exponent, modulus in jobs]
 
@@ -258,25 +237,7 @@ class PrecomputedEncryptionPool:
         ``rerandomize_batch``. Returns fewer than ``count`` (possibly
         none) when the pool is low.
         """
-        if count < 0:
-            raise ValueError(f"cannot take {count} factors")
-        if count == 0:
-            return []
-        with self._lock:
-            take = min(count, len(self._factors))
-            if take:
-                taken = self._factors[-take:]
-                del self._factors[-take:]
-            else:
-                taken = []
-            if (
-                self._low_water > 0
-                and len(self._factors) < self._low_water
-            ):
-                self._refill_needed.notify()
-        if taken:
-            telemetry.count("precompute.hits", len(taken))
-        return taken
+        return self._stock.take(count)
 
     def encrypt(self, value: int) -> PaillierCiphertext:
         """Online phase: two modular multiplications per encryption.
@@ -285,87 +246,36 @@ class PrecomputedEncryptionPool:
         the caller decides whether to refill (more offline work) or to
         pay the full exponentiation via :meth:`encrypt_fallback`.
         """
-        with self._lock:
-            if not self._factors:
-                telemetry.count("precompute.misses")
-                raise PoolExhaustedError(
-                    f"precomputed encryption pool exhausted: 0 of "
-                    f"{self._total_precomputed} precomputed factors remain; "
-                    f"call refill() for more offline work or "
-                    f"encrypt_fallback() to pay the full exponentiation"
-                )
-            factor = self._factors.pop()
-            telemetry.count("precompute.hits")
-            low = (
-                self._low_water > 0
-                and len(self._factors) < self._low_water
+        taken = self._stock.take(1)
+        if not taken:
+            telemetry.count("precompute.misses")
+            raise PoolExhaustedError(
+                f"precomputed encryption pool exhausted: 0 of "
+                f"{self.total_precomputed} precomputed factors remain; "
+                f"call refill() for more offline work or "
+                f"encrypt_fallback() to pay the full exponentiation"
             )
-            if low:
-                self._refill_needed.notify()
         n = self.public_key.n
         n_squared = self.public_key.n_squared
         plaintext = self.public_key.encode_signed(value)
-        cipher = ((1 + plaintext * n) % n_squared) * factor % n_squared
+        cipher = ((1 + plaintext * n) % n_squared) * taken[0] % n_squared
         return PaillierCiphertext(public_key=self.public_key, value=cipher)
 
     def encrypt_fallback(self, value: int) -> PaillierCiphertext:
         """Full-cost encryption when the pool is dry (explicit opt-in)."""
         telemetry.count("precompute.fallbacks")
-        with self._lock:
-            rng = self._rng
-        return self.public_key.encrypt(value, rng=rng)
-
-    # -- background refill ---------------------------------------------------
+        return self.public_key.encrypt(value, rng=self._rng)
 
     def start_background_refill(
         self, low_water: int, batch: int = 0
     ) -> None:
-        """Keep the pool topped up from a daemon thread.
-
-        Whenever :meth:`encrypt` drains the pool below ``low_water``,
-        the refiller precomputes ``batch`` more factors (default: up to
-        ``2 * low_water``). Idempotent; call :meth:`stop_background_refill`
-        to shut the thread down (it also dies with the process -- it is
-        a daemon).
+        """Keep the pool topped up from a daemon thread: whenever a take
+        leaves fewer than ``low_water`` factors, precompute back up to
+        ``batch`` (default ``2 * low_water``). See
+        :meth:`repro.crypto.stockpile.Stockpile.start_background_refill`.
         """
-        if low_water <= 0:
-            raise ValueError(f"low_water must be positive, got {low_water}")
-        with self._lock:
-            self._low_water = low_water
-            self._refill_batch = batch if batch > 0 else 2 * low_water
-            if self._refiller is not None and self._refiller.is_alive():
-                return
-            self._refiller_stop = False
-            self._refiller = threading.Thread(
-                target=self._refill_loop,
-                name="paillier-pool-refiller",
-                daemon=True,
-            )
-            self._refiller.start()
+        self._stock.start_background_refill(low_water, batch)
 
     def stop_background_refill(self, timeout: float = 5.0) -> None:
         """Stop the refiller thread and wait for it to exit."""
-        with self._lock:
-            if self._refiller is None:
-                return
-            self._refiller_stop = True
-            self._refill_needed.notify_all()
-            thread = self._refiller
-        thread.join(timeout=timeout)
-        with self._lock:
-            self._refiller = None
-
-    def _refill_loop(self) -> None:
-        while True:
-            with self._lock:
-                while (
-                    not self._refiller_stop
-                    and len(self._factors) >= self._low_water
-                ):
-                    # Re-check periodically too: a burst may drain the
-                    # pool between the notify and this thread waking.
-                    self._refill_needed.wait(timeout=0.1)
-                if self._refiller_stop:
-                    return
-                deficit = self._refill_batch - len(self._factors)
-            self.refill(max(deficit, 1))
+        self._stock.stop_background_refill(timeout)

@@ -22,20 +22,25 @@ each refill through the wire codec (and charge an offline trace), so
 triple distribution exercises the same tagged wire elements as the
 online openings.
 
-All store state is guarded by one lock; a daemon refiller thread
-(:meth:`TripleStore.start_background_refill`) tops the store up below a
-low-water mark while the online phase keeps draining it, taking the
-lock once to snapshot deficits, dealing unlocked, and once more to
-append -- so online takes never contend with the dealing itself.
+Each stock (the triples, and the masks at each comparison magnitude)
+is a :class:`~repro.crypto.stockpile.Stockpile`: dealing runs outside
+its lock, and :meth:`TripleStore.start_background_refill` gives the
+watched stocks daemon refillers that top them up below a low-water
+mark while the online phase keeps draining them.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.telemetry as telemetry
 from repro.crypto.beaver import BeaverTriple, ComparisonMask, TrustedDealer
+from repro.crypto.stockpile import Stockpile
+
+TriplePair = Tuple[BeaverTriple, BeaverTriple]
+MaskPair = Tuple[ComparisonMask, ComparisonMask]
 
 
 class TripleStoreExhaustedError(Exception):
@@ -60,7 +65,7 @@ class TripleStore:
 
     Thread safety: ``remaining_triples``, ``remaining_masks``,
     ``refill``, ``take_triples`` and ``take_masks`` may be called
-    concurrently; all state is serialised under an internal lock.
+    concurrently; every dealt pair is handed out exactly once.
     """
 
     def __init__(
@@ -73,17 +78,11 @@ class TripleStore:
         self._dealer = dealer
         self._kappa = kappa
         self._distribute = distribute
-        self._triples: List[Tuple[BeaverTriple, BeaverTriple]] = []
-        self._masks: Dict[int, List[Tuple[ComparisonMask, ComparisonMask]]] = {}
-        self._lock = threading.Lock()
-        self._refill_needed = threading.Condition(self._lock)
-        self._refiller: Optional[threading.Thread] = None
-        self._refiller_stop = False
-        self._low_water = 0
-        self._refill_batch = 0
-        self._mask_low_water: Dict[int, int] = {}
-        self._total_triples_dealt = 0
-        self._total_masks_dealt = 0
+        self._triples: Stockpile[TriplePair] = Stockpile(
+            self._deal_triples, metric="triples"
+        )
+        self._masks: Dict[int, Stockpile[MaskPair]] = {}
+        self._masks_lock = threading.Lock()
 
     @property
     def modulus(self) -> int:
@@ -103,19 +102,51 @@ class TripleStore:
     @property
     def remaining_triples(self) -> int:
         """Beaver multiplications the store can still serve."""
-        with self._lock:
-            return len(self._triples)
+        return self._triples.remaining
 
     def remaining_masks(self, bit_length: int) -> int:
         """Comparisons at ``bit_length`` the store can still serve."""
-        with self._lock:
-            return len(self._masks.get(bit_length, []))
+        return self._mask_stock(bit_length).remaining
 
     @property
     def total_dealt(self) -> Tuple[int, int]:
         """(triples, masks) ever dealt -- offline-work accounting."""
-        with self._lock:
-            return self._total_triples_dealt, self._total_masks_dealt
+        with self._masks_lock:
+            mask_stocks = list(self._masks.values())
+        return (
+            self._triples.total_produced,
+            sum(stock.total_produced for stock in mask_stocks),
+        )
+
+    # -- production ----------------------------------------------------------
+
+    def _deal_triples(self, count: int) -> List[TriplePair]:
+        firsts, seconds = self._dealer.triples(count)
+        return list(zip(firsts, self._ship("triples", seconds)))
+
+    def _deal_masks(self, bit_length: int, count: int) -> List[MaskPair]:
+        firsts, seconds = self._dealer.comparison_masks(
+            count, bit_length, self._kappa
+        )
+        return list(zip(firsts, self._ship("masks", seconds)))
+
+    def _mask_stock(self, bit_length: int) -> Stockpile[MaskPair]:
+        """The (lazily created) mask stock for one comparison magnitude."""
+        with self._masks_lock:
+            stock = self._masks.get(bit_length)
+            if stock is None:
+                stock = Stockpile(
+                    functools.partial(self._deal_masks, bit_length),
+                    metric="masks",
+                )
+                self._masks[bit_length] = stock
+            return stock
+
+    def _ship(self, kind: str, bundles: list) -> list:
+        """Run freshly dealt party-1 bundles through the distribute hook."""
+        if self._distribute is None:
+            return bundles
+        return self._distribute(kind, bundles)
 
     # -- offline phase -------------------------------------------------------
 
@@ -123,10 +154,8 @@ class TripleStore:
                mask_bits: Optional[int] = None) -> None:
         """Offline phase: deal more correlated randomness.
 
-        Dealing happens outside the lock (it is the expensive part);
-        one locked append publishes the batch. ``mask_bits`` is the
-        comparison magnitude the masks are dealt for and is required
-        whenever ``masks > 0``.
+        ``mask_bits`` is the comparison magnitude the masks are dealt
+        for and is required whenever ``masks > 0``.
         """
         if triples < 0 or masks < 0:
             raise ValueError(
@@ -135,34 +164,9 @@ class TripleStore:
             )
         if masks and mask_bits is None:
             raise ValueError("mask refill needs an explicit mask_bits")
-        if not triples and not masks:
-            return
-        dealt_triples: List[Tuple[BeaverTriple, BeaverTriple]] = []
-        dealt_masks: List[Tuple[ComparisonMask, ComparisonMask]] = []
-        if triples:
-            telemetry.count("triples.refilled", triples)
-            firsts, seconds = self._dealer.triples(triples)
-            seconds = self._ship("triples", seconds)
-            dealt_triples = list(zip(firsts, seconds))
+        self._triples.refill(triples)
         if masks:
-            telemetry.count("masks.refilled", masks)
-            firsts, seconds = self._dealer.comparison_masks(
-                masks, mask_bits, self._kappa
-            )
-            seconds = self._ship("masks", seconds)
-            dealt_masks = list(zip(firsts, seconds))
-        with self._lock:
-            self._triples.extend(dealt_triples)
-            self._total_triples_dealt += len(dealt_triples)
-            if dealt_masks:
-                self._masks.setdefault(mask_bits, []).extend(dealt_masks)
-                self._total_masks_dealt += len(dealt_masks)
-
-    def _ship(self, kind: str, bundles: list) -> list:
-        """Run freshly dealt party-1 bundles through the distribute hook."""
-        if self._distribute is None:
-            return bundles
-        return self._distribute(kind, bundles)
+            self._mask_stock(mask_bits).refill(masks)
 
     # -- online phase --------------------------------------------------------
 
@@ -172,44 +176,17 @@ class TripleStore:
         """Pop ``count`` triple pairs, as two per-party lists.
 
         With ``fallback=False`` (the strict default) an insufficient
-        stock raises :class:`TripleStoreExhaustedError`; with
-        ``fallback=True`` the deficit is dealt inline and counted as
-        ``triples.misses`` so the skipped offline work stays visible.
+        stock raises :class:`TripleStoreExhaustedError` and keeps what
+        it has; with ``fallback=True`` the deficit is dealt inline and
+        counted as ``triples.misses`` so the skipped offline work stays
+        visible.
         """
-        if count < 0:
-            raise ValueError(f"cannot take {count} triples")
-        if count == 0:
-            return [], []
-        with self._lock:
-            available = len(self._triples)
-            take = min(count, available)
-            taken = self._triples[-take:] if take else []
-            if take:
-                del self._triples[-take:]
-            deficit = count - take
-            if deficit and not fallback:
-                self._triples.extend(taken)
-                raise TripleStoreExhaustedError(
-                    f"triple store exhausted: asked for {count} triples but "
-                    f"only {available} of {self._total_triples_dealt} dealt "
-                    f"remain; call refill() for more offline work or pass "
-                    f"fallback=True to deal inline (counted as misses)"
-                )
-            if (
-                self._low_water > 0
-                and len(self._triples) < self._low_water
-            ):
-                self._refill_needed.notify()
-        if take:
-            telemetry.count("triples.hits", take)
-        if deficit:
-            telemetry.count("triples.misses", deficit)
-            firsts, seconds = self._dealer.triples(deficit)
-            seconds = self._ship("triples", seconds)
-            taken = taken + list(zip(firsts, seconds))
-            with self._lock:
-                self._total_triples_dealt += deficit
-        return [pair[0] for pair in taken], [pair[1] for pair in taken]
+        return self._take(
+            self._triples, "triples", count, fallback,
+            f"asked for {count} triples",
+            "call refill() for more offline work or pass fallback=True "
+            "to deal inline (counted as misses)",
+        )
 
     def take_masks(
         self, count: int, bit_length: int, *, fallback: bool = False
@@ -219,43 +196,28 @@ class TripleStore:
         Strict/fallback semantics match :meth:`take_triples`, with
         misses surfacing as ``masks.misses``.
         """
-        if count < 0:
-            raise ValueError(f"cannot take {count} masks")
-        if count == 0:
-            return [], []
-        with self._lock:
-            stock = self._masks.get(bit_length, [])
-            available = len(stock)
-            take = min(count, available)
-            taken = stock[-take:] if take else []
-            if take:
-                del stock[-take:]
-            deficit = count - take
-            if deficit and not fallback:
-                stock.extend(taken)
-                raise TripleStoreExhaustedError(
-                    f"triple store exhausted: asked for {count} comparison "
-                    f"masks at {bit_length} bits but only {available} "
-                    f"remain; call refill(masks=..., mask_bits={bit_length}) "
-                    f"for more offline work or pass fallback=True"
-                )
-            if (
-                self._mask_low_water.get(bit_length, 0) > 0
-                and len(stock) < self._mask_low_water[bit_length]
-            ):
-                self._refill_needed.notify()
-        if take:
-            telemetry.count("masks.hits", take)
-        if deficit:
-            telemetry.count("masks.misses", deficit)
-            firsts, seconds = self._dealer.comparison_masks(
-                deficit, bit_length, self._kappa
+        return self._take(
+            self._mask_stock(bit_length), "masks", count, fallback,
+            f"asked for {count} comparison masks at {bit_length} bits",
+            f"call refill(masks=..., mask_bits={bit_length}) for more "
+            f"offline work or pass fallback=True",
+        )
+
+    @staticmethod
+    def _take(stock: Stockpile, kind: str, count: int, fallback: bool,
+              asked: str, hint: str) -> Tuple[list, list]:
+        pairs = stock.take(count, partial=fallback)
+        deficit = count - len(pairs)
+        if deficit and not fallback:
+            raise TripleStoreExhaustedError(
+                f"triple store exhausted: {asked} but only "
+                f"{stock.remaining} of {stock.total_produced} dealt "
+                f"remain; {hint}"
             )
-            seconds = self._ship("masks", seconds)
-            taken = taken + list(zip(firsts, seconds))
-            with self._lock:
-                self._total_masks_dealt += deficit
-        return [pair[0] for pair in taken], [pair[1] for pair in taken]
+        if deficit:
+            telemetry.count(f"{kind}.misses", deficit)
+            pairs = pairs + stock.produce(deficit)
+        return [pair[0] for pair in pairs], [pair[1] for pair in pairs]
 
     # -- background refill ---------------------------------------------------
 
@@ -267,70 +229,25 @@ class TripleStore:
         mask_bits: Optional[int] = None,
         mask_low_water: int = 0,
     ) -> None:
-        """Keep the store topped up from a daemon thread.
+        """Keep the store topped up from daemon threads.
 
-        Whenever a take drains the triple stock below ``low_water`` (or
-        the ``mask_bits`` mask stock below ``mask_low_water``), the
-        refiller deals back up to ``batch`` (default ``2 * low_water``).
-        Idempotent; :meth:`stop_background_refill` shuts the thread
-        down (it also dies with the process -- it is a daemon).
+        Whenever a take drains the triple stock below ``low_water``, it
+        is dealt back up to ``batch`` (default ``2 * low_water``); with
+        ``mask_bits`` and ``mask_low_water`` the ``mask_bits`` mask
+        stock is watched the same way (refilled to
+        ``2 * mask_low_water``). Idempotent;
+        :meth:`stop_background_refill` shuts the threads down (they also
+        die with the process -- they are daemons).
         """
-        if low_water <= 0:
-            raise ValueError(f"low_water must be positive, got {low_water}")
-        with self._lock:
-            self._low_water = low_water
-            self._refill_batch = batch if batch > 0 else 2 * low_water
-            if mask_bits is not None and mask_low_water > 0:
-                self._mask_low_water[mask_bits] = mask_low_water
-            if self._refiller is not None and self._refiller.is_alive():
-                return
-            self._refiller_stop = False
-            self._refiller = threading.Thread(
-                target=self._refill_loop,
-                name="triple-store-refiller",
-                daemon=True,
+        self._triples.start_background_refill(low_water, batch)
+        if mask_bits is not None and mask_low_water > 0:
+            self._mask_stock(mask_bits).start_background_refill(
+                mask_low_water
             )
-            self._refiller.start()
 
     def stop_background_refill(self, timeout: float = 5.0) -> None:
-        """Stop the refiller thread and wait for it to exit."""
-        with self._lock:
-            if self._refiller is None:
-                return
-            self._refiller_stop = True
-            self._refill_needed.notify_all()
-            thread = self._refiller
-        thread.join(timeout=timeout)
-        with self._lock:
-            self._refiller = None
-
-    def _below_low_water(self) -> bool:
-        """Whether any watched stock is low (caller holds the lock)."""
-        if len(self._triples) < self._low_water:
-            return True
-        return any(
-            len(self._masks.get(bits, [])) < low
-            for bits, low in self._mask_low_water.items()
-        )
-
-    def _refill_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._refiller_stop and not self._below_low_water():
-                    # Re-check periodically too: a burst may drain the
-                    # store between the notify and this thread waking.
-                    self._refill_needed.wait(timeout=0.1)
-                if self._refiller_stop:
-                    return
-                triple_deficit = max(
-                    self._refill_batch - len(self._triples), 0
-                )
-                mask_deficits = {
-                    bits: max(2 * low - len(self._masks.get(bits, [])), 0)
-                    for bits, low in self._mask_low_water.items()
-                }
-            if triple_deficit:
-                self.refill(triples=max(triple_deficit, 1))
-            for bits, deficit in mask_deficits.items():
-                if deficit:
-                    self.refill(masks=deficit, mask_bits=bits)
+        """Stop every refiller thread and wait for them to exit."""
+        with self._masks_lock:
+            stocks = [self._triples, *self._masks.values()]
+        for stock in stocks:
+            stock.stop_background_refill(timeout)

@@ -20,9 +20,8 @@ execute cryptographically:
 Backends are selected by name through :data:`PROTOCOL_BACKENDS` (the
 ``protocol_backend`` field of :class:`repro.core.session.SessionConfig`,
 ``--backend`` on the CLI) and attached to the session context by
-:func:`repro.smc.context.make_context`; protocol code obtains one via
-:func:`repro.secure.base.resolve_backend` and never touches a keyring
-directly.
+:func:`repro.smc.context.make_context`; protocol code reads
+``ctx.protocol_backend`` and never touches a keyring directly.
 
 Every backend also carries the *cost-model hooks* (``trace_*``): the
 analytic mirror of its live protocol, so the disclosure optimizer can

@@ -19,7 +19,6 @@ hidden set is the complement.
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -37,11 +36,7 @@ class SecureClassificationError(Exception):
     """Raised on schema violations or illegal disclosure sets."""
 
 
-#: One-time flag for the missing-backend deprecation warning, so legacy
-#: scripts that classify in a loop see exactly one notice.
-_no_backend_warned = False
-
-#: Cached default backend for legacy contexts and analytic estimates.
+#: Cached default backend for analytic estimates.
 _default_backend = None
 
 
@@ -54,32 +49,6 @@ def default_backend() -> "ProtocolBackend":
 
         _default_backend = PaillierBackend()
     return _default_backend
-
-
-def resolve_backend(ctx: TwoPartyContext) -> "ProtocolBackend":
-    """The protocol backend a live query should run on.
-
-    Contexts built by :func:`repro.smc.context.make_context` carry the
-    backend selected by ``SessionConfig.protocol_backend``. Contexts
-    constructed directly (the pre-backend API) have none; they keep
-    working on the Paillier path but draw a one-time
-    :class:`DeprecationWarning` steering callers to the config field.
-    """
-    global _no_backend_warned
-    backend = getattr(ctx, "protocol_backend", None)
-    if backend is not None:
-        return backend
-    if not _no_backend_warned:
-        warnings.warn(
-            "classifying over a context without a protocol backend is "
-            "deprecated; build contexts via make_context(config="
-            "SessionConfig(protocol_backend=...)) instead of constructing "
-            "TwoPartyContext directly -- defaulting to the Paillier backend",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        _no_backend_warned = True
-    return default_backend()
 
 
 class SecureClassifier(abc.ABC):

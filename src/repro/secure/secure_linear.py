@@ -29,7 +29,6 @@ from repro.secure.base import (
     SecureClassificationError,
     SecureClassifier,
     default_backend,
-    resolve_backend,
 )
 from repro.secure.costing import (
     FRAME_OVERHEAD,
@@ -145,7 +144,7 @@ class SecureLinearClassifier(SecureClassifier):
         # per class (the client-side transfer cost is paid once and
         # reused across classes) -- all through the session's protocol
         # backend, so the same code path runs Paillier or shares.
-        backend = resolve_backend(ctx)
+        backend = ctx.protocol_backend
         state = backend.begin_query(ctx, self.score_bits)
         protected = backend.encrypt_features(
             state, [int(row[i]) for i in hidden]

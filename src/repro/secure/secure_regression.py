@@ -25,7 +25,6 @@ from repro.secure.base import (
     SecureClassificationError,
     SecureClassifier,
     default_backend,
-    resolve_backend,
 )
 from repro.secure.costing import (
     ELEMENT_OVERHEAD,
@@ -129,7 +128,7 @@ class SecureRegression(SecureClassifier):
             # Fully disclosed: plaintext answer, one message.
             return int(ctx.channel.server_sends(offset))
 
-        backend = resolve_backend(ctx)
+        backend = ctx.protocol_backend
         state = backend.begin_query(ctx, self.score_bits)
         protected = backend.encrypt_features(
             state, [int(row[i]) for i in hidden]

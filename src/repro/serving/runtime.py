@@ -48,7 +48,7 @@ from typing import Optional
 
 import repro.telemetry as telemetry
 from repro.core.session import SessionConfig
-from repro.crypto.engine import make_engine
+from repro.crypto.engine import CryptoEngine
 from repro.crypto.rand import secure_rng
 from repro.secure.backends import make_protocol_backend
 from repro.serving.budget import BudgetEnforcer, identity_for_context
@@ -72,9 +72,9 @@ class ClassificationServer:
     config:
         A :class:`~repro.core.session.SessionConfig`; the serving
         runtime reads ``max_workers``, ``queue_depth``,
-        ``request_timeout_s``, ``engine_backend`` / ``engine_workers``
-        (one engine is built up front and shared by all request
-        contexts), ``protocol_backend`` (likewise built once, so a
+        ``request_timeout_s``, ``crypto_backend`` (one engine is built
+        up front and shared by all request contexts),
+        ``protocol_backend`` (likewise built once, so a
         ``"shares"`` server shares one offline triple store across
         requests), ``ledger_path`` / ``privacy_budget`` (per-client
         cumulative privacy-budget enforcement; see
@@ -125,9 +125,7 @@ class ClassificationServer:
         #: Per-server shutdown secret, minted at bind time from OS
         #: entropy. 128 bits rendered as hex; compared constant-time.
         self.shutdown_token = f"{secure_rng().getrandbits(128):032x}"
-        self._engine = make_engine(
-            self.config.engine_backend, workers=self.config.engine_workers
-        )
+        self._engine = CryptoEngine(modexp=self.config.crypto_backend)
         # One protocol backend for the whole server: per-request
         # contexts share it, so a shares backend amortizes one offline
         # triple store across every query this process answers.

@@ -13,18 +13,20 @@ single :class:`~repro.smc.protocol.ExecutionTrace`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import repro.telemetry as telemetry
 from repro.core.session import SessionConfig
 from repro.crypto.dgk import DgkKeyPair
-from repro.crypto.engine import CryptoEngine, make_engine
+from repro.crypto.engine import CryptoEngine
 from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair
 from repro.crypto.rand import DeterministicRandom, fresh_rng, secure_rng
 from repro.smc.network import Channel
 from repro.smc.protocol import ExecutionTrace, Op
+
+if TYPE_CHECKING:  # repro.secure imports this module at import time
+    from repro.secure.backends import ProtocolBackend
 
 DEFAULT_STATISTICAL_SECURITY_BITS = 40
 
@@ -45,15 +47,15 @@ class TwoPartyContext:
     client_rng / server_rng:
         Independent randomness streams so one party's draws cannot
         perturb the other's (important for reproducible transcripts).
+    protocol_backend:
+        The :class:`repro.secure.backends.ProtocolBackend` live queries
+        run on (selected by ``SessionConfig.protocol_backend``).
     statistical_security_bits:
         Width of additive blinding noise (``kappa``); blinded values are
         statistically indistinguishable from uniform up to ``2^-kappa``.
     engine:
-        The batch crypto engine executing bulk Paillier work. The
-        default serial engine reproduces the reference behaviour; a
-        parallel engine (``make_engine("parallel", workers)``) fans the
-        big-int exponentiations out across processes while producing
-        byte-identical ciphertexts and identical traces.
+        The batch crypto engine executing bulk Paillier work; a server
+        shares one engine across all of its request contexts.
 
     Example::
 
@@ -67,14 +69,9 @@ class TwoPartyContext:
     dgk: DgkKeyPair
     client_rng: DeterministicRandom
     server_rng: DeterministicRandom
+    protocol_backend: "ProtocolBackend"
     statistical_security_bits: int = DEFAULT_STATISTICAL_SECURITY_BITS
     engine: CryptoEngine = field(default_factory=CryptoEngine)
-    #: The protocol backend live queries run on (a
-    #: :class:`repro.secure.backends.ProtocolBackend`). ``None`` on
-    #: directly constructed legacy contexts;
-    #: :func:`repro.secure.base.resolve_backend` then falls back to the
-    #: Paillier backend with a one-time deprecation warning.
-    protocol_backend: Optional[object] = None
 
     @property
     def trace(self) -> ExecutionTrace:
@@ -172,42 +169,27 @@ class TwoPartyContext:
         )
 
 
-#: One-time flag for the legacy-kwargs deprecation warning, so a script
-#: that calls :func:`make_context` in a loop is not drowned in noise.
-_legacy_kwargs_warned = False
-
 def make_context(
     seed: Optional[int] = None,
-    paillier_bits: Optional[int] = None,
-    dgk_bits: Optional[int] = None,
-    dgk_plaintext_bits: Optional[int] = None,
-    statistical_security_bits: Optional[int] = None,
+    *,
+    config: Optional[SessionConfig] = None,
     channel: Optional[Channel] = None,
     engine: Optional[CryptoEngine] = None,
-    engine_backend: Optional[str] = None,
-    engine_workers: Optional[int] = None,
-    config: Optional[SessionConfig] = None,
-    protocol_backend=None,
+    protocol_backend: Optional["ProtocolBackend"] = None,
 ) -> TwoPartyContext:
     """Build a ready-to-use session context with freshly generated keys.
 
-    The preferred interface is ``make_context(config=SessionConfig(...))``
-    (optionally with ``seed=``, ``channel=``, a prebuilt ``engine=`` or
-    a prebuilt ``protocol_backend=`` -- passing the backend lets many
-    per-request contexts share one offline triple store -- which stay
-    first-class). The scattered per-parameter keywords
-    (``paillier_bits``, ``engine_backend``, ...) are deprecated in
-    favour of :class:`repro.core.session.SessionConfig`; they keep
-    working -- overriding the config when both are given -- but emit one
-    :class:`DeprecationWarning` per process.
+    ``config`` (a :class:`repro.core.session.SessionConfig`, default
+    ``SessionConfig()``) sets key sizes, randomness mode, bignum backend
+    and protocol backend; ``seed`` overrides its seed. A prebuilt
+    ``engine`` or ``protocol_backend`` replaces the one the config
+    would build -- passing them lets many per-request contexts share
+    one engine and one offline triple store.
 
     Under ``rng_mode="deterministic"`` the single seed derives the key
     material and both parties' randomness streams, so a whole protocol
     transcript is reproducible from one integer; ``rng_mode="system"``
-    draws everything from OS entropy instead. The engine backend only
-    changes *how* batch work executes, never the transcript:
-    ``engine_backend="parallel"`` produces the same ciphertexts and
-    trace as the serial default.
+    draws everything from OS entropy instead.
 
     When ``config.telemetry`` is set, telemetry recording is switched on
     for the process before key generation, so the session is observable
@@ -219,30 +201,7 @@ def make_context(
             seed=7, paillier_bits=384, dgk_bits=192,
         ))
     """
-    global _legacy_kwargs_warned
     cfg = config if config is not None else SessionConfig()
-    passed = {
-        "paillier_bits": paillier_bits,
-        "dgk_bits": dgk_bits,
-        "dgk_plaintext_bits": dgk_plaintext_bits,
-        "statistical_security_bits": statistical_security_bits,
-        "engine_backend": engine_backend,
-        "engine_workers": engine_workers,
-    }
-    legacy = {name: value for name, value in passed.items() if value is not None}
-    if legacy:
-        if not _legacy_kwargs_warned:
-            warnings.warn(
-                "passing "
-                + ", ".join(sorted(legacy))
-                + " to make_context() directly is deprecated; build a "
-                "repro.core.session.SessionConfig and pass it as "
-                "make_context(config=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            _legacy_kwargs_warned = True
-        cfg = cfg.with_overrides(**legacy)
     if seed is not None:
         cfg = cfg.with_overrides(seed=seed)
     if cfg.telemetry and not telemetry.enabled():
@@ -274,9 +233,7 @@ def make_context(
         client_rng=master.fork(),
         server_rng=master.fork(),
         statistical_security_bits=cfg.statistical_security_bits,
-        engine=engine
-        or make_engine(cfg.engine_backend, workers=cfg.engine_workers,
-                       modexp=cfg.crypto_backend),
+        engine=engine or CryptoEngine(modexp=cfg.crypto_backend),
         protocol_backend=(
             protocol_backend
             if protocol_backend is not None

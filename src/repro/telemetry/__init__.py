@@ -5,8 +5,8 @@ monotonic timings over every protocol entry point, typed counters,
 gauges and histograms for the crypto hot paths and the serving runtime
 (Paillier ops, DGK comparisons, precompute pool hits/misses, wire bytes
 by codec tag, transport retries, serve queue depth/wait),
-a thread/process-safe registry with snapshot/merge so the
-process-pool engine's workers and served requests report back, and
+a thread/process-safe registry with snapshot/merge so fleet shard
+processes and served requests report back, and
 JSON/text exporters behind ``--metrics`` and ``python -m repro
 metrics``.
 
@@ -48,7 +48,6 @@ from repro.telemetry.registry import (
     enabled,
     gauge,
     get_registry,
-    merge_snapshot,
     observe,
     record_wire,
     reset,
@@ -68,7 +67,6 @@ __all__ = [
     "get_registry",
     "histogram_quantiles",
     "load_metrics",
-    "merge_snapshot",
     "observe",
     "record_wire",
     "render_text",

@@ -10,10 +10,10 @@ classification runtime. The design goals, in order:
 2. **Thread- and process-safe.** The registry serialises mutation
    behind one lock; the active-span stack lives in a
    :class:`contextvars.ContextVar`, so concurrent serving threads each
-   get their own span tree while sharing the counters. Worker processes
-   never share the registry -- they build plain-dict snapshots
-   (:meth:`MetricsRegistry.snapshot`) and the parent folds them in with
-   :meth:`MetricsRegistry.merge`.
+   get their own span tree while sharing the counters. Fleet shard
+   processes never share the registry -- they ship plain-dict
+   snapshots (:meth:`MetricsRegistry.snapshot`) and the frontend folds
+   them in with :meth:`MetricsRegistry.merge`.
 3. **Reconcilable with the protocol accounting.** Wire traffic is
    recorded through :func:`record_wire`, which attributes every frame's
    bytes both to the innermost open span and to the global counters
@@ -100,7 +100,7 @@ class MetricsRegistry:
 
     One process-global instance (:func:`get_registry`) backs the module
     helpers; independent instances can be created for tests or for
-    worker-side accumulation.
+    merging several processes' snapshots (the fleet frontend).
     """
 
     def __init__(self) -> None:
@@ -175,9 +175,8 @@ class MetricsRegistry:
         """Fold another registry's snapshot into this one.
 
         Counters add, histograms combine (count/sum add, min/max fold),
-        spans append as additional roots. This is how process-pool
-        workers report back and how a served request's registry folds
-        into the server's session registry.
+        spans append as additional roots. This is how the fleet
+        frontend folds every shard process's metrics into one document.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.count(name, value)
@@ -269,11 +268,6 @@ def gauge(name: str, value: float) -> None:
 def snapshot() -> Dict[str, Any]:
     """Snapshot of the global registry (works even while disabled)."""
     return _registry.snapshot()
-
-
-def merge_snapshot(data: Dict[str, Any]) -> None:
-    """Fold a worker/peer snapshot into the global registry."""
-    _registry.merge(data)
 
 
 def current_span() -> Optional[SpanRecord]:

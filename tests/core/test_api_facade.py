@@ -1,4 +1,4 @@
-"""Tests for the :mod:`repro.api` facade and the legacy import shim."""
+"""Tests for the :mod:`repro.api` facade and the bare top-level package."""
 
 import subprocess
 import sys
@@ -66,29 +66,14 @@ class TestImportIsolation:
 
 
 class TestLegacyShim:
-    def test_legacy_access_warns_once_per_process(self):
-        # Run in a subprocess for a clean warn-once state.
-        code = (
-            "import warnings\n"
-            "with warnings.catch_warnings(record=True) as caught:\n"
-            "    warnings.simplefilter('always')\n"
-            "    from repro import PipelineConfig\n"
-            "    from repro import TradeoffAnalyzer\n"
-            "dep = [w for w in caught\n"
-            "       if issubclass(w.category, DeprecationWarning)]\n"
-            "assert len(dep) == 1, [str(w.message) for w in dep]\n"
-            "assert 'repro.api' in str(dep[0].message)\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
+    """The top-level legacy shim is deleted; only the package's own
+    names remain importable from ``repro``."""
 
-    def test_legacy_names_resolve_to_facade_objects(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert repro.PipelineConfig is api.PipelineConfig
-            assert repro.SessionConfig is api.SessionConfig
+    def test_facade_names_are_not_served_top_level(self):
+        # The PEP 562 shim is gone: repro.api is the one import path.
+        assert not hasattr(repro, "PipelineConfig")
+        assert repro.__all__ == ["ReproError", "__version__"]
+        assert api.PipelineConfig is not None
 
     def test_error_type_is_not_deprecated(self):
         with warnings.catch_warnings():

@@ -1,4 +1,5 @@
-"""Tests for :class:`repro.core.session.SessionConfig` and its shims."""
+"""Tests for :class:`repro.core.session.SessionConfig` and the
+``make_context(config=...)`` interface."""
 
 import argparse
 import warnings
@@ -8,7 +9,6 @@ import pytest
 from repro.core.exceptions import ReproError
 from repro.core.session import (
     CRYPTO_BACKENDS,
-    ENGINE_BACKENDS,
     PROTOCOL_BACKENDS,
     RNG_MODES,
     TRANSPORT_BACKENDS,
@@ -19,14 +19,12 @@ from repro.core.session import (
 class TestValidation:
     def test_defaults_are_valid(self):
         config = SessionConfig()
-        assert config.engine_backend == "serial"
         assert config.crypto_backend == "auto"
         assert config.transport_backend == "inproc"
         assert config.rng_mode == "deterministic"
         assert config.telemetry is False
 
     @pytest.mark.parametrize("field,value", [
-        ("engine_backend", "gpu"),
         ("crypto_backend", "openssl"),
         ("transport_backend", "carrier-pigeon"),
         ("protocol_backend", "garbled"),
@@ -35,7 +33,6 @@ class TestValidation:
         ("dgk_bits", -1),
         ("dgk_plaintext_bits", 0),
         ("statistical_security_bits", 0),
-        ("engine_workers", 0),
         ("transport_retries", -1),
         ("max_workers", 0),
         ("queue_depth", -1),
@@ -69,20 +66,18 @@ class TestOverrides:
         assert derived.paillier_bits == 384
         assert base.paillier_bits == 512  # original untouched
         with pytest.raises(ReproError):
-            base.with_overrides(engine_backend="quantum")
+            base.with_overrides(crypto_backend="quantum")
 
 
 class TestFromArgs:
     def test_reads_cli_namespace(self):
         args = argparse.Namespace(
-            seed=4, engine="parallel", workers=2, transport="tcp",
+            seed=4, transport="tcp",
             rng_mode="system", metrics="out.json",
             crypto_backend="python",
         )
         config = SessionConfig.from_args(args)
         assert config.seed == 4
-        assert config.engine_backend == "parallel"
-        assert config.engine_workers == 2
         assert config.crypto_backend == "python"
         assert config.transport_backend == "tcp"
         assert config.rng_mode == "system"
@@ -90,7 +85,7 @@ class TestFromArgs:
 
     def test_absent_flags_keep_defaults(self):
         config = SessionConfig.from_args(argparse.Namespace(seed=1))
-        assert config.engine_backend == "serial"
+        assert config.crypto_backend == "auto"
         assert config.telemetry is False
 
     def test_reads_serving_flags(self):
@@ -99,8 +94,8 @@ class TestFromArgs:
         config = SessionConfig.from_args(args)
         assert config.queue_depth == 2
         assert config.request_timeout_s == 1.5
-        # --workers means engine workers; the serve command sets the
-        # handler-pool size (max_workers) explicitly.
+        # The serve command sets the handler-pool size (max_workers)
+        # from --workers explicitly; from_args leaves it alone.
         assert config.max_workers == 4
 
     def test_reads_budget_flags(self):
@@ -111,7 +106,7 @@ class TestFromArgs:
         assert config.privacy_budget == 0.2
 
     def test_extra_overrides_win(self):
-        args = argparse.Namespace(seed=1, engine="serial")
+        args = argparse.Namespace(seed=1, transport="inproc")
         config = SessionConfig.from_args(args, paillier_bits=384, seed=8)
         assert config.paillier_bits == 384
         assert config.seed == 8
@@ -120,10 +115,6 @@ class TestFromArgs:
 class TestBackendTuplesStayInSync:
     # SessionConfig keeps literal copies so that repro.core.session
     # stays import-light; these tests are the drift alarm.
-
-    def test_engine_backends(self):
-        from repro.crypto.engine import BACKENDS
-        assert tuple(ENGINE_BACKENDS) == tuple(BACKENDS)
 
     def test_crypto_backends(self):
         from repro.crypto.modexp import MODEXP_BACKENDS
@@ -142,6 +133,9 @@ class TestBackendTuplesStayInSync:
 
 
 class TestMakeContextShim:
+    """The per-parameter keyword shim is gone: a SessionConfig is the
+    one way to size a session, and nothing warns."""
+
     def test_config_object_accepted(self):
         from repro.smc.context import make_context
 
@@ -153,30 +147,11 @@ class TestMakeContextShim:
             ))
         assert ctx.paillier.public_key.n.bit_length() >= 380
 
-    def test_legacy_kwargs_warn_once_then_work(self):
-        import repro.smc.context as context_module
+    def test_per_parameter_keywords_are_gone(self):
+        from repro.smc.context import make_context
 
-        original = context_module._legacy_kwargs_warned
-        context_module._legacy_kwargs_warned = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                first = context_module.make_context(
-                    seed=5, paillier_bits=384, dgk_bits=192,
-                    dgk_plaintext_bits=16,
-                )
-                second = context_module.make_context(
-                    seed=5, paillier_bits=384, dgk_bits=192,
-                    dgk_plaintext_bits=16,
-                )
-        finally:
-            context_module._legacy_kwargs_warned = original
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "SessionConfig" in str(deprecations[0].message)
-        # The shim routes legacy kwargs through the same construction.
-        assert first.paillier.public_key.n == second.paillier.public_key.n
+        with pytest.raises(TypeError):
+            make_context(seed=5, paillier_bits=384)
 
     def test_seed_alone_is_not_deprecated(self):
         from repro.smc.context import make_context

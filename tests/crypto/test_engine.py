@@ -1,15 +1,13 @@
-"""Tests for the batch crypto engine: serial/parallel parity, CRT
+"""Tests for the batch crypto engine: serial/concurrent parity, CRT
 decryption equivalence, and fused dot products."""
+
+import copy
+import threading
 
 import pytest
 
-from repro.crypto.engine import (
-    CryptoEngine,
-    EngineError,
-    ProcessPoolBackend,
-    SerialBackend,
-    make_engine,
-)
+from repro.crypto.engine import CryptoEngine, EngineError
+from repro.crypto.modexp import ModexpError
 from repro.crypto.paillier import PaillierPrivateKey
 from repro.core.session import SessionConfig
 from repro.crypto.rand import fresh_rng
@@ -20,36 +18,79 @@ from repro.smc.dotproduct import encrypt_feature_vector, encrypted_dot_product
 from tests.conftest import TEST_DGK_BITS, TEST_PAILLIER_BITS
 
 
-@pytest.fixture(scope="module")
-def parallel_engine():
-    engine = make_engine("parallel", workers=2)
-    yield engine
-    engine.close()
+class ConcurrentEngine:
+    """Drives one shared engine from several threads at once, the way a
+    server's request handlers share theirs.
+
+    Every method call runs on ``threads`` threads simultaneously, each
+    with its own deep copy of the arguments (so each thread draws from
+    an identical copy of any rng), and must give every thread the same
+    answer, which it returns.
+    """
+
+    def __init__(self, engine, threads=2):
+        self.engine = engine
+        self.threads = threads
+
+    def __getattr__(self, name):
+        method = getattr(self.engine, name)
+
+        def call(*args, **kwargs):
+            results = [None] * self.threads
+            barrier = threading.Barrier(self.threads)
+
+            def run(slot, args, kwargs):
+                barrier.wait()
+                results[slot] = method(*args, **kwargs)
+
+            workers = [
+                threading.Thread(
+                    target=run,
+                    args=(slot, copy.deepcopy(args), copy.deepcopy(kwargs)),
+                )
+                for slot in range(self.threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+            first = _comparable(results[0])
+            assert all(_comparable(r) == first for r in results[1:])
+            return results[0]
+
+        return call
+
+
+def _comparable(result):
+    if isinstance(result, list):
+        return [getattr(item, "value", item) for item in result]
+    return getattr(result, "value", result)
 
 
 @pytest.fixture(scope="module")
 def serial_engine():
-    return make_engine("serial")
+    return CryptoEngine()
+
+
+@pytest.fixture(scope="module")
+def parallel_engine(serial_engine):
+    return ConcurrentEngine(serial_engine)
 
 
 class TestFactory:
-    def test_backend_names(self, serial_engine, parallel_engine):
-        assert serial_engine.backend_name == "serial"
-        assert parallel_engine.backend_name == "parallel"
-        assert parallel_engine.workers == 2
+    def test_backend_names(self, serial_engine):
+        from repro.crypto.modexp import MODEXP_BACKENDS
+        assert serial_engine.modexp_name in MODEXP_BACKENDS
+        assert CryptoEngine(modexp="python").modexp_name == "python"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(EngineError):
-            make_engine("gpu")
-
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(EngineError):
-            ProcessPoolBackend(workers=0)
+        with pytest.raises(ModexpError):
+            CryptoEngine(modexp="gpu")
 
 
 class TestSerialParallelParity:
-    """The parallel backend must be bit-identical to the serial one
-    under a fixed DeterministicRandom seed."""
+    """One engine shared by concurrent threads must be bit-identical to
+    serial use under a fixed DeterministicRandom seed."""
 
     def test_encrypt_batch_identical_ciphertexts(
         self, paillier_keys, serial_engine, parallel_engine
@@ -182,11 +223,11 @@ class TestCrtDecryption:
         assert not stripped.has_crt
         ct = paillier_keys.public_key.encrypt(-777, rng=fresh_rng(22))
         assert stripped.decrypt(ct) == -777
-        engine = CryptoEngine(SerialBackend())
+        engine = CryptoEngine()
         assert engine.decrypt_batch(stripped, [ct]) == [-777]
 
     def test_batch_decrypt_uses_crt_consistently(self, paillier_keys):
-        engine = CryptoEngine(SerialBackend())
+        engine = CryptoEngine()
         values = self.edge_values(paillier_keys.public_key)
         cts = engine.encrypt_batch(
             paillier_keys.public_key, values, rng=fresh_rng(23)
@@ -195,7 +236,8 @@ class TestCrtDecryption:
 
 
 class TestContextParity:
-    """Serial- and parallel-engine sessions with the same seed must
+    """A session that builds its own engine and a same-seed session
+    handed a prebuilt engine (as a server's request contexts are) must
     produce identical ciphertexts, results and traces."""
 
     @pytest.fixture(scope="class")
@@ -206,16 +248,9 @@ class TestContextParity:
             dgk_bits=TEST_DGK_BITS,
             dgk_plaintext_bits=16,
         )
-        serial_ctx = make_context(
-            config=config.with_overrides(engine_backend="serial")
-        )
-        parallel_ctx = make_context(
-            config=config.with_overrides(
-                engine_backend="parallel", engine_workers=2
-            )
-        )
+        serial_ctx = make_context(config=config)
+        parallel_ctx = make_context(config=config, engine=CryptoEngine())
         yield serial_ctx, parallel_ctx
-        parallel_ctx.engine.close()
 
     def test_dot_product_protocol_parity(self, contexts):
         serial_ctx, parallel_ctx = contexts
@@ -382,21 +417,14 @@ class TestPoolDraining:
 
 class TestModexpSelection:
     def test_engine_reports_modexp_name(self):
-        engine = make_engine("serial", modexp="python")
+        engine = CryptoEngine(modexp="python")
         assert engine.modexp_name == "python"
 
     def test_default_engine_resolves_auto(self):
         from repro.crypto.modexp import gmpy2_available
-        engine = make_engine("serial")
+        engine = CryptoEngine()
         expected = "gmpy2" if gmpy2_available() else "python"
         assert engine.modexp_name == expected
-
-    def test_parallel_engine_carries_modexp_name(self):
-        backend = ProcessPoolBackend(workers=1, modexp="python")
-        try:
-            assert backend.modexp_name == "python"
-        finally:
-            backend.close()
 
     def test_context_threads_crypto_backend_through(self):
         ctx = make_context(config=SessionConfig(

@@ -311,11 +311,11 @@ class TestTakeFactors:
             pool.take_factors(-1)
 
     def test_engine_fanout_matches_serial_refill(self, paillier_keys):
-        from repro.crypto.engine import make_engine
+        from repro.crypto.engine import CryptoEngine
         serial = PrecomputedEncryptionPool(
             paillier_keys.public_key, size=4, rng=fresh_rng(908)
         )
-        engine = make_engine("serial", modexp="python")
+        engine = CryptoEngine(modexp="python")
         fanned = PrecomputedEncryptionPool(
             paillier_keys.public_key, size=4, rng=fresh_rng(908),
             engine=engine,

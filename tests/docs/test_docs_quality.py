@@ -93,7 +93,7 @@ def test_check_cli_flag_drift_synthetic(tmp_path):
 def test_serve_help_text_names_the_runtime_flags():
     text = serve_help_text()
     for flag in ("--workers", "--queue-depth", "--request-timeout",
-                 "--engine", "--bundle", "--ledger", "--privacy-budget"):
+                 "--shards", "--bundle", "--ledger", "--privacy-budget"):
         assert flag in text
 
 

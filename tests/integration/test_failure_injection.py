@@ -102,6 +102,7 @@ class TestTranscriptIndistinguishability:
         self, warfarin_split
     ):
         from repro.classifiers import LogisticRegressionClassifier
+        from repro.core.session import SessionConfig
         from repro.secure import SecureLinearClassifier
         from repro.smc.context import make_context
 
@@ -113,8 +114,10 @@ class TestTranscriptIndistinguishability:
 
         profiles = set()
         for row in test.X[:4]:
-            ctx = make_context(seed=77, paillier_bits=384, dgk_bits=192,
-                               dgk_plaintext_bits=16)
+            ctx = make_context(config=SessionConfig(
+                seed=77, paillier_bits=384, dgk_bits=192,
+                dgk_plaintext_bits=16,
+            ))
             secure.classify(ctx, row, [0, 1, 2])
             profiles.add((ctx.trace.messages, ctx.trace.rounds))
         # Same message/round profile for every input.
@@ -122,6 +125,7 @@ class TestTranscriptIndistinguishability:
 
     def test_nb_byte_counts_stable_across_inputs(self, warfarin_split):
         from repro.classifiers import NaiveBayesClassifier
+        from repro.core.session import SessionConfig
         from repro.secure import SecureNaiveBayesClassifier
         from repro.smc.context import make_context
 
@@ -132,8 +136,10 @@ class TestTranscriptIndistinguishability:
         secure = SecureNaiveBayesClassifier(model, train.features)
         byte_counts = []
         for row in test.X[:3]:
-            ctx = make_context(seed=78, paillier_bits=384, dgk_bits=192,
-                               dgk_plaintext_bits=16)
+            ctx = make_context(config=SessionConfig(
+                seed=78, paillier_bits=384, dgk_bits=192,
+                dgk_plaintext_bits=16,
+            ))
             secure.classify(ctx, row, list(range(6)))
             byte_counts.append(ctx.trace.total_bytes)
         spread = max(byte_counts) - min(byte_counts)

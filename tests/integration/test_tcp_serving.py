@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import PipelineConfig, PrivacyAwareClassifier
 from repro.core.serialization import load_deployment, save_deployment
+from repro.core.session import SessionConfig
 from repro.smc.context import make_context
 from repro.smc.transport import (
     request_classification,
@@ -49,11 +50,11 @@ def test_served_queries_match_inproc_replay(bundle):
             # Replay the same query in-process from the same seed: the
             # transcripts are deterministic, so label and trace must be
             # identical.
-            ctx = make_context(
+            ctx = make_context(config=SessionConfig(
                 seed=seed,
                 paillier_bits=deployed.paillier_bits,
                 dgk_bits=deployed.dgk_bits,
-            )
+            ))
             expected = deployed.classify(ctx, row)
             assert result.label == expected
             replay = ctx.trace.summary()
@@ -93,8 +94,10 @@ def test_disclosure_override(bundle):
         )
     finally:
         server.join(timeout=30)
-    ctx = make_context(seed=_BASE_SEED, paillier_bits=deployed.paillier_bits,
-                       dgk_bits=deployed.dgk_bits)
+    ctx = make_context(config=SessionConfig(
+        seed=_BASE_SEED, paillier_bits=deployed.paillier_bits,
+        dgk_bits=deployed.dgk_bits,
+    ))
     assert shipped.label == deployed.classify(ctx, row)
     assert pure_smc.server_trace["bytes_total"] > \
         shipped.server_trace["bytes_total"]

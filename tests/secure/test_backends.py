@@ -1,4 +1,4 @@
-"""The protocol-backend seam: paillier/shares parity, traces, the shim.
+"""The protocol-backend seam: paillier/shares parity and traces.
 
 The acceptance bar for the backend redesign:
 
@@ -8,16 +8,12 @@ The acceptance bar for the backend redesign:
   (fixed-width share encoding + data-independent triple counts);
 * a shares-backend online phase performs *zero* homomorphic operations
   (the ``op.paillier.*`` / ``op.dgk.*`` telemetry counters stay silent);
-* a legacy context built without a backend still classifies, through
-  the Paillier default, after exactly one :class:`DeprecationWarning`.
+* a context cannot be built without a protocol backend.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
-import repro.secure.base as secure_base
 import repro.telemetry as telemetry
 from repro.classifiers.linear import LogisticRegressionClassifier
 from repro.classifiers.regression import RidgeRegression
@@ -227,28 +223,16 @@ class TestSharesOnlinePhase:
         assert make_protocol_backend("paillier").offline_trace() is None
 
 
-class TestLegacyShim:
-    def test_backendless_context_warns_once_then_works(self, binary, cohort):
-        X, _ = cohort
+class TestContextBackend:
+    def test_context_requires_a_protocol_backend(self):
+        from repro.smc.context import TwoPartyContext
+
         ctx = _context("paillier")
-        ctx.protocol_backend = None  # a directly constructed legacy ctx
-        secure_base._no_backend_warned = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                first = binary.classify(ctx, X[0])
-                second = binary.classify(ctx, X[1])
-            deprecations = [
-                w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-                and "protocol backend" in str(w.message)
-            ]
-            assert len(deprecations) == 1
-            assert "make_context" in str(deprecations[0].message)
-        finally:
-            secure_base._no_backend_warned = False
-        assert first == binary.predict_quantized(X[0])
-        assert second == binary.predict_quantized(X[1])
+        with pytest.raises(TypeError):
+            TwoPartyContext(
+                channel=ctx.channel, paillier=ctx.paillier, dgk=ctx.dgk,
+                client_rng=ctx.client_rng, server_rng=ctx.server_rng,
+            )
 
 
 class TestPipelineIntegration:

@@ -2,22 +2,26 @@
 
 import pytest
 
+from repro.core.session import SessionConfig
 from repro.smc.context import make_context
 from repro.smc.protocol import Op
 
 
 class TestMakeContext:
     def test_deterministic_keys(self):
-        a = make_context(seed=5, paillier_bits=256, dgk_bits=192,
-                         dgk_plaintext_bits=10)
-        b = make_context(seed=5, paillier_bits=256, dgk_bits=192,
-                         dgk_plaintext_bits=10)
+        a = make_context(config=SessionConfig(
+            seed=5, paillier_bits=256, dgk_bits=192, dgk_plaintext_bits=10,
+        ))
+        b = make_context(config=SessionConfig(
+            seed=5, paillier_bits=256, dgk_bits=192, dgk_plaintext_bits=10,
+        ))
         assert a.paillier.public_key.n == b.paillier.public_key.n
         assert a.dgk.public_key.n == b.dgk.public_key.n
 
     def test_party_rngs_independent(self):
-        ctx = make_context(seed=6, paillier_bits=256, dgk_bits=192,
-                           dgk_plaintext_bits=10)
+        ctx = make_context(config=SessionConfig(
+            seed=6, paillier_bits=256, dgk_bits=192, dgk_plaintext_bits=10,
+        ))
         assert ctx.client_rng.getrandbits(64) != ctx.server_rng.getrandbits(64)
 
 

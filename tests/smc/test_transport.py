@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.core.session import SessionConfig
 from repro.smc.argmax import secure_argmax
 from repro.smc.comparison import compare_values_encrypted, dgk_compare
 from repro.smc.context import make_context
@@ -32,12 +33,12 @@ _SEED = 21
 
 
 def _fresh_ctx():
-    return make_context(
+    return make_context(config=SessionConfig(
         seed=_SEED,
         paillier_bits=TEST_PAILLIER_BITS,
         dgk_bits=TEST_DGK_BITS,
         dgk_plaintext_bits=16,
-    )
+    ))
 
 
 def _run_protocols(ctx):

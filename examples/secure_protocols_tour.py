@@ -4,7 +4,7 @@
 Demonstrates every cryptographic building block this reproduction is
 built on, bottom-up, with live keys and full cost accounting:
 
-  Paillier / GM / DGK encryption  ->  DGK private comparison
+  Paillier / DGK encryption  ->  DGK private comparison
   ->  encrypted comparison  ->  secure argmax  ->  encrypted dot
   product  ->  private table lookup  ->  oblivious transfer
   ->  Beaver-triple share arithmetic
@@ -15,16 +15,17 @@ Run:  python examples/secure_protocols_tour.py
 """
 
 from repro.core.session import SessionConfig
-from repro.crypto import GMKeyPair
+from repro.crypto.beaver import TrustedDealer
 from repro.crypto.ot import one_of_n_transfer
 from repro.crypto.rand import fresh_rng
-from repro.smc.arithmetic import ShareEngine
+from repro.crypto.triples import TripleStore
 from repro.smc.argmax import secure_argmax
 from repro.smc.comparison import compare_values_encrypted, dgk_compare
 from repro.smc.context import make_context
 from repro.smc.cost_model import CostModel, NATIVE_1024
 from repro.smc.dotproduct import encrypt_feature_vector, encrypted_dot_product
-from repro.smc.lookup import encrypt_indicator_vector, indicator_lookup
+from repro.smc.lookup import encrypt_indicator_vector
+from repro.smc.shares import ShareSession
 
 
 def section(title: str) -> None:
@@ -48,12 +49,6 @@ def main() -> None:
     enc_a, enc_b = public.encrypt(1200), public.encrypt(-458)
     print(f"  Dec(Enc(1200) + Enc(-458)) = {private.decrypt(enc_a + enc_b)}")
     print(f"  Dec(Enc(1200) * 3)         = {private.decrypt(enc_a * 3)}")
-
-    section("Goldwasser-Micali XOR homomorphism")
-    gm = GMKeyPair.generate(key_bits=192, rng=fresh_rng(7))
-    bit_x = gm.public_key.encrypt_bit(1)
-    bit_y = gm.public_key.encrypt_bit(1)
-    print(f"  Dec(Enc(1) XOR Enc(1)) = {gm.private_key.decrypt_bit(bit_x ^ bit_y)}")
 
     section("DGK comparison with private inputs")
     b0, r0 = ctx.trace.total_bytes, ctx.trace.rounds
@@ -89,7 +84,7 @@ def main() -> None:
     section("Private table lookup via encrypted indicators")
     b0, r0 = ctx.trace.total_bytes, ctx.trace.rounds
     indicators = encrypt_indicator_vector(ctx, value_index=2, domain_size=4)
-    entry = indicator_lookup(ctx, indicators, [-10, -20, -30, -40])
+    entry = encrypted_dot_product(ctx, indicators, [-10, -20, -30, -40])
     print(f"  table[-10,-20,-30,-40][2] fetched blindly -> "
           f"{private.decrypt(entry)}")
     show_cost(ctx, "lookup", b0, r0)
@@ -101,9 +96,15 @@ def main() -> None:
           f"sender learnt nothing")
 
     section("Beaver-triple share arithmetic")
-    engine = ShareEngine()
-    product = engine.multiply(engine.input(-12), engine.input(34))
-    print(f"  shares of -12 times shares of 34 -> open = {engine.open(product)}")
+    b0, r0 = ctx.trace.total_bytes, ctx.trace.rounds
+    store = TripleStore(TrustedDealer(rng=fresh_rng(11), modulus=1 << 64))
+    session = ShareSession(ctx, store)
+    [x] = session.input_client([-12])
+    [y] = session.input_server([34])
+    [product] = session.multiply_batch([x], [y])
+    print(f"  client's -12 times server's 34 over shares -> client opens "
+          f"{session.reveal_to_client(product)}")
+    show_cost(ctx, "beaver", b0, r0)
 
     section("Session totals")
     print(f"  total traffic : {ctx.trace.total_bytes} bytes, "

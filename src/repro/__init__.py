@@ -19,7 +19,7 @@ The public surface lives in :mod:`repro.api`::
     print(pac.speedup(), "x faster than pure SMC")
     print(pac.classify(test.X[0]))      # live crypto, hybrid protocol
 
-Package map: :mod:`repro.crypto` (Paillier/DGK/GM/OT primitives),
+Package map: :mod:`repro.crypto` (Paillier/DGK/OT primitives),
 :mod:`repro.smc` (two-party runtime and protocols),
 :mod:`repro.classifiers` (plaintext trainers), :mod:`repro.secure`
 (Bost-style secure classifiers with partial disclosure),

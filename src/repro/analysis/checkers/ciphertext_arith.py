@@ -1,6 +1,6 @@
 """Rule ``ciphertext-arith``: only ring operations on ciphertext names.
 
-Paillier/DGK/GM ciphertexts support homomorphic addition and scalar
+Paillier/DGK ciphertexts support homomorphic addition and scalar
 multiplication -- nothing else. ``ct / 2`` silently computes garbage in
 the exponent group, a float anywhere near a ciphertext means a lost
 quantisation step, and ``ct == 3`` compares a group element against a

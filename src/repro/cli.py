@@ -397,10 +397,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             )
         lines.append(f"traffic: {ctx.trace.total_bytes} bytes over "
                      f"{ctx.trace.rounds} rounds")
+        live_ops = {op.value: n for op, n in ctx.trace.ops.items()}
         payload["traffic"] = {
             "bytes": ctx.trace.total_bytes,
             "rounds": ctx.trace.rounds,
             "messages": ctx.trace.messages,
+            "ops": live_ops,
         }
         measured = transport.stats.total_bytes
         payload["measured_bytes"] = measured
@@ -431,6 +433,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                     f"telemetry wire bytes reconcile with the trace: "
                     f"{telemetry_bytes} bytes"
                 )
+            counters = telemetry.snapshot()["counters"]
+            published = {
+                name[len("op."):]: value for name, value in counters.items()
+                if name.startswith("op.")
+            }
+            if published != live_ops:
+                lines.append(
+                    "WARNING: telemetry op.* counters disagree with the "
+                    "trace's ops"
+                )
+                mismatches += 1
     finally:
         if peer is not None:
             transport.close(shutdown_peer=True)

@@ -22,17 +22,15 @@ arbitrary-precision integers. The package provides:
   background refill behind the offline phases: the precomputed
   encryption pool (:mod:`repro.crypto.precompute`) and the Beaver
   triple store (:mod:`repro.crypto.triples`).
-* :mod:`repro.crypto.gm` -- Goldwasser-Micali bitwise (XOR-homomorphic)
-  encryption.
 * :mod:`repro.crypto.dgk` -- a Damgaard-Geisler-Kroigaard style
   small-plaintext cryptosystem with cheap zero testing, used by the
   secure comparison protocol.
 * :mod:`repro.crypto.ot` -- 1-out-of-2 and 1-out-of-n oblivious transfer
-  built from RSA blinding, used for private table lookups.
-* :mod:`repro.crypto.secret_sharing` -- additive and Shamir secret
-  sharing.
-* :mod:`repro.crypto.beaver` -- Beaver multiplication-triple generation
-  for share-based arithmetic.
+  built from RSA blinding, used by the argmax index reveal and the
+  garbled-circuit input transfer.
+* :mod:`repro.crypto.secret_sharing` -- additive secret sharing.
+* :mod:`repro.crypto.beaver` -- Beaver multiplication-triple and
+  comparison-mask dealing for the share protocol layer.
 
 Security note: this is a research artifact. Key sizes default to values
 that make pure-Python experiments practical; the analytic cost model in
@@ -43,7 +41,6 @@ sizes. Do not use this package to protect real data.
 from repro.crypto.beaver import BeaverTriple, TrustedDealer
 from repro.crypto.dgk import DgkCiphertext, DgkKeyPair, DgkPrivateKey, DgkPublicKey
 from repro.crypto.engine import CryptoEngine
-from repro.crypto.gm import GMCiphertext, GMKeyPair, GMPrivateKey, GMPublicKey
 from repro.crypto.modexp import (
     MODEXP_BACKENDS,
     CrtPowmod,
@@ -61,10 +58,7 @@ from repro.crypto.paillier import (
 )
 from repro.crypto.precompute import PrecomputedEncryptionPool
 from repro.crypto.rand import DeterministicRandom, default_rng
-from repro.crypto.secret_sharing import (
-    AdditiveSecretSharer,
-    ShamirSecretSharer,
-)
+from repro.crypto.secret_sharing import AdditiveSecretSharer
 
 __all__ = [
     "AdditiveSecretSharer",
@@ -77,10 +71,6 @@ __all__ = [
     "DgkPrivateKey",
     "DgkPublicKey",
     "FixedBaseWindow",
-    "GMCiphertext",
-    "GMKeyPair",
-    "GMPrivateKey",
-    "GMPublicKey",
     "MODEXP_BACKENDS",
     "ObliviousTransferReceiver",
     "ObliviousTransferSender",
@@ -89,7 +79,6 @@ __all__ = [
     "PaillierPrivateKey",
     "PaillierPublicKey",
     "PrecomputedEncryptionPool",
-    "ShamirSecretSharer",
     "TrustedDealer",
     "default_rng",
     "gmpy2_available",

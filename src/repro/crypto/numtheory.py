@@ -117,8 +117,7 @@ def generate_prime(
 def generate_blum_prime(bits: int, rng: Optional[DeterministicRandom] = None) -> int:
     """Generate a prime congruent to 3 mod 4 (a Blum prime).
 
-    Goldwasser-Micali key generation uses Blum primes so that ``-1`` is a
-    quadratic non-residue modulo each factor.
+    For a Blum prime ``-1`` is a quadratic non-residue modulo the prime.
     """
     return generate_prime(bits, rng=rng, condition=lambda p: p % 4 == 3)
 
@@ -205,8 +204,7 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol ``(a/n)`` for odd positive ``n``.
 
-    Returns -1, 0 or 1. Used by Goldwasser-Micali to pick pseudo-residues
-    and by decryption correctness tests.
+    Returns -1, 0 or 1.
     """
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"Jacobi symbol requires odd positive n, got {n}")
@@ -238,7 +236,7 @@ def find_quadratic_nonresidue(
     """Find ``x`` mod ``p*q`` that is a non-residue mod both factors.
 
     Such an ``x`` has Jacobi symbol +1 modulo ``n = p*q`` yet is not a
-    square -- exactly what Goldwasser-Micali encryption of a 1-bit needs.
+    square (a pseudo-residue).
     """
     rng = rng or default_rng()
     n = p * q

@@ -1,16 +1,14 @@
-"""Additive and Shamir secret sharing.
+"""Additive secret sharing.
 
-The share-based arithmetic layer (:mod:`repro.smc.arithmetic`) runs over
-additive shares; Shamir sharing is provided for threshold scenarios and
-for property-based testing of reconstruction identities.
+The share protocol layer (:mod:`repro.smc.shares`) and the Beaver
+dealer (:mod:`repro.crypto.beaver`) run over these additive shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.crypto.numtheory import is_probable_prime, modinv
 from repro.crypto.rand import DeterministicRandom, default_rng
 
 DEFAULT_MODULUS_BITS = 64
@@ -99,93 +97,3 @@ class AdditiveSecretSharer:
         if raw > self.modulus // 2:
             return raw - self.modulus
         return raw
-
-
-@dataclass(frozen=True)
-class ShamirShare:
-    """One evaluation point of the sharing polynomial."""
-
-    index: int
-    value: int
-
-
-class ShamirSecretSharer:
-    """(t, n) threshold sharing over a prime field.
-
-    Any ``threshold`` shares reconstruct the secret via Lagrange
-    interpolation at zero; fewer reveal nothing (information
-    theoretically).
-    """
-
-    def __init__(
-        self,
-        prime: int,
-        threshold: int,
-        parties: int,
-        rng: Optional[DeterministicRandom] = None,
-    ) -> None:
-        if not is_probable_prime(prime):
-            raise SecretSharingError(f"{prime} is not prime")
-        if not 1 <= threshold <= parties:
-            raise SecretSharingError(
-                f"invalid (t={threshold}, n={parties}) threshold scheme"
-            )
-        if parties >= prime:
-            raise SecretSharingError("field too small for the party count")
-        self.prime = prime
-        self.threshold = threshold
-        self.parties = parties
-        self._rng = rng or default_rng()
-
-    def share(self, secret: int) -> List[ShamirShare]:
-        """Evaluate a random degree ``t-1`` polynomial at ``1..n``."""
-        secret %= self.prime
-        coefficients = [secret] + [
-            self._rng.randbelow(self.prime) for _ in range(self.threshold - 1)
-        ]
-        return [
-            ShamirShare(index=i, value=self._evaluate(coefficients, i))
-            for i in range(1, self.parties + 1)
-        ]
-
-    def reconstruct(self, shares: Sequence[ShamirShare]) -> int:
-        """Lagrange-interpolate the polynomial at zero."""
-        if len({s.index for s in shares}) < self.threshold:
-            raise SecretSharingError(
-                f"need {self.threshold} distinct shares, got {len(shares)}"
-            )
-        subset = list(shares)[: self.threshold]
-        secret = 0
-        for i, share_i in enumerate(subset):
-            numerator, denominator = 1, 1
-            for j, share_j in enumerate(subset):
-                if i == j:
-                    continue
-                numerator = (numerator * (-share_j.index)) % self.prime
-                denominator = (
-                    denominator * (share_i.index - share_j.index)
-                ) % self.prime
-            weight = numerator * modinv(denominator % self.prime, self.prime)
-            secret = (secret + share_i.value * weight) % self.prime
-        return secret
-
-    def _evaluate(self, coefficients: Sequence[int], x: int) -> int:
-        """Horner evaluation of the polynomial mod the field prime."""
-        result = 0
-        for coefficient in reversed(coefficients):
-            result = (result * x + coefficient) % self.prime
-        return result
-
-
-def share_vector(
-    values: Sequence[int],
-    sharer: AdditiveSecretSharer,
-    parties: int = 2,
-) -> Tuple[List[AdditiveShare], ...]:
-    """Share a vector componentwise; returns one share-vector per party."""
-    per_party: List[List[AdditiveShare]] = [[] for _ in range(parties)]
-    for value in values:
-        shares = sharer.share(value, parties=parties)
-        for pid, share in enumerate(shares):
-            per_party[pid].append(share)
-    return tuple(per_party)

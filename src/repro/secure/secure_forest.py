@@ -22,11 +22,10 @@ the *aggregate* decision:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.classifiers.decision_tree import TreeNode
 from repro.classifiers.forest import RandomForestClassifier
 from repro.crypto.paillier import PaillierCiphertext
 from repro.secure.base import SecureClassificationError, SecureClassifier
@@ -39,9 +38,15 @@ from repro.secure.costing import (
     add_encrypt_vector,
     add_secure_argmax,
 )
-from repro.secure.secure_tree import SecureDecisionTreeClassifier, _internal_nodes
+from repro.secure.secure_tree import (
+    SecureDecisionTreeClassifier,
+    _compare_residual_nodes,
+    _encrypt_hidden_features,
+    _ExpectedShape,
+    _internal_nodes,
+    _path_costs,
+)
 from repro.smc.argmax import secure_argmax
-from repro.smc.comparison import compare_encrypted_many
 from repro.smc.context import TwoPartyContext
 from repro.smc.protocol import ExecutionTrace, Op, protocol_entry
 
@@ -115,56 +120,22 @@ class SecureRandomForestClassifier(SecureClassifier):
             winner = plaintext_votes.index(max(plaintext_votes))
             return int(ctx.channel.server_sends(self.classes[winner]))
 
-        # Client encrypts each hidden feature used by any residual tree.
-        used_features = sorted({
-            node.feature
-            for residual in live_trees
-            for node in _internal_nodes(residual)
-        })
-        ciphertexts = [ctx.client_encrypt(int(row[f])) for f in used_features]
+        # Client encrypts each hidden feature used by any residual tree,
+        # then one comparison batch runs across the whole ensemble.
         ctx.channel.reset_direction()
-        ciphertexts = ctx.channel.client_sends(ciphertexts)
-        encrypted = dict(zip(used_features, ciphertexts))
-
-        # One comparison batch across the whole ensemble.
-        bits = max(self.features[f].bit_length for f in used_features)
-        flat_nodes: List[TreeNode] = []
-        z_batch: List[PaillierCiphertext] = []
-        for residual in live_trees:
-            for node in _internal_nodes(residual):
-                assert node.feature is not None and node.threshold is not None
-                ctx.trace.count(Op.PAILLIER_ADD, 2)
-                z_batch.append(
-                    encrypted[node.feature] - (node.threshold + 1) + (1 << bits)
-                )
-                flat_nodes.append(node)
-        bit_ciphertexts = compare_encrypted_many(ctx, z_batch, bits)
-        branch_bits = {
-            id(node): bit for node, bit in zip(flat_nodes, bit_ciphertexts)
-        }
+        encrypted = _encrypt_hidden_features(ctx, row, live_trees)
+        branch_bits = _compare_residual_nodes(
+            ctx, self.features, encrypted,
+            [node for residual in live_trees
+             for node in _internal_nodes(residual)],
+        )
 
         # Per tree: blinded, permuted leaf path-costs (no labels attached).
         modulus = ctx.paillier.public_key.n
         per_tree_labels: List[List[int]] = []
         all_blinded: List[List[PaillierCiphertext]] = []
         for residual in live_trees:
-            leaves: List[Tuple[PaillierCiphertext, int]] = []
-            zero = ctx.server_encrypt(0)
-
-            def collect(node: TreeNode, cost: PaillierCiphertext) -> None:
-                if node.is_leaf:
-                    assert node.label is not None
-                    leaves.append((cost, int(node.label)))
-                    return
-                assert node.left is not None and node.right is not None
-                bit = branch_bits[id(node)]
-                ctx.trace.count(Op.PAILLIER_ADD, 1)
-                collect(node.left, cost + bit)
-                ctx.trace.count(Op.PAILLIER_ADD, 2)
-                ctx.trace.count(Op.PAILLIER_SCALAR_MUL, 1)
-                collect(node.right, cost + ((bit * -1) + 1))
-
-            collect(residual, zero)
+            leaves = _path_costs(ctx, residual, branch_bits)
             order = list(range(len(leaves)))
             ctx.server_rng.shuffle(order)
             blinded = []
@@ -240,8 +211,6 @@ class SecureRandomForestClassifier(SecureClassifier):
         used_hidden = set()
         disclosed_set = set(disclosed)
         for wrapper in self._tree_wrappers:
-            from repro.secure.secure_tree import _ExpectedShape
-
             shape = _ExpectedShape()
             wrapper._expected_shape(
                 wrapper.model.root, 1.0, 0.0, disclosed_set, shape

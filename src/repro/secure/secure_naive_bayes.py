@@ -37,7 +37,8 @@ from repro.secure.costing import (
 from repro.secure.encoding import FixedPointEncoder
 from repro.smc.argmax import secure_argmax
 from repro.smc.context import TwoPartyContext
-from repro.smc.lookup import encrypt_indicator_vector, indicator_lookup
+from repro.smc.dotproduct import encrypted_dot_product
+from repro.smc.lookup import encrypt_indicator_vector
 from repro.smc.protocol import ExecutionTrace, Op, protocol_entry
 
 
@@ -136,7 +137,7 @@ class SecureNaiveBayesClassifier(SecureClassifier):
                 ctx, int(row[feature]), self.features[feature].domain_size
             )
             for c in range(n_classes):
-                contribution = indicator_lookup(
+                contribution = encrypted_dot_product(
                     ctx, indicators, self.int_tables[feature][c]
                 )
                 scores[c] = ctx.add(scores[c], contribution)

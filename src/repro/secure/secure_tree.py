@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.classifiers.decision_tree import DecisionTreeClassifier, TreeNode
 from repro.crypto.paillier import PaillierCiphertext
+from repro.data.schema import FeatureSpec
 from repro.secure.base import SecureClassificationError, SecureClassifier
 from repro.secure.costing import (
     FRAME_OVERHEAD,
@@ -165,54 +166,13 @@ class SecureDecisionTreeClassifier(SecureClassifier):
             return int(ctx.channel.server_sends(int(residual.label)))
 
         # Client encrypts each hidden feature the residual tree uses
-        # (one engine batch).
-        used_features = sorted({n.feature for n in _internal_nodes(residual)})
-        ciphertexts = ctx.client_encrypt_batch(
-            [int(row[f]) for f in used_features]
+        # (one engine batch), then one batched encrypted comparison runs
+        # per residual internal node.
+        encrypted = _encrypt_hidden_features(ctx, row, [residual])
+        branch_bits = _compare_residual_nodes(
+            ctx, self.features, encrypted, _internal_nodes(residual)
         )
-        ciphertexts = ctx.channel.client_sends(ciphertexts)
-        encrypted: Dict[int, PaillierCiphertext] = dict(
-            zip(used_features, ciphertexts)
-        )
-
-        # One encrypted comparison per residual internal node, all
-        # instances batched into a single four-message exchange:
-        # b = (x_f >= t + 1)  i.e. "go right". A common bit width (the
-        # widest hidden feature) keeps the batch uniform.
-        nodes = _internal_nodes(residual)
-        bits = max(self.features[f].bit_length for f in used_features)
-        z_batch: List[PaillierCiphertext] = []
-        for node in nodes:
-            assert node.feature is not None and node.threshold is not None
-            ctx.trace.count(Op.PAILLIER_ADD, 2)
-            z_batch.append(
-                encrypted[node.feature] - (node.threshold + 1) + (1 << bits)
-            )
-        bit_ciphertexts = compare_encrypted_many(ctx, z_batch, bits)
-        branch_bits: Dict[int, PaillierCiphertext] = {
-            id(node): bit for node, bit in zip(nodes, bit_ciphertexts)
-        }
-
-        # Per-leaf encrypted path costs (zero iff the leaf's path holds).
-        leaves: List[Tuple[PaillierCiphertext, int]] = []
-        zero = ctx.server_encrypt(0)
-
-        def collect(node: TreeNode, cost: PaillierCiphertext) -> None:
-            if node.is_leaf:
-                assert node.label is not None
-                leaves.append((cost, int(node.label)))
-                return
-            assert node.left is not None and node.right is not None
-            bit = branch_bits[id(node)]
-            # Left edge requires b = 0 -> mismatch term b.
-            ctx.trace.count(Op.PAILLIER_ADD, 1)
-            collect(node.left, cost + bit)
-            # Right edge requires b = 1 -> mismatch term (1 - b).
-            ctx.trace.count(Op.PAILLIER_ADD, 2)
-            ctx.trace.count(Op.PAILLIER_SCALAR_MUL, 1)
-            collect(node.right, cost + ((bit * -1) + 1))
-
-        collect(residual, zero)
+        leaves = _path_costs(ctx, residual, branch_bits)
 
         # Blind, permute, ship -- all three bulk shapes (unsigned scalar
         # multiplications, label adds, re-randomisations) run as engine
@@ -346,6 +306,77 @@ class SecureDecisionTreeClassifier(SecureClassifier):
         self._expected_shape(
             node.right, probability, hidden_depth + 1, disclosed, shape
         )
+
+
+def _encrypt_hidden_features(
+    ctx: TwoPartyContext, row: np.ndarray, residuals: Sequence[TreeNode]
+) -> Dict[int, PaillierCiphertext]:
+    """Client: encrypt (one engine batch) and ship every hidden feature
+    the residual trees test; returns ``feature -> [x_f]``."""
+    used_features = sorted({
+        node.feature
+        for residual in residuals
+        for node in _internal_nodes(residual)
+    })
+    ciphertexts = ctx.client_encrypt_batch(
+        [int(row[f]) for f in used_features]
+    )
+    ciphertexts = ctx.channel.client_sends(ciphertexts)
+    return dict(zip(used_features, ciphertexts))
+
+
+def _compare_residual_nodes(
+    ctx: TwoPartyContext,
+    features: Sequence[FeatureSpec],
+    encrypted: Dict[int, PaillierCiphertext],
+    nodes: Sequence[TreeNode],
+) -> Dict[int, PaillierCiphertext]:
+    """Server-held branch bits ``[x_f >= t + 1]`` ("go right"), keyed by
+    ``id(node)``.
+
+    All nodes share one batched encrypted comparison (a single
+    four-message exchange); a common bit width -- the widest encrypted
+    feature -- keeps the batch uniform.
+    """
+    bits = max(features[f].bit_length for f in encrypted)
+    z_batch: List[PaillierCiphertext] = []
+    for node in nodes:
+        assert node.feature is not None and node.threshold is not None
+        ctx.trace.count(Op.PAILLIER_ADD, 2)
+        z_batch.append(
+            encrypted[node.feature] - (node.threshold + 1) + (1 << bits)
+        )
+    bit_ciphertexts = compare_encrypted_many(ctx, z_batch, bits)
+    return {id(node): bit for node, bit in zip(nodes, bit_ciphertexts)}
+
+
+def _path_costs(
+    ctx: TwoPartyContext,
+    residual: TreeNode,
+    branch_bits: Dict[int, PaillierCiphertext],
+) -> List[Tuple[PaillierCiphertext, int]]:
+    """Server: ``([cost], label)`` per leaf, depth-first; the cost is the
+    number of branch bits inconsistent with the leaf's path, so exactly
+    the true path costs zero."""
+    leaves: List[Tuple[PaillierCiphertext, int]] = []
+
+    def collect(node: TreeNode, cost: PaillierCiphertext) -> None:
+        if node.is_leaf:
+            assert node.label is not None
+            leaves.append((cost, int(node.label)))
+            return
+        assert node.left is not None and node.right is not None
+        bit = branch_bits[id(node)]
+        # Left edge requires b = 0 -> mismatch term b.
+        ctx.trace.count(Op.PAILLIER_ADD, 1)
+        collect(node.left, cost + bit)
+        # Right edge requires b = 1 -> mismatch term (1 - b).
+        ctx.trace.count(Op.PAILLIER_ADD, 2)
+        ctx.trace.count(Op.PAILLIER_SCALAR_MUL, 1)
+        collect(node.right, cost + ((bit * -1) + 1))
+
+    collect(residual, ctx.server_encrypt(0))
+    return leaves
 
 
 def _internal_nodes(root: TreeNode) -> List[TreeNode]:

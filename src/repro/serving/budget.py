@@ -234,7 +234,7 @@ def identity_for_context(ctx) -> str:
     keyring this session sends in its ``KIND_KEYS`` handshake."""
     codec = wire.codec_for_context(ctx)
     return wire.keyring_fingerprint(wire.keyring_payload(
-        paillier=codec.paillier, dgk=codec.dgk, gm=codec.gm
+        paillier=codec.paillier, dgk=codec.dgk
     ))
 
 

@@ -18,11 +18,13 @@ This package is the SMC substrate the secure classifiers run on:
   Veugen/Bost encrypted-value comparison built on it.
 * :mod:`repro.smc.argmax` -- Bost-style encrypted argmax with a blinded
   refresh step and an OT-based permutation reveal.
-* :mod:`repro.smc.dotproduct` -- Paillier encrypted dot products.
-* :mod:`repro.smc.lookup` -- private table lookup via encrypted indicator
-  vectors and via 1-out-of-n OT.
-* :mod:`repro.smc.arithmetic` -- additive-share arithmetic with Beaver
-  triples (used for share-based variants and tests).
+* :mod:`repro.smc.dotproduct` -- Paillier encrypted dot products (also
+  the server side of the naive-Bayes table lookup).
+* :mod:`repro.smc.lookup` -- the client's encrypted indicator vector for
+  private table lookup.
+* :mod:`repro.smc.shares` -- the share protocol layer: additively shared
+  values, batched Beaver multiplication and client-only reveal over
+  dealer-provided triples (the ``shares`` backend's online phase).
 * :mod:`repro.smc.cost_model` -- the analytic cost model that converts an
   execution trace into estimated seconds under a hardware/network
   profile (production key sizes, LAN/WAN links).

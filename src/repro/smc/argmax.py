@@ -26,11 +26,10 @@ from typing import List, Sequence
 
 from repro.crypto.ot import one_of_n_transfer
 from repro.crypto.paillier import PaillierCiphertext
-from repro.smc.arithmetic import SharedValue
 from repro.smc.comparison import compare_encrypted_client_learns, share_compare_shared
 from repro.smc.context import TwoPartyContext
 from repro.smc.protocol import Op, protocol_entry
-from repro.smc.shares import ShareSession
+from repro.smc.shares import SharedValue, ShareSession
 
 
 class ArgmaxError(Exception):

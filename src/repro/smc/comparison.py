@@ -28,10 +28,9 @@ from typing import List, Sequence, Tuple
 
 from repro.crypto.dgk import DgkCiphertext
 from repro.crypto.paillier import PaillierCiphertext
-from repro.smc.arithmetic import SharedValue
 from repro.smc.context import TwoPartyContext
 from repro.smc.protocol import Op, protocol_entry
-from repro.smc.shares import ShareSession
+from repro.smc.shares import SharedValue, ShareSession
 
 
 class ComparisonError(Exception):
@@ -56,57 +55,55 @@ def _bits_lsb_first(value: int, width: int) -> List[int]:
     return [(value >> i) & 1 for i in range(width)]
 
 
-@protocol_entry(span="dgk.compare")
-def dgk_compare(
-    ctx: TwoPartyContext, client_value: int, server_value: int, bit_length: int
-) -> SharedBit:
-    """DGK comparison of private inputs; returns XOR-shared ``x < y``.
-
-    Parameters
-    ----------
-    ctx:
-        Session context (client owns the DGK key).
-    client_value:
-        The client's private input ``x`` in ``[0, 2^bit_length)``.
-    server_value:
-        The server's private input ``y`` in ``[0, 2^bit_length)``.
-    bit_length:
-        Magnitude bound for both inputs.
-    """
+def _dgk_width(
+    ctx: TwoPartyContext, pairs: Sequence[Tuple[int, int]], bit_length: int
+) -> int:
+    """Validate DGK comparison inputs; returns the padded bit width."""
     upper = 1 << bit_length
-    if not 0 <= client_value < upper:
-        raise ComparisonError(
-            f"client value {client_value} outside [0, 2^{bit_length})"
-        )
-    if not 0 <= server_value < upper:
-        raise ComparisonError(
-            f"server value {server_value} outside [0, 2^{bit_length})"
-        )
+    for client_value, server_value in pairs:
+        if not 0 <= client_value < upper:
+            raise ComparisonError(
+                f"client value {client_value} outside [0, 2^{bit_length})"
+            )
+        if not 0 <= server_value < upper:
+            raise ComparisonError(
+                f"server value {server_value} outside [0, 2^{bit_length})"
+            )
     width = bit_length + 1
     u = ctx.dgk.public_key.u
     if 3 * (width + 2) >= u:
         raise ComparisonError(
-            f"DGK plaintext space u={u} too small for {bit_length}-bit comparison"
+            f"DGK plaintext space u={u} too small for {bit_length}-bit "
+            f"comparison"
         )
+    return width
 
-    # Veugen doubling: X = 2x + 1 vs Y = 2y are never equal, and
-    # X < Y  <=>  x < y.
-    x_padded = 2 * client_value + 1
-    y_padded = 2 * server_value
 
-    # Client: encrypt the bits of X under its DGK key and ship them.
-    x_bits = _bits_lsb_first(x_padded, width)
+# One DGK instance in three steps, shared by the single and the batched
+# entry point. Veugen doubling: X = 2x + 1 vs Y = 2y are never equal,
+# and X < Y  <=>  x < y.
+
+
+def _dgk_client_bits(
+    ctx: TwoPartyContext, client_value: int, width: int
+) -> List[DgkCiphertext]:
+    """Client: encrypt the bits of ``X`` under its DGK key."""
     ctx.trace.count(Op.DGK_ENCRYPT, width)
-    encrypted_bits = [
-        ctx.dgk.public_key.encrypt(bit, rng=ctx.client_rng) for bit in x_bits
+    return [
+        ctx.dgk.public_key.encrypt(bit, rng=ctx.client_rng)
+        for bit in _bits_lsb_first(2 * client_value + 1, width)
     ]
-    # The comparison is a fresh protocol phase: its first message opens a
-    # new round regardless of which party spoke last in the composition.
-    ctx.channel.reset_direction()
-    encrypted_bits = ctx.channel.client_sends(encrypted_bits)
 
-    # Server: build the blinded difference terms.
-    y_bits = _bits_lsb_first(y_padded, width)
+
+def _dgk_server_blind(
+    ctx: TwoPartyContext,
+    encrypted_bits: Sequence[DgkCiphertext],
+    server_value: int,
+    width: int,
+) -> Tuple[int, List[DgkCiphertext]]:
+    """Server: the shuffled, blinded difference terms and its share."""
+    u = ctx.dgk.public_key.u
+    y_bits = _bits_lsb_first(2 * server_value, width)
     server_share = ctx.server_rng.randbelow(2)
     sign = 1 - 2 * server_share  # +1 when share 0, -1 when share 1
 
@@ -137,112 +134,47 @@ def dgk_compare(
         rho = 1 + ctx.server_rng.randbelow(u - 1)
         blinded.append(c_i * rho)
     ctx.server_rng.shuffle(blinded)
-    blinded = ctx.channel.server_sends(blinded)
+    return server_share, blinded
 
-    # Client: a zero among the terms decides the (share-flipped) outcome.
+
+def _dgk_zero_test(
+    ctx: TwoPartyContext, blinded: Sequence[DgkCiphertext], server_share: int
+) -> SharedBit:
+    """Client: a zero among the terms decides the (share-flipped)
+    outcome."""
     ctx.trace.count(Op.DGK_ZERO_TEST, len(blinded))
     found_zero = any(ctx.dgk.private_key.is_zero(c) for c in blinded)
     return SharedBit(client_share=int(found_zero), server_share=server_share)
 
 
-@protocol_entry(span="dgk.encrypted_z_bit")
-def _encrypted_z_bit(
-    ctx: TwoPartyContext, z_encrypted: PaillierCiphertext, bit_length: int
-) -> Tuple[int, int, SharedBit, int]:
-    """Common blinding phase of both encrypted-comparison variants.
+@protocol_entry(span="dgk.compare")
+def dgk_compare(
+    ctx: TwoPartyContext, client_value: int, server_value: int, bit_length: int
+) -> SharedBit:
+    """DGK comparison of private inputs; returns XOR-shared ``x < y``.
 
-    The server blinds ``[z]`` additively, the client decrypts the blind,
-    and a DGK comparison on the low ``bit_length`` bits produces the
-    borrow. Returns ``(d_high, r_high, borrow, r)`` where the target bit
-    is ``d_high - r_high - borrow``.
+    Parameters
+    ----------
+    ctx:
+        Session context (client owns the DGK key).
+    client_value:
+        The client's private input ``x`` in ``[0, 2^bit_length)``.
+    server_value:
+        The server's private input ``y`` in ``[0, 2^bit_length)``.
+    bit_length:
+        Magnitude bound for both inputs.
     """
-    modulus_mask = (1 << bit_length) - 1
-
-    # Server: additive blinding with statistical noise. Entry point of
-    # both encrypted-comparison variants, so it owns the phase reset.
-    noise = ctx.blinding_noise(bit_length + 1)
-    ctx.trace.count(Op.PAILLIER_ADD)
-    blinded = z_encrypted + noise
+    width = _dgk_width(ctx, [(client_value, server_value)], bit_length)
+    encrypted_bits = _dgk_client_bits(ctx, client_value, width)
+    # The comparison is a fresh protocol phase: its first message opens a
+    # new round regardless of which party spoke last in the composition.
     ctx.channel.reset_direction()
-    blinded = ctx.channel.server_sends(ctx.rerandomize(blinded))
-
-    # Client: decrypt the blinded value and split it.
-    revealed = ctx.client_decrypt(blinded)
-    d_low = revealed & modulus_mask
-    d_high = revealed >> bit_length
-
-    r_low = noise & modulus_mask
-    r_high = noise >> bit_length
-
-    borrow = dgk_compare(ctx, d_low, r_low, bit_length)
-    return d_high, r_high, borrow, noise
-
-
-@protocol_entry(span="compare.encrypted")
-def compare_encrypted(
-    ctx: TwoPartyContext, z_encrypted: PaillierCiphertext, bit_length: int
-) -> PaillierCiphertext:
-    """Server-held ``[z]`` with ``z`` in ``[0, 2^(l+1))`` -> server-held
-    encryption of ``z >> l`` (a single bit).
-
-    To compare ``l``-bit values ``a, b``, call with
-    ``[z] = [2^l + a - b]``; the output bit is ``a >= b``.
-    """
-    d_high, r_high, borrow, _ = _encrypted_z_bit(ctx, z_encrypted, bit_length)
-
-    # Client ships its half of the correction under Paillier.
-    d_high_enc = ctx.client_encrypt(d_high)
-    borrow_client_enc = ctx.client_encrypt(borrow.client_share)
-    ctx.channel.reset_direction()
-    d_high_enc, borrow_client_enc = ctx.channel.client_sends(
-        [d_high_enc, borrow_client_enc]
+    encrypted_bits = ctx.channel.client_sends(encrypted_bits)
+    server_share, blinded = _dgk_server_blind(
+        ctx, encrypted_bits, server_value, width
     )
-
-    # Server reassembles borrow = client_share XOR server_share linearly.
-    # The share is the server's own coin flip (SharedBit is secret-coarse
-    # in the taint model); branching on it reveals nothing about z.
-    # repro: allow[branch-on-secret]
-    if borrow.server_share:
-        ctx.trace.count(Op.PAILLIER_SCALAR_MUL)
-        ctx.trace.count(Op.PAILLIER_ADD)
-        borrow_enc = (borrow_client_enc * -1) + 1
-    else:
-        borrow_enc = borrow_client_enc
-    ctx.trace.count(Op.PAILLIER_ADD, 2)
-    return d_high_enc - r_high - borrow_enc
-
-
-@protocol_entry(span="compare.encrypted_client_learns")
-def compare_encrypted_client_learns(
-    ctx: TwoPartyContext, z_encrypted: PaillierCiphertext, bit_length: int
-) -> int:
-    """Like :func:`compare_encrypted` but the *client* learns the bit.
-
-    The server reveals its blinding quotient and borrow share, letting
-    the client -- and only the client -- reconstruct ``z >> l``. Used
-    where the protocol's output is destined for the client anyway
-    (hyperplane sign test, argmax over permuted candidates).
-    """
-    d_high, r_high, borrow, _ = _encrypted_z_bit(ctx, z_encrypted, bit_length)
-    ctx.channel.reset_direction()
-    # Designed disclosure: this variant exists so the *client* learns the
-    # bit. r_high is the server's own blinding quotient and server_share
-    # its own coin flip -- server-chosen randomness, not z-derived data
-    # (the taint model cannot see through SharedBit's object coarseness).
-    # repro: allow[channel-leak]
-    r_high_sent, server_share_sent = ctx.channel.server_sends(
-        [r_high, borrow.server_share]
-    )
-    bit = d_high - r_high_sent - (borrow.client_share ^ server_share_sent)
-    # The reconstructed bit is the protocol's output for the client;
-    # validating it is the point.
-    # repro: allow[branch-on-secret]
-    if bit not in (0, 1):
-        raise ComparisonError(
-            f"comparison reconstruction produced {bit}; inputs exceeded "
-            f"the declared bit length {bit_length}"
-        )
-    return bit
+    blinded = ctx.channel.server_sends(blinded)
+    return _dgk_zero_test(ctx, blinded, server_share)
 
 
 @protocol_entry(span="dgk.compare_many")
@@ -260,31 +192,14 @@ def dgk_compare_many(
     original batched implementations use, and what makes deep residual
     trees viable over WAN.
     """
-    upper = 1 << bit_length
-    width = bit_length + 1
-    u = ctx.dgk.public_key.u
-    if 3 * (width + 2) >= u:
-        raise ComparisonError(
-            f"DGK plaintext space u={u} too small for {bit_length}-bit "
-            f"comparison"
-        )
-    for client_value, server_value in pairs:
-        if not 0 <= client_value < upper or not 0 <= server_value < upper:
-            raise ComparisonError(
-                f"comparison inputs outside [0, 2^{bit_length})"
-            )
+    width = _dgk_width(ctx, pairs, bit_length)
     if not pairs:
         return []
-
     # Client: one message carrying every instance's encrypted bits.
-    all_bits: List[List[DgkCiphertext]] = []
-    for client_value, _ in pairs:
-        x_padded = 2 * client_value + 1
-        ctx.trace.count(Op.DGK_ENCRYPT, width)
-        all_bits.append(
-            [ctx.dgk.public_key.encrypt(bit, rng=ctx.client_rng)
-             for bit in _bits_lsb_first(x_padded, width)]
-        )
+    all_bits = [
+        _dgk_client_bits(ctx, client_value, width)
+        for client_value, _ in pairs
+    ]
     ctx.channel.reset_direction()
     all_bits = ctx.channel.client_sends(all_bits)
 
@@ -292,46 +207,146 @@ def dgk_compare_many(
     shares: List[int] = []
     all_blinded: List[List[DgkCiphertext]] = []
     for (_, server_value), encrypted_bits in zip(pairs, all_bits):
-        y_bits = _bits_lsb_first(2 * server_value, width)
-        share = ctx.server_rng.randbelow(2)
+        share, blinded = _dgk_server_blind(
+            ctx, encrypted_bits, server_value, width
+        )
         shares.append(share)
-        sign = 1 - 2 * share
-
-        xor_terms: List[DgkCiphertext] = []
-        for enc_bit, y_bit in zip(encrypted_bits, y_bits):
-            if y_bit:
-                ctx.trace.count(Op.DGK_ADD)
-                xor_terms.append((-enc_bit) + 1)
-            else:
-                xor_terms.append(enc_bit)
-
-        suffix: List[DgkCiphertext] = [None] * width  # type: ignore
-        running = ctx.dgk.public_key.encrypt(0, rng=ctx.server_rng)
-        ctx.trace.count(Op.DGK_ENCRYPT)
-        for i in range(width - 1, -1, -1):
-            suffix[i] = running
-            ctx.trace.count(Op.DGK_ADD)
-            running = running + xor_terms[i]
-
-        blinded: List[DgkCiphertext] = []
-        for i in range(width):
-            ctx.trace.count(Op.DGK_ADD, 2)
-            ctx.trace.count(Op.DGK_SCALAR_MUL, 2)
-            c_i = encrypted_bits[i] + (-y_bits[i] + sign) + suffix[i] * 3
-            rho = 1 + ctx.server_rng.randbelow(u - 1)
-            blinded.append(c_i * rho)
-        ctx.server_rng.shuffle(blinded)
         all_blinded.append(blinded)
     all_blinded = ctx.channel.server_sends(all_blinded)
 
     # Client: zero-test everything locally.
-    results: List[SharedBit] = []
-    for blinded, share in zip(all_blinded, shares):
-        ctx.trace.count(Op.DGK_ZERO_TEST, len(blinded))
-        found_zero = any(ctx.dgk.private_key.is_zero(c) for c in blinded)
-        results.append(SharedBit(client_share=int(found_zero),
-                                 server_share=share))
-    return results
+    return [
+        _dgk_zero_test(ctx, blinded, share)
+        for blinded, share in zip(all_blinded, shares)
+    ]
+
+
+# The encrypted comparison of ``[z]``, ``z`` in ``[0, 2^(l+1))``: the
+# server blinds ``[z]`` additively, the client decrypts the blind, a DGK
+# comparison on the low ``l`` bits yields the borrow, and the target bit
+# ``z >> l`` is ``d_high - r_high - borrow``. The steps below are shared
+# by the single, batched and client-learns entry points.
+
+
+def _blind(
+    ctx: TwoPartyContext, z_encrypted: PaillierCiphertext, bit_length: int
+) -> Tuple[PaillierCiphertext, int]:
+    """Server: ``[z + r]`` with statistical noise ``r``; returns the
+    refreshed blind and ``r``."""
+    noise = ctx.blinding_noise(bit_length + 1)
+    ctx.trace.count(Op.PAILLIER_ADD)
+    return ctx.rerandomize(z_encrypted + noise), noise
+
+
+def _split(value: int, bit_length: int) -> Tuple[int, int]:
+    """``(value mod 2^l, value >> l)``."""
+    return value & ((1 << bit_length) - 1), value >> bit_length
+
+
+def _encrypt_correction(
+    ctx: TwoPartyContext, d_high: int, borrow: SharedBit
+) -> List[PaillierCiphertext]:
+    """Client: its half of the correction, ``[d_high]`` and its borrow
+    share, under Paillier."""
+    return [
+        ctx.client_encrypt(d_high),
+        ctx.client_encrypt(borrow.client_share),
+    ]
+
+
+def _strip_borrow(
+    ctx: TwoPartyContext, d_high, r_high: int, borrow_client, server_share: int
+):
+    """``d_high - r_high - (borrow_client XOR server_share)``.
+
+    The party holding ``server_share`` in the clear reassembles the XOR
+    linearly (``c XOR 1 = 1 - c``), so the same body serves the server
+    on Paillier ciphertexts (counted) and the client on plain integers.
+    """
+    encrypted = isinstance(d_high, PaillierCiphertext)
+    # The share is the server's own coin flip (SharedBit is secret-coarse
+    # in the taint model); branching on it reveals nothing about z.
+    # repro: allow[branch-on-secret]
+    if server_share:
+        if encrypted:
+            ctx.trace.count(Op.PAILLIER_SCALAR_MUL)
+            ctx.trace.count(Op.PAILLIER_ADD)
+        borrow = (borrow_client * -1) + 1
+    else:
+        borrow = borrow_client
+    if encrypted:
+        ctx.trace.count(Op.PAILLIER_ADD, 2)
+    return d_high - r_high - borrow
+
+
+@protocol_entry(span="dgk.encrypted_z_bit")
+def _encrypted_z_bit(
+    ctx: TwoPartyContext, z_encrypted: PaillierCiphertext, bit_length: int
+) -> Tuple[int, int, SharedBit]:
+    """Common blinding phase of both single encrypted-comparison
+    variants. Returns ``(d_high, r_high, borrow)``."""
+    blinded, noise = _blind(ctx, z_encrypted, bit_length)
+    ctx.channel.reset_direction()
+    blinded = ctx.channel.server_sends(blinded)
+    d_low, d_high = _split(ctx.client_decrypt(blinded), bit_length)
+    r_low, r_high = _split(noise, bit_length)
+    borrow = dgk_compare(ctx, d_low, r_low, bit_length)
+    return d_high, r_high, borrow
+
+
+@protocol_entry(span="compare.encrypted")
+def compare_encrypted(
+    ctx: TwoPartyContext, z_encrypted: PaillierCiphertext, bit_length: int
+) -> PaillierCiphertext:
+    """Server-held ``[z]`` with ``z`` in ``[0, 2^(l+1))`` -> server-held
+    encryption of ``z >> l`` (a single bit).
+
+    To compare ``l``-bit values ``a, b``, call with
+    ``[z] = [2^l + a - b]``; the output bit is ``a >= b``.
+    """
+    d_high, r_high, borrow = _encrypted_z_bit(ctx, z_encrypted, bit_length)
+    ctx.channel.reset_direction()
+    d_high_enc, borrow_client_enc = ctx.channel.client_sends(
+        _encrypt_correction(ctx, d_high, borrow)
+    )
+    return _strip_borrow(
+        ctx, d_high_enc, r_high, borrow_client_enc, borrow.server_share
+    )
+
+
+@protocol_entry(span="compare.encrypted_client_learns")
+def compare_encrypted_client_learns(
+    ctx: TwoPartyContext, z_encrypted: PaillierCiphertext, bit_length: int
+) -> int:
+    """Like :func:`compare_encrypted` but the *client* learns the bit.
+
+    The server reveals its blinding quotient and borrow share, letting
+    the client -- and only the client -- reconstruct ``z >> l``. Used
+    where the protocol's output is destined for the client anyway
+    (hyperplane sign test, argmax over permuted candidates).
+    """
+    d_high, r_high, borrow = _encrypted_z_bit(ctx, z_encrypted, bit_length)
+    ctx.channel.reset_direction()
+    # Designed disclosure: this variant exists so the *client* learns the
+    # bit. r_high is the server's own blinding quotient and server_share
+    # its own coin flip -- server-chosen randomness, not z-derived data
+    # (the taint model cannot see through SharedBit's object coarseness).
+    # repro: allow[channel-leak]
+    r_high_sent, server_share_sent = ctx.channel.server_sends(
+        [r_high, borrow.server_share]
+    )
+    bit = _strip_borrow(
+        ctx, d_high, r_high_sent, borrow.client_share, server_share_sent
+    )
+    # The reconstructed bit is the protocol's output for the client;
+    # validating it is the point.
+    # repro: allow[branch-on-secret]
+    if bit not in (0, 1):
+        raise ComparisonError(
+            f"comparison reconstruction produced {bit}; inputs exceeded "
+            f"the declared bit length {bit_length}"
+        )
+    return bit
 
 
 @protocol_entry(span="compare.encrypted_many")
@@ -348,25 +363,16 @@ def compare_encrypted_many(
     """
     if not z_encrypted:
         return []
-    modulus_mask = (1 << bit_length) - 1
-
     # Server: blind every instance, one message.
-    noises = []
-    blinded_batch = []
-    for z in z_encrypted:
-        noise = ctx.blinding_noise(bit_length + 1)
-        noises.append(noise)
-        ctx.trace.count(Op.PAILLIER_ADD)
-        blinded_batch.append(ctx.rerandomize(z + noise))
+    blinds = [_blind(ctx, z, bit_length) for z in z_encrypted]
     ctx.channel.reset_direction()
-    blinded_batch = ctx.channel.server_sends(blinded_batch)
+    blinded_batch = ctx.channel.server_sends([blind for blind, _ in blinds])
 
     # Client: decrypt and split every instance.
-    revealed = [ctx.client_decrypt(c) for c in blinded_batch]
-    d_lows = [value & modulus_mask for value in revealed]
-    d_highs = [value >> bit_length for value in revealed]
-    r_lows = [noise & modulus_mask for noise in noises]
-    r_highs = [noise >> bit_length for noise in noises]
+    d_splits = [
+        _split(ctx.client_decrypt(c), bit_length) for c in blinded_batch
+    ]
+    r_splits = [_split(noise, bit_length) for _, noise in blinds]
 
     # The d_low bits enter the batched DGK comparison, which ships them
     # only DGK-encrypted (and the server's replies multiplicatively
@@ -375,32 +381,25 @@ def compare_encrypted_many(
     # is coarser than the taint model can split.
     # repro: allow[channel-leak]
     borrows = dgk_compare_many(
-        ctx, list(zip(d_lows, r_lows)), bit_length
+        ctx,
+        [(d_low, r_low) for (d_low, _), (r_low, _) in zip(d_splits, r_splits)],
+        bit_length,
     )
 
     # Client: one message with every instance's correction ciphertexts.
-    uploads = []
-    for d_high, borrow in zip(d_highs, borrows):
-        uploads.append(ctx.client_encrypt(d_high))
-        uploads.append(ctx.client_encrypt(borrow.client_share))
+    uploads: List[PaillierCiphertext] = []
+    for (_, d_high), borrow in zip(d_splits, borrows):
+        uploads.extend(_encrypt_correction(ctx, d_high, borrow))
     ctx.channel.reset_direction()
     uploads = ctx.channel.client_sends(uploads)
 
-    results: List[PaillierCiphertext] = []
-    for index, (borrow, r_high) in enumerate(zip(borrows, r_highs)):
-        d_high_enc = uploads[2 * index]
-        borrow_client_enc = uploads[2 * index + 1]
-        # Server's own coin flip, as in compare_encrypted above.
-        # repro: allow[branch-on-secret]
-        if borrow.server_share:
-            ctx.trace.count(Op.PAILLIER_SCALAR_MUL)
-            ctx.trace.count(Op.PAILLIER_ADD)
-            borrow_enc = (borrow_client_enc * -1) + 1
-        else:
-            borrow_enc = borrow_client_enc
-        ctx.trace.count(Op.PAILLIER_ADD, 2)
-        results.append(d_high_enc - r_high - borrow_enc)
-    return results
+    return [
+        _strip_borrow(
+            ctx, uploads[2 * index], r_high, uploads[2 * index + 1],
+            borrow.server_share,
+        )
+        for index, (borrow, (_, r_high)) in enumerate(zip(borrows, r_splits))
+    ]
 
 
 @protocol_entry(span="compare.values_encrypted")

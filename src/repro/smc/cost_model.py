@@ -77,9 +77,6 @@ NATIVE_1024 = HardwareProfile(
         Op.DGK_ZERO_TEST: 1.5e-4,
         Op.DGK_ADD: 1.5e-6,
         Op.DGK_SCALAR_MUL: 4.0e-5,
-        Op.GM_ENCRYPT: 5.0e-5,
-        Op.GM_DECRYPT: 5.0e-5,
-        Op.GM_XOR: 1.0e-6,
         Op.OT_TRANSFER_1OF2: 3.0e-3,
         Op.SHARE_MUL_TRIPLE: 2.0e-6,
         Op.SYMMETRIC_OP: 1.0e-7,
@@ -101,9 +98,6 @@ NATIVE_2048 = HardwareProfile(
         Op.DGK_ZERO_TEST: 9.0e-4,
         Op.DGK_ADD: 5.0e-6,
         Op.DGK_SCALAR_MUL: 2.4e-4,
-        Op.GM_ENCRYPT: 3.0e-4,
-        Op.GM_DECRYPT: 3.0e-4,
-        Op.GM_XOR: 3.0e-6,
         Op.OT_TRANSFER_1OF2: 8.0e-3,
         Op.SHARE_MUL_TRIPLE: 2.0e-6,
         Op.SYMMETRIC_OP: 1.0e-7,

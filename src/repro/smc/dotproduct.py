@@ -24,10 +24,9 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.crypto.paillier import PaillierCiphertext
-from repro.smc.arithmetic import SharedValue
 from repro.smc.context import TwoPartyContext
 from repro.smc.protocol import Op, protocol_entry
-from repro.smc.shares import ShareSession
+from repro.smc.shares import SharedValue, ShareSession
 
 
 class DotProductError(Exception):

@@ -2,34 +2,27 @@
 
 The secure naive-Bayes protocol must add ``log P(x_f = v | c)`` to each
 class score without the server learning ``v`` and without the client
-learning the table. Two standard constructions are provided:
-
-* **Indicator vectors** (:func:`indicator_lookup`): the client sends one
-  Paillier encryption per domain value -- a 0/1 indicator of its actual
-  value -- and the server takes the inner product with its (plaintext)
-  table column. Constant rounds; cost scales with the domain size. This
-  is the construction whose per-feature cost the disclosure optimizer
-  removes when a feature is revealed.
-
-* **1-out-of-n OT** (:func:`ot_lookup_shares`): the parties end with
-  additive shares of the table entry. Useful when the table is held as
-  integers and the output must remain hidden from both sides.
+learning the table. The client sends one Paillier encryption per domain
+value -- a 0/1 indicator of its actual value
+(:func:`encrypt_indicator_vector`) -- and the server takes the inner
+product with its plaintext table column, which is exactly
+:func:`repro.smc.dotproduct.encrypted_dot_product`. Constant rounds;
+cost scales with the domain size. This is the construction whose
+per-feature cost the disclosure optimizer removes when a feature is
+revealed.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
-from repro.crypto.ot import one_of_n_transfer
 from repro.crypto.paillier import PaillierCiphertext
 from repro.smc.context import TwoPartyContext
-from repro.smc.protocol import Op, protocol_entry
-
-_OT_VALUE_BYTES = 16
+from repro.smc.protocol import protocol_entry
 
 
 class LookupError_(Exception):
-    """Raised on invalid lookup inputs (domain mismatch, bad index)."""
+    """Raised on an indicator index outside the feature's domain."""
 
 
 @protocol_entry(span="lookup.encrypt_indicator_vector")
@@ -47,62 +40,3 @@ def encrypt_indicator_vector(
     )
     ctx.channel.reset_direction()
     return ctx.channel.client_sends(indicators)
-
-
-def indicator_lookup(
-    ctx: TwoPartyContext,
-    encrypted_indicators: Sequence[PaillierCiphertext],
-    table_column: Sequence[int],
-) -> PaillierCiphertext:
-    """Server-side: ``[table_column[v]]`` from the client's encrypted
-    one-hot vector, as the homomorphic inner product."""
-    if len(encrypted_indicators) != len(table_column):
-        raise LookupError_(
-            f"{len(encrypted_indicators)} indicators vs "
-            f"{len(table_column)} table entries"
-        )
-    nonzero = sum(1 for entry in table_column if entry != 0)
-    if nonzero == 0:
-        return ctx.server_encrypt(0)
-    # Fused multi-exponentiation; seeded from the first nonzero entry,
-    # so no fresh encryption is spent on the accumulator.
-    ctx.trace.count(Op.PAILLIER_SCALAR_MUL, nonzero)
-    ctx.trace.count(Op.PAILLIER_ADD, nonzero - 1)
-    return ctx.engine.dot_product(encrypted_indicators, table_column)
-
-
-@protocol_entry(span="lookup.ot_shares")
-def ot_lookup_shares(
-    ctx: TwoPartyContext,
-    table: Sequence[int],
-    client_index: int,
-    share_bits: int = 64,
-) -> tuple:
-    """Additively share ``table[client_index]`` between the parties.
-
-    The server masks every entry with one fresh random value ``r`` (its
-    share is ``-r``); the client obtains its masked entry through
-    1-out-of-n OT. Returns ``(client_share, server_share)`` with
-    ``client_share + server_share == table[client_index]`` over the
-    integers-mod-``2^share_bits`` ring.
-    """
-    if not 0 <= client_index < len(table):
-        raise LookupError_(
-            f"index {client_index} outside table of size {len(table)}"
-        )
-    modulus = 1 << share_bits
-    mask = ctx.server_rng.randbelow(modulus)
-    masked_entries = [
-        ((entry + mask) % modulus).to_bytes(_OT_VALUE_BYTES, "big")
-        for entry in table
-    ]
-    bits = max(1, (len(table) - 1).bit_length())
-    ctx.trace.count(Op.OT_TRANSFER_1OF2, bits)
-    ctx.channel.reset_direction()
-    ctx.channel.server_sends(masked_entries)
-    chosen = one_of_n_transfer(
-        masked_entries, client_index, rng=ctx.client_rng, key_bits=256
-    )
-    client_share = int.from_bytes(chosen, "big") % modulus
-    server_share = (-mask) % modulus
-    return client_share, server_share

@@ -19,8 +19,9 @@ import enum
 import functools
 import time
 from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, TypeVar
+from typing import Callable, Dict, Iterator, Mapping, Optional, TypeVar
 
 import repro.telemetry as telemetry
 
@@ -30,6 +31,12 @@ _F = TypeVar("_F", bound=Callable)
 #: ``module.qualname``. Tests and the static analyser use it to know
 #: which functions own a protocol phase.
 PROTOCOL_ENTRY_POINTS: Dict[str, Callable] = {}
+
+#: The live trace whose ops the outermost running entry point publishes;
+#: entry points nested on the same trace leave the publishing to it.
+_PUBLISHING: ContextVar[Optional["ExecutionTrace"]] = ContextVar(
+    "repro_publishing_trace", default=None
+)
 
 
 def protocol_entry(func: Optional[_F] = None, *, span: Optional[str] = None):
@@ -47,8 +54,11 @@ def protocol_entry(func: Optional[_F] = None, *, span: Optional[str] = None):
     runs under a span named ``span`` (the ``telemetry-span`` lint rule
     requires the name to be declared explicitly inside the protocol
     packages, so the span taxonomy in ``docs/OBSERVABILITY.md`` is the
-    single source of truth). While telemetry is disabled the wrapper
-    costs one flag check per call -- the hot path stays flat.
+    single source of truth). The outermost entry point on a live
+    session trace -- a classifier's ``classify`` for a whole query --
+    publishes the ops it recorded to the ``op.*`` counters when it
+    returns (:func:`publish_ops`). While telemetry is disabled the
+    wrapper costs one flag check per call -- the hot path stays flat.
 
     Usable bare (``@protocol_entry``; span name derived from the
     function name) or called (``@protocol_entry(span="dgk.compare")``).
@@ -62,7 +72,16 @@ def protocol_entry(func: Optional[_F] = None, *, span: Optional[str] = None):
             if not telemetry.enabled():
                 return target(*args, **kwargs)
             with telemetry.span(span_name):
-                return target(*args, **kwargs)
+                trace = _session_trace(args)
+                if trace is None or _PUBLISHING.get() is trace:
+                    return target(*args, **kwargs)
+                before = Counter(trace.ops)
+                token = _PUBLISHING.set(trace)
+                try:
+                    return target(*args, **kwargs)
+                finally:
+                    _PUBLISHING.reset(token)
+                    publish_ops(trace.ops - before)
 
         wrapper.__protocol_entry__ = True
         wrapper.__protocol_span__ = span_name
@@ -74,6 +93,27 @@ def protocol_entry(func: Optional[_F] = None, *, span: Optional[str] = None):
     if func is not None:
         return decorate(func)
     return decorate
+
+
+def _session_trace(args) -> Optional["ExecutionTrace"]:
+    """The live trace an entry point runs on: carried by its context
+    argument directly, or by a share session's ``ctx``."""
+    for arg in args:
+        trace = getattr(getattr(arg, "ctx", arg), "trace", None)
+        if isinstance(trace, ExecutionTrace):
+            return trace
+    return None
+
+
+def publish_ops(ops: Mapping["Op", int]) -> None:
+    """Charge live operations to the ``op.<name>`` telemetry counters.
+
+    The one writer of those counters. Analytic traces (the optimizer's
+    ``estimated_trace`` calls) never reach it, so ``op.*`` describes
+    work a live session actually performed.
+    """
+    for op, times in ops.items():
+        telemetry.count(f"op.{op.value}", times)
 
 
 class Op(enum.Enum):
@@ -88,9 +128,6 @@ class Op(enum.Enum):
     DGK_ZERO_TEST = "dgk_zero_test"
     DGK_ADD = "dgk_add"
     DGK_SCALAR_MUL = "dgk_scalar_mul"
-    GM_ENCRYPT = "gm_encrypt"
-    GM_DECRYPT = "gm_decrypt"
-    GM_XOR = "gm_xor"
     OT_TRANSFER_1OF2 = "ot_transfer_1of2"
     SHARE_MUL_TRIPLE = "share_mul_triple"
     SYMMETRIC_OP = "symmetric_op"
@@ -114,18 +151,15 @@ class ExecutionTrace:
     label: str = ""
 
     def count(self, op: Op, times: int = 1) -> None:
-        """Record ``times`` occurrences of ``op``.
+        """Record ``times`` occurrences of ``op`` in this trace only.
 
-        Mirrors every occurrence into the telemetry counters
-        (``op.<name>``) while telemetry is enabled, so the metrics view
-        of cryptographic work is charged from the same call sites as the
-        cost model and cannot drift from it.
+        Live traces reach the telemetry ``op.*`` counters through
+        :func:`publish_ops` when their outermost protocol entry point
+        returns; analytic traces never do.
         """
         if times < 0:
             raise ValueError(f"cannot count a negative number of ops: {times}")
         self.ops[op] += times
-        if telemetry.enabled():
-            telemetry.count(f"op.{op.value}", times)
 
     @property
     def total_bytes(self) -> int:

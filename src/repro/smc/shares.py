@@ -1,19 +1,21 @@
 """Two-party share-protocol session: the shares backend's online layer.
 
-Where :mod:`repro.smc.arithmetic` is the property-test substrate for
-share identities, this module is the *protocol-grade* layer the
-``shares`` :class:`~repro.secure.backends.SharesBackend` runs on: every
-sharing and opening crosses the accounted channel as tagged wire
-elements (``TAG_SHARE``), openings are batched so a whole bank of
-Beaver multiplications costs two messages, and every triple is drained
-from the offline :class:`~repro.crypto.triples.TripleStore` -- the
-online phase itself performs integer ring arithmetic only.
+This is the one share layer of the library: the ``shares``
+:class:`~repro.secure.backends.SharesBackend` runs on it, following the
+trusted-initializer model (a dealer pre-distributes Beaver triples and
+comparison masks offline; the two parties compute online). Values live
+as :class:`SharedValue` additive shares; every sharing and opening
+crosses the accounted channel as tagged wire elements (``TAG_SHARE``),
+openings are batched so a whole bank of Beaver multiplications costs
+two messages, and every triple is drained from the offline
+:class:`~repro.crypto.triples.TripleStore` -- the online phase itself
+performs integer ring arithmetic only.
 
-Conventions (matching :class:`~repro.smc.arithmetic.SharedValue`):
-party 0 is the client, party 1 the server; public constants fold into
-the client's share. Input sharing is dealer-free: the owner draws the
-other party's share uniformly from its own session rng and keeps the
-difference, so a single corrupted party learns nothing about the input.
+Conventions: party 0 is the client, party 1 the server; public
+constants fold into the client's share. Input sharing is dealer-free:
+the owner draws the other party's share uniformly from its own session
+rng and keeps the difference, so a single corrupted party learns
+nothing about the input.
 
 The ring modulus is sized per session by :func:`modulus_bits_for`:
 ``magnitude_bits + kappa + 8`` bits, leaving statistical headroom for
@@ -24,17 +26,51 @@ ring).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.crypto.secret_sharing import AdditiveShare
 from repro.crypto.triples import TripleStore
-from repro.smc.arithmetic import SharedValue
 from repro.smc.context import TwoPartyContext
 from repro.smc.protocol import Op, protocol_entry
 
 
 class ShareProtocolError(Exception):
     """Raised on invalid share-protocol usage or corrupted openings."""
+
+
+@dataclass
+class SharedValue:
+    """A value additively shared between client (0) and server (1)."""
+
+    share0: AdditiveShare
+    share1: AdditiveShare
+
+    def __add__(self, other) -> "SharedValue":
+        if isinstance(other, SharedValue):
+            return SharedValue(self.share0 + other.share0, self.share1 + other.share1)
+        if isinstance(other, int):
+            # Public constants fold into party 0's share by convention.
+            return SharedValue(self.share0 + other, self.share1)
+        return NotImplemented
+
+    def __radd__(self, other) -> "SharedValue":
+        return self.__add__(other)
+
+    def __sub__(self, other) -> "SharedValue":
+        if isinstance(other, SharedValue):
+            return SharedValue(self.share0 - other.share0, self.share1 - other.share1)
+        if isinstance(other, int):
+            return SharedValue(self.share0 - other, self.share1)
+        return NotImplemented
+
+    def __mul__(self, scalar) -> "SharedValue":
+        if not isinstance(scalar, int):
+            return NotImplemented
+        return SharedValue(self.share0 * scalar, self.share1 * scalar)
+
+    def __rmul__(self, scalar) -> "SharedValue":
+        return self.__mul__(scalar)
 
 
 #: Extra ring headroom beyond ``magnitude + kappa`` (see module doc).

@@ -222,7 +222,7 @@ class TcpTransport:
 
     def _send_keyring(self, sock: socket.socket) -> None:
         keyring = wire.keyring_payload(
-            paillier=self.codec.paillier, dgk=self.codec.dgk, gm=self.codec.gm
+            paillier=self.codec.paillier, dgk=self.codec.dgk
         )
         wire.send_frame(sock, wire.KIND_KEYS, wire.encode(keyring))
 

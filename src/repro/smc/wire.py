@@ -3,7 +3,7 @@
 Every protocol message in this library is one of a small set of shapes:
 signed integers (blinded differences, shares, labels), byte strings (OT
 table entries), strings, floats, booleans, ``None`` signals, Paillier /
-DGK / GM ciphertexts, and nested lists/tuples/dicts of those. This
+DGK ciphertexts, additive shares, and nested lists/tuples/dicts of those. This
 module defines *the* encoding of each shape -- a one-byte type tag
 followed by a length-prefixed body -- and both transport backends and
 the :class:`~repro.smc.network.Channel` byte accounting derive from it,
@@ -26,7 +26,7 @@ shape                 encoding
 ``dict``              ``0x09`` + u32 count + encoded key/value pairs
 Paillier ciphertext   ``0x0A`` + u32 length + fixed-width big-endian value
 DGK ciphertext        ``0x0B`` + u32 length + fixed-width big-endian value
-GM ciphertext         ``0x0C`` + u32 length + fixed-width big-endian value
+(retired)             ``0x0C`` stays unassigned (was Goldwasser-Micali)
 additive share        ``0x0D`` + u32 length + modulus + fixed-width value
 Beaver triple         ``0x0E`` + u32 count (3) + the ``a``/``b``/``c`` shares
 ====================  ========================================================
@@ -64,7 +64,6 @@ from typing import Any, Optional, Tuple
 
 from repro.crypto.beaver import BeaverTriple
 from repro.crypto.dgk import DgkCiphertext, DgkPublicKey
-from repro.crypto.gm import GMCiphertext, GMPublicKey
 from repro.crypto.paillier import PaillierCiphertext, PaillierPublicKey
 from repro.crypto.secret_sharing import AdditiveShare
 
@@ -89,12 +88,19 @@ TAG_TUPLE = 0x08
 TAG_DICT = 0x09
 TAG_PAILLIER = 0x0A
 TAG_DGK = 0x0B
-TAG_GM = 0x0C
+# 0x0C is retired: it was the Goldwasser-Micali ciphertext tag, which no
+# protocol sent. It stays unassigned so old frames never decode as
+# something else.
 TAG_SHARE = 0x0D
 TAG_TRIPLE = 0x0E
 
 #: tag byte + u32 length prefix, paid by every length-prefixed element.
 ELEMENT_OVERHEAD = 5
+
+#: Most containers (lists, tuples, dicts, triples) the decoder lets an
+#: element sit inside. Protocol payloads nest a few levels; a hostile
+#: frame nested thousands deep would otherwise exhaust the stack.
+MAX_NESTING_DEPTH = 64
 
 # -- frame kinds -------------------------------------------------------------
 
@@ -164,8 +170,6 @@ def payload_tag_name(payload: Any) -> str:
         return "paillier"
     if isinstance(payload, DgkCiphertext):
         return "dgk"
-    if isinstance(payload, GMCiphertext):
-        return "gm"
     if isinstance(payload, AdditiveShare):
         return "share"
     if isinstance(payload, BeaverTriple):
@@ -250,7 +254,7 @@ def encoded_size(payload: Any) -> int:
         return ELEMENT_OVERHEAD + len(payload.encode("utf-8"))
     if isinstance(payload, PaillierCiphertext):
         return ELEMENT_OVERHEAD + payload.serialized_size_bytes()
-    if isinstance(payload, (DgkCiphertext, GMCiphertext)):
+    if isinstance(payload, DgkCiphertext):
         return ELEMENT_OVERHEAD + payload.serialized_size_bytes()
     if isinstance(payload, AdditiveShare):
         # TAG_SHARE body: u32 width + modulus + fixed-width value.
@@ -319,12 +323,6 @@ def _encode_into(payload: Any, out: bytearray) -> None:
         out += _U32.pack(len(body))
         out += body
         return
-    if isinstance(payload, GMCiphertext):
-        body = payload.to_bytes()
-        out.append(TAG_GM)
-        out += _U32.pack(len(body))
-        out += body
-        return
     if isinstance(payload, AdditiveShare):
         body = _share_body(payload)
         out.append(TAG_SHARE)
@@ -364,7 +362,6 @@ class WireCodec:
 
     paillier: Optional[PaillierPublicKey] = None
     dgk: Optional[DgkPublicKey] = None
-    gm: Optional[GMPublicKey] = None
 
     # Encoding is stateless; expose it here for symmetry.
     encode = staticmethod(encode)
@@ -372,14 +369,21 @@ class WireCodec:
 
     def decode(self, data: bytes) -> Any:
         """Decode one payload; rejects trailing garbage."""
-        value, offset = self._decode(memoryview(data), 0)
+        value, offset = self._decode(memoryview(data), 0, 0)
         if offset != len(data):
             raise WireError(
                 f"{len(data) - offset} trailing bytes after decoded payload"
             )
         return value
 
-    def _decode(self, view: memoryview, offset: int) -> Tuple[Any, int]:
+    def _decode(
+        self, view: memoryview, offset: int, depth: int
+    ) -> Tuple[Any, int]:
+        """Decode the element at ``offset`` inside ``depth`` containers."""
+        if depth > MAX_NESTING_DEPTH:
+            raise WireError(
+                f"payload nests deeper than {MAX_NESTING_DEPTH} containers"
+            )
         if offset >= len(view):
             raise WireError("truncated payload: missing type tag")
         tag = view[offset]
@@ -394,7 +398,7 @@ class WireCodec:
             body = self._take(view, offset, 8)
             return _F64.unpack(body)[0], offset + 8
         if tag in (TAG_INT, TAG_BYTES, TAG_STR, TAG_PAILLIER, TAG_DGK,
-                   TAG_GM, TAG_SHARE):
+                   TAG_SHARE):
             length = _U32.unpack(self._take(view, offset, 4))[0]
             offset += 4
             body = bytes(self._take(view, offset, length))
@@ -413,11 +417,7 @@ class WireCodec:
                 if self.dgk is None:
                     raise WireError("no DGK key to decode ciphertext")
                 return DgkCiphertext.from_bytes(body, self.dgk), offset
-            if tag == TAG_SHARE:
-                return self._decode_share(body), offset
-            if self.gm is None:
-                raise WireError("no GM key to decode ciphertext")
-            return GMCiphertext.from_bytes(body, self.gm), offset
+            return self._decode_share(body), offset
         if tag == TAG_TRIPLE:
             count = _U32.unpack(self._take(view, offset, 4))[0]
             offset += 4
@@ -427,7 +427,7 @@ class WireCodec:
                 )
             shares = []
             for _ in range(3):
-                item, offset = self._decode(view, offset)
+                item, offset = self._decode(view, offset, depth + 1)
                 if not isinstance(item, AdditiveShare):
                     raise WireError(
                         f"Beaver triple element decoded as "
@@ -440,7 +440,7 @@ class WireCodec:
             offset += 4
             items = []
             for _ in range(count):
-                item, offset = self._decode(view, offset)
+                item, offset = self._decode(view, offset, depth + 1)
                 items.append(item)
             return (items if tag == TAG_LIST else tuple(items)), offset
         if tag == TAG_DICT:
@@ -448,8 +448,8 @@ class WireCodec:
             offset += 4
             result = {}
             for _ in range(count):
-                key, offset = self._decode(view, offset)
-                value, offset = self._decode(view, offset)
+                key, offset = self._decode(view, offset, depth + 1)
+                value, offset = self._decode(view, offset, depth + 1)
                 result[key] = value
             return result, offset
         raise WireError(f"unknown type tag 0x{tag:02X}")
@@ -488,7 +488,6 @@ class WireCodec:
 def keyring_payload(
     paillier: Optional[PaillierPublicKey] = None,
     dgk: Optional[DgkPublicKey] = None,
-    gm: Optional[GMPublicKey] = None,
 ) -> dict:
     """The handshake message describing a session's public keys."""
     payload: dict = {"wire_version": WIRE_VERSION}
@@ -496,8 +495,6 @@ def keyring_payload(
         payload["paillier_n"] = paillier.n
     if dgk is not None:
         payload["dgk"] = {"n": dgk.n, "g": dgk.g, "h": dgk.h, "u": dgk.u}
-    if gm is not None:
-        payload["gm"] = {"n": gm.n, "x": gm.pseudo_residue}
     return payload
 
 
@@ -514,11 +511,7 @@ def codec_from_keyring(payload: dict) -> WireCodec:
         spec = payload["dgk"]
         dgk = DgkPublicKey(n=int(spec["n"]), g=int(spec["g"]),
                            h=int(spec["h"]), u=int(spec["u"]))
-    gm = None
-    if "gm" in payload:
-        spec = payload["gm"]
-        gm = GMPublicKey(n=int(spec["n"]), pseudo_residue=int(spec["x"]))
-    return WireCodec(paillier=paillier, dgk=dgk, gm=gm)
+    return WireCodec(paillier=paillier, dgk=dgk)
 
 
 def keyring_fingerprint(payload: dict) -> str:

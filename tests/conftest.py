@@ -11,7 +11,6 @@ import pytest
 
 from repro.crypto import modexp
 from repro.crypto.dgk import DgkKeyPair
-from repro.crypto.gm import GMKeyPair
 from repro.crypto.paillier import PaillierKeyPair
 from repro.crypto.rand import fresh_rng
 from repro.data import (
@@ -46,7 +45,6 @@ def pytest_configure(config):
 # production sizes; protocol correctness is size-independent.
 TEST_PAILLIER_BITS = 384
 TEST_DGK_BITS = 192
-TEST_GM_BITS = 192
 
 
 @pytest.fixture(scope="session")
@@ -54,11 +52,6 @@ def paillier_keys() -> PaillierKeyPair:
     return PaillierKeyPair.generate(
         key_bits=TEST_PAILLIER_BITS, rng=fresh_rng(101)
     )
-
-
-@pytest.fixture(scope="session")
-def gm_keys() -> GMKeyPair:
-    return GMKeyPair.generate(key_bits=TEST_GM_BITS, rng=fresh_rng(102))
 
 
 @pytest.fixture(scope="session")

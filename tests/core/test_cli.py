@@ -157,6 +157,32 @@ class TestClassifyMetrics:
         assert "pipeline.classify" in span_names
         assert "session.keygen" in span_names
 
+    def test_op_counters_equal_the_live_trace(self, tmp_path, capsys):
+        """Only the served query's ops reach ``op.*``: the optimizer's
+        analytic traces (thousands of ``estimated_trace`` calls) do not."""
+        import json
+
+        import repro.telemetry as telemetry
+
+        path = tmp_path / "metrics.json"
+        try:
+            code = main([
+                "classify", "--dataset", "cancer", "--classifier", "tree",
+                "--budget", "0.2", "--rows", "1", "--format", "json",
+                "--metrics", str(path),
+            ])
+        finally:
+            telemetry.configure(False, reset=True)
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        counters = json.loads(path.read_text())["counters"]
+        published = {
+            name[len("op."):]: value for name, value in counters.items()
+            if name.startswith("op.")
+        }
+        assert published == payload["traffic"]["ops"]
+        assert published
+
     def test_without_metrics_flag_telemetry_stays_off(self, capsys):
         import repro.telemetry as telemetry
 

@@ -1,4 +1,4 @@
-"""Tests for additive and Shamir secret sharing."""
+"""Tests for additive secret sharing."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +9,7 @@ from repro.crypto.secret_sharing import (
     AdditiveSecretSharer,
     AdditiveShare,
     SecretSharingError,
-    ShamirSecretSharer,
-    share_vector,
 )
-
-PRIME = 2**61 - 1
 
 
 class TestAdditiveSharing:
@@ -63,59 +59,3 @@ class TestAdditiveSharing:
         ys = sharer.share(22)
         combined = [x + y for x, y in zip(xs, ys)]
         assert sharer.reconstruct(combined) == 42
-
-    def test_share_vector(self):
-        sharer = AdditiveSecretSharer(rng=fresh_rng(8))
-        per_party = share_vector([1, -2, 3], sharer, parties=2)
-        assert len(per_party) == 2
-        for position, expected in enumerate([1, -2, 3]):
-            assert (
-                sharer.reconstruct([per_party[0][position], per_party[1][position]])
-                == expected
-            )
-
-
-class TestShamirSharing:
-    @given(st.integers(0, PRIME - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip(self, secret):
-        sharer = ShamirSecretSharer(
-            prime=PRIME, threshold=3, parties=5, rng=fresh_rng(secret & 0xFFFF)
-        )
-        shares = sharer.share(secret)
-        assert sharer.reconstruct(shares[:3]) == secret
-        assert sharer.reconstruct(shares[2:]) == secret
-
-    def test_any_threshold_subset_works(self):
-        sharer = ShamirSecretSharer(prime=PRIME, threshold=2, parties=4,
-                                    rng=fresh_rng(1))
-        shares = sharer.share(777)
-        import itertools
-
-        for subset in itertools.combinations(shares, 2):
-            assert sharer.reconstruct(list(subset)) == 777
-
-    def test_below_threshold_rejected(self):
-        sharer = ShamirSecretSharer(prime=PRIME, threshold=3, parties=5,
-                                    rng=fresh_rng(2))
-        shares = sharer.share(1)
-        with pytest.raises(SecretSharingError):
-            sharer.reconstruct(shares[:2])
-
-    def test_composite_prime_rejected(self):
-        with pytest.raises(SecretSharingError):
-            ShamirSecretSharer(prime=100, threshold=2, parties=3)
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(SecretSharingError):
-            ShamirSecretSharer(prime=PRIME, threshold=6, parties=5)
-
-    def test_field_too_small_rejected(self):
-        with pytest.raises(SecretSharingError):
-            ShamirSecretSharer(prime=5, threshold=2, parties=7)
-
-    def test_secret_reduced_mod_prime(self):
-        sharer = ShamirSecretSharer(prime=101, threshold=2, parties=3,
-                                    rng=fresh_rng(3))
-        shares = sharer.share(205)  # = 3 mod 101
-        assert sharer.reconstruct(shares[:2]) == 3

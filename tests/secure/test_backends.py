@@ -189,7 +189,7 @@ class TestSharesOnlinePhase:
         assert label == binary.predict_quantized(X[0])
         heavy = [
             name for name in counters
-            if name.startswith(("op.paillier", "op.dgk", "op.gm", "op.ot"))
+            if name.startswith(("op.paillier", "op.dgk", "op.ot"))
         ]
         assert heavy == []
         assert counters.get("op.share_mul_triple", 0) > 0

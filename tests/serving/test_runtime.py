@@ -151,6 +151,22 @@ def test_malformed_request_gets_bad_request_error(deployed):
         stop_server(server, thread)
 
 
+def test_deeply_nested_request_gets_bad_request_error(deployed):
+    """A request body nested past the decoder's depth cap is answered
+    with a typed bad-request reply instead of a dropped connection."""
+    server, thread, port = start_server(deployed)
+    try:
+        hostile = b"\x07\x00\x00\x00\x01" * 5000 + b"\x00"
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
+            wire.send_frame(s, wire.KIND_REQUEST, hostile)
+            kind, reply = wire.recv_frame(s)
+        assert kind == wire.KIND_ERROR
+        assert wire.WireCodec().decode(reply)["code"] == "bad-request"
+        assert thread.is_alive()
+    finally:
+        stop_server(server, thread)
+
+
 def test_overload_sheds_with_overloaded_error(deployed, rows):
     """With one worker and no queue, a second concurrent request is
     answered with an 'overloaded' error instead of waiting."""

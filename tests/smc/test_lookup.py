@@ -1,15 +1,12 @@
-"""Tests for private table lookups."""
+"""Tests for private table lookups: encrypted indicator vectors folded
+with the server's table column by the encrypted dot product."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smc.lookup import (
-    LookupError_,
-    encrypt_indicator_vector,
-    indicator_lookup,
-    ot_lookup_shares,
-)
+from repro.smc.dotproduct import DotProductError, encrypted_dot_product
+from repro.smc.lookup import LookupError_, encrypt_indicator_vector
 
 
 class TestIndicatorLookup:
@@ -18,13 +15,13 @@ class TestIndicatorLookup:
         table = [11, -22, 33, 44]
         for index in range(4):
             indicators = encrypt_indicator_vector(ctx, index, 4)
-            result = indicator_lookup(ctx, indicators, table)
+            result = encrypted_dot_product(ctx, indicators, table)
             assert ctx.paillier.private_key.decrypt(result) == table[index]
 
     def test_zero_entry(self, session_context):
         ctx = session_context
         indicators = encrypt_indicator_vector(ctx, 1, 3)
-        result = indicator_lookup(ctx, indicators, [5, 0, 7])
+        result = encrypted_dot_product(ctx, indicators, [5, 0, 7])
         assert ctx.paillier.private_key.decrypt(result) == 0
 
     def test_out_of_range_index_rejected(self, session_context):
@@ -33,8 +30,8 @@ class TestIndicatorLookup:
 
     def test_size_mismatch_rejected(self, session_context):
         indicators = encrypt_indicator_vector(session_context, 0, 3)
-        with pytest.raises(LookupError_):
-            indicator_lookup(session_context, indicators, [1, 2])
+        with pytest.raises(DotProductError):
+            encrypted_dot_product(session_context, indicators, [1, 2])
 
     @given(st.integers(0, 5), st.lists(st.integers(-1000, 1000),
                                        min_size=6, max_size=6))
@@ -42,23 +39,6 @@ class TestIndicatorLookup:
     def test_random_tables(self, session_context, index, table):
         ctx = session_context
         indicators = encrypt_indicator_vector(ctx, index, 6)
-        result = indicator_lookup(ctx, indicators, table)
+        result = encrypted_dot_product(ctx, indicators, table)
         assert ctx.paillier.private_key.decrypt(result) == table[index]
 
-
-class TestOtLookup:
-    def test_shares_reconstruct(self, session_context):
-        table = [5, 9, 14, 77, 123]
-        for index in range(5):
-            client, server = ot_lookup_shares(session_context, table, index)
-            assert (client + server) % (1 << 64) == table[index]
-
-    def test_invalid_index_rejected(self, session_context):
-        with pytest.raises(LookupError_):
-            ot_lookup_shares(session_context, [1, 2], 5)
-
-    def test_custom_share_width(self, session_context):
-        client, server = ot_lookup_shares(
-            session_context, [100, 200], 1, share_bits=32
-        )
-        assert (client + server) % (1 << 32) == 200

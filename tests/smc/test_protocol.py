@@ -43,9 +43,9 @@ class TestExecutionTrace:
 
     def test_summary_keys(self):
         trace = ExecutionTrace()
-        trace.count(Op.GM_XOR, 7)
+        trace.count(Op.SYMMETRIC_OP, 7)
         summary = trace.summary()
-        assert summary["op_gm_xor"] == 7.0
+        assert summary["op_symmetric_op"] == 7.0
         assert "bytes_total" in summary
         assert "rounds" in summary
 

@@ -140,6 +140,28 @@ class TestErrors:
         with pytest.raises(WireError):
             WireCodec().decode(wire.encode(ct))
 
+    def test_deep_nesting_is_a_wire_error(self):
+        """~25 KB of nested one-element lists used to exhaust the
+        interpreter stack (RecursionError) instead of failing typed."""
+        hostile = b"\x07\x00\x00\x00\x01" * 5000 + b"\x00"
+        with pytest.raises(WireError):
+            WireCodec().decode(hostile)
+
+    @pytest.mark.parametrize("container", [list, tuple, dict])
+    def test_nesting_cap_is_exact(self, container):
+        def nest(depth):
+            payload = None
+            for _ in range(depth):
+                payload = (
+                    {0: payload} if container is dict else container([payload])
+                )
+            return payload
+
+        cap = wire.MAX_NESTING_DEPTH
+        assert WireCodec().decode(wire.encode(nest(cap))) == nest(cap)
+        with pytest.raises(WireError):
+            WireCodec().decode(wire.encode(nest(cap + 1)))
+
 
 class TestKeyring:
     def test_roundtrip(self, paillier, dgk):

@@ -49,9 +49,6 @@ SAMPLES_BY_TAG = {
     "TAG_DGK": [
         lambda keys: keys["dgk"].public_key.encrypt(7, rng=fresh_rng(52)),
     ],
-    "TAG_GM": [
-        lambda keys: keys["gm"].public_key.encrypt_bit(1, rng=fresh_rng(53)),
-    ],
     # Share elements need no key material: the modulus rides along in
     # the fixed-width body, so even a keyless codec round-trips them.
     "TAG_SHARE": [
@@ -69,11 +66,10 @@ SAMPLES_BY_TAG = {
 
 
 @pytest.fixture(scope="module")
-def keyring(paillier_keys, dgk_keys, gm_keys):
+def keyring(paillier_keys, dgk_keys):
     return {
         "paillier": paillier_keys,
         "dgk": dgk_keys,
-        "gm": gm_keys,
     }
 
 
@@ -82,7 +78,6 @@ def codec(keyring):
     return WireCodec(
         paillier=keyring["paillier"].public_key,
         dgk=keyring["dgk"].public_key,
-        gm=keyring["gm"].public_key,
     )
 
 

@@ -104,3 +104,61 @@ class TestProtocolReconciliation:
         assert snap["counters"] == {}
         assert snap["spans"] == []
         assert ctx.trace.total_bytes > 0  # trace accounting unaffected
+
+
+def _op_counters(snapshot) -> dict:
+    return {
+        name: value for name, value in snapshot["counters"].items()
+        if name.startswith("op.")
+    }
+
+
+class TestOpCounters:
+    """``op.*`` counters describe live work only, each op exactly once."""
+
+    @pytest.fixture(scope="class")
+    def tree(self, warfarin_split):
+        from repro.classifiers.decision_tree import DecisionTreeClassifier
+        from repro.secure.costing import ProtocolSizes
+        from repro.secure.secure_tree import SecureDecisionTreeClassifier
+
+        train, test = warfarin_split
+        model = DecisionTreeClassifier(max_depth=4).fit(train.X, train.y)
+        secure = SecureDecisionTreeClassifier(
+            model, train.features,
+            sizes=ProtocolSizes(paillier_bits=384, dgk_bits=192),
+        )
+        return secure, test.X[0]
+
+    def test_analytic_traces_leave_op_counters_untouched(
+        self, telemetry_on, tree
+    ):
+        secure, _ = tree
+        for disclosure in ([], [0, 1], [0, 1, 2, 3]):
+            trace = secure.estimated_trace(disclosure)
+            assert trace.op_count(Op.PAILLIER_ENCRYPT) > 0
+        assert _op_counters(telemetry.snapshot()) == {}
+
+    def test_nested_entries_publish_each_op_once(self, metered_context):
+        ctx = metered_context
+        z_encrypted = ctx.server_encrypt(300)
+        before = dict(ctx.trace.ops)
+        compare_encrypted_client_learns(ctx, z_encrypted, 8)
+        expected = {
+            f"op.{op.value}": times - before.get(op, 0)
+            for op, times in ctx.trace.ops.items()
+            if times - before.get(op, 0)
+        }
+        assert _op_counters(telemetry.snapshot()) == expected
+
+    def test_classifications_publish_their_live_ops(
+        self, metered_context, tree
+    ):
+        secure, row = tree
+        ctx = metered_context
+        for disclosure in ([], [0, 1]):
+            secure.classify(ctx, row, disclosure)
+        expected = {
+            f"op.{op.value}": times for op, times in ctx.trace.ops.items()
+        }
+        assert _op_counters(telemetry.snapshot()) == expected

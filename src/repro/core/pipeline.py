@@ -20,8 +20,9 @@ encryption using the Bost-style protocols in :mod:`repro.secure`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -227,6 +228,7 @@ class PrivacyAwareClassifier:
         self._secure = None
         self._risk_evaluator: Optional[IncrementalRiskEvaluator] = None
         self._risk_function = None
+        self._cost_memo: Dict[FrozenSet[int], float] = {}
         self._solution: Optional[DisclosureSolution] = None
         self._context: Optional[TwoPartyContext] = None
         self._protocol_backend = None
@@ -237,6 +239,7 @@ class PrivacyAwareClassifier:
         """Train the model and the adversary on ``dataset``."""
         config = self.config
         self._dataset = dataset
+        self._cost_memo = {}
 
         if config.classifier == "linear":
             plain = LogisticRegressionClassifier(
@@ -291,7 +294,7 @@ class PrivacyAwareClassifier:
                 metric=config.risk_metric,
                 background_columns=background,
             )
-            self._risk_function = self._risk_evaluator.as_risk_function()
+            risk_function = self._risk_evaluator.as_risk_function()
         else:
             from repro.privacy.adversary import ChowLiuAdversary
             from repro.privacy.risk import RiskModel
@@ -307,7 +310,11 @@ class PrivacyAwareClassifier:
                 metric=config.risk_metric,
                 background_columns=background,
             )
-            self._risk_function = risk_model.risk
+            risk_function = risk_model.risk
+        # Like the cost, risk is priced once per set and fit.
+        self._risk_function = functools.partial(
+            _memoized, {}, price=risk_function
+        )
         self._solution = None
         return self
 
@@ -348,9 +355,18 @@ class PrivacyAwareClassifier:
     # -- cost and risk views ---------------------------------------------------
 
     def estimated_cost_seconds(self, disclosure_set: Iterable[int] = ()) -> float:
-        """Modeled per-query seconds under the configured cost model."""
-        trace = self.estimated_trace(disclosure_set)
-        return self.config.cost_model.total_seconds(trace)
+        """Modeled per-query seconds under the configured cost model.
+
+        Priced once per set and fit: a budget sweep asks for the same
+        sets again and again (see :func:`_memoized`).
+        """
+        return _memoized(
+            self._cost_memo,
+            disclosure_set,
+            lambda key: self.config.cost_model.total_seconds(
+                self.estimated_trace(key)
+            ),
+        )
 
     def estimated_trace(self, disclosure_set: Iterable[int] = ()) -> ExecutionTrace:
         """Analytic per-query trace for a disclosure set, under the
@@ -509,3 +525,21 @@ class PrivacyAwareClassifier:
                 "select_disclosure() must be called before this operation"
             )
         return self._solution
+
+
+def _memoized(
+    memo: Dict[FrozenSet[int], float],
+    disclosure_set: Iterable[int],
+    price: Callable[[FrozenSet[int]], float],
+) -> float:
+    """``price(S)`` for the set ``S``, computed on the first request only.
+
+    The key is the set itself, so a set reached through any order of
+    pushes and pops gets the identical float. Only results are stored:
+    a set whose pricing raises is priced again on the next request.
+    """
+    key = frozenset(int(i) for i in disclosure_set)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = price(key)
+    return value

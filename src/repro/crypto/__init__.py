@@ -4,7 +4,7 @@ Everything here is implemented from scratch in pure Python on top of
 arbitrary-precision integers. The package provides:
 
 * :mod:`repro.crypto.numtheory` -- primality testing, prime generation,
-  modular arithmetic helpers (CRT, Jacobi symbol, inverses).
+  modular arithmetic helpers (CRT, inverses).
 * :mod:`repro.crypto.rand` -- a seedable deterministic random source so
   experiments are reproducible end to end.
 * :mod:`repro.crypto.paillier` -- the Paillier additively homomorphic

@@ -1,4 +1,4 @@
-"""Number-theoretic primitives: primality, primes, CRT, Jacobi symbol.
+"""Number-theoretic primitives: primality, primes, inverses, CRT.
 
 These routines back every cryptosystem in :mod:`repro.crypto`. They are
 written for clarity first, but the hot paths (Miller-Rabin witnesses,
@@ -114,14 +114,6 @@ def generate_prime(
             return candidate
 
 
-def generate_blum_prime(bits: int, rng: Optional[DeterministicRandom] = None) -> int:
-    """Generate a prime congruent to 3 mod 4 (a Blum prime).
-
-    For a Blum prime ``-1`` is a quadratic non-residue modulo the prime.
-    """
-    return generate_prime(bits, rng=rng, condition=lambda p: p % 4 == 3)
-
-
 def generate_distinct_primes(
     bits: int, count: int, rng: Optional[DeterministicRandom] = None, condition=None
 ) -> Tuple[int, ...]:
@@ -201,49 +193,12 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
     return result % total_modulus
 
 
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol ``(a/n)`` for odd positive ``n``.
-
-    Returns -1, 0 or 1.
-    """
-    if n <= 0 or n % 2 == 0:
-        raise ValueError(f"Jacobi symbol requires odd positive n, got {n}")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def is_quadratic_residue_mod_prime(a: int, p: int) -> bool:
     """Euler criterion: is ``a`` a quadratic residue modulo prime ``p``?"""
     a %= p
     if a == 0:
         return True
     return pow(a, (p - 1) // 2, p) == 1
-
-
-def find_quadratic_nonresidue(
-    p: int, q: int, rng: Optional[DeterministicRandom] = None
-) -> int:
-    """Find ``x`` mod ``p*q`` that is a non-residue mod both factors.
-
-    Such an ``x`` has Jacobi symbol +1 modulo ``n = p*q`` yet is not a
-    square (a pseudo-residue).
-    """
-    rng = rng or default_rng()
-    n = p * q
-    while True:
-        x = rng.randint(2, n - 1)
-        if not is_quadratic_residue_mod_prime(x, p) and not is_quadratic_residue_mod_prime(x, q):
-            return x
 
 
 def integer_sqrt(n: int) -> int:

@@ -138,12 +138,15 @@ class IncrementalRiskEvaluator:
     def risk_of_set(self, disclosure_set: Iterable[int]) -> float:
         """From-scratch risk of an arbitrary set (naive baseline; used
         by E7 to measure the incremental speedup and by tests to verify
-        exactness)."""
+        exactness). Background columns are folded in first, as in the
+        stack's baseline."""
         columns = sorted(set(disclosure_set))
         losses = []
         for t in self.sensitive_columns:
             prior = self.adversary.prior(t)
             log_beliefs = np.tile(np.log(prior), (len(self.rows), 1))
+            for column in self.background_columns:
+                log_beliefs += self._raw_delta(t, column)
             for feature in columns:
                 self._validate_feature(feature)
                 log_beliefs += self._delta(t, feature)

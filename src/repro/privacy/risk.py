@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class RiskModel:
     metric: RiskMetric = RiskMetric.MAX_POSTERIOR
     background_columns: Sequence[int] = ()
     _baseline: Dict[int, float] = field(default_factory=dict, repr=False)
-    _cache: Dict[FrozenSet[int], float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.evaluation_rows = np.asarray(self.evaluation_rows)
@@ -128,13 +127,10 @@ class RiskModel:
         """
         columns = self._validated(disclosure_set)
         columns = tuple(sorted(set(columns) | set(self.background_columns)))
-        key = frozenset(columns)
-        if key not in self._cache:
-            losses = [
-                self._normalised_gain(t, columns) for t in self.sensitive_columns
-            ]
-            self._cache[key] = float(np.mean(losses))
-        return self._cache[key]
+        losses = [
+            self._normalised_gain(t, columns) for t in self.sensitive_columns
+        ]
+        return float(np.mean(losses))
 
     def confidence(self, sensitive_column: int, disclosure_set: Iterable[int]) -> float:
         """Raw (unnormalised) adversary score for one sensitive column."""

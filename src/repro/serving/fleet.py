@@ -347,7 +347,9 @@ class ClassificationFleet:
             ) as sock:
                 sock.settimeout(5)
                 wire.send_frame(sock, wire.KIND_HEALTH, wire.encode(body))
-                kind, reply = wire.recv_frame(sock)
+                # A shard is this fleet's own process, and its telemetry
+                # snapshot grows with every span it records.
+                kind, reply = wire.recv_frame(sock, max_bytes=None)
         except (OSError, wire.WireError):
             return None
         if kind != wire.KIND_HEALTH:
@@ -413,6 +415,10 @@ class ClassificationFleet:
         client.settimeout(self.config.io_timeout)
         try:
             kind, body = wire.recv_frame(client)
+        except wire.FrameTooLarge as error:
+            telemetry.count("fleet.errors")
+            self._client_error(client, "bad-request", str(error), "")
+            return
         except (wire.WireError, OSError):
             return  # client vanished before the handshake
         if kind == wire.KIND_SHUTDOWN:

@@ -295,6 +295,10 @@ class ClassificationServer:
         sock.settimeout(self._transport_config().io_timeout)
         try:
             kind, body = wire.recv_frame(sock)
+        except wire.FrameTooLarge as error:
+            telemetry.count("serve.errors")
+            self._send_error(sock, "bad-request", str(error), request_id)
+            return
         except (wire.WireError, OSError):
             return  # client vanished before sending a request
         if kind == wire.KIND_SHUTDOWN:

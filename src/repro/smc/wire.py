@@ -102,6 +102,15 @@ ELEMENT_OVERHEAD = 5
 #: frame nested thousands deep would otherwise exhaust the stack.
 MAX_NESTING_DEPTH = 64
 
+#: Largest frame body :func:`recv_frame` accepts from a peer; a longer
+#: declared length raises :class:`FrameTooLarge` before any of the body
+#: is read. The largest protocol frames are batched comparison flights:
+#: a whole 15-tree, depth-8 forest query at 4096/2048-bit keys moves
+#: under 9 MB each way. A shard's ``KIND_HEALTH`` reply with telemetry
+#: grows by ~2 KB per recorded request, so the fleet frontend reads it
+#: from its own shard processes without the cap.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
+
 # -- frame kinds -------------------------------------------------------------
 
 #: ``kind`` byte + u32 body length, paid once per transport frame.
@@ -185,6 +194,11 @@ def payload_tag_name(payload: Any) -> str:
 
 class WireError(Exception):
     """Raised on unencodable payloads or malformed wire data."""
+
+
+class FrameTooLarge(WireError):
+    """A frame header declared a body longer than the reader's cap
+    (:data:`MAX_FRAME_BYTES` unless the reader lifts it)."""
 
 
 def _canonical(payload: Any) -> Any:
@@ -630,10 +644,21 @@ def recv_exact(sock: socket.socket, length: int) -> bytes:
     return bytes(chunks)
 
 
-def recv_frame(sock: socket.socket) -> Tuple[int, bytes]:
-    """Read one frame; returns ``(kind, body)``."""
+def recv_frame(
+    sock: socket.socket, max_bytes: Optional[int] = MAX_FRAME_BYTES
+) -> Tuple[int, bytes]:
+    """Read one frame; returns ``(kind, body)``.
+
+    Raises :class:`FrameTooLarge` for a declared body longer than
+    ``max_bytes``, before reading any of it. ``None`` lifts the cap, for
+    a peer that is one of this deployment's own processes.
+    """
     header = recv_exact(sock, FRAME_OVERHEAD)
     kind = header[0]
     length = _U32.unpack(header[1:5])[0]
+    if max_bytes is not None and length > max_bytes:
+        raise FrameTooLarge(
+            f"frame declares {length} body bytes; the cap is {max_bytes}"
+        )
     body = recv_exact(sock, length) if length else b""
     return kind, body

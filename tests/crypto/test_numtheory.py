@@ -53,10 +53,6 @@ class TestGeneratePrime:
         p = nt.generate_prime(32, rng=rng, condition=lambda x: x % 4 == 3)
         assert p % 4 == 3
 
-    def test_blum_prime(self):
-        p = nt.generate_blum_prime(32, rng=fresh_rng(3))
-        assert p % 4 == 3 and nt.is_probable_prime(p)
-
     def test_rejects_tiny_bit_length(self):
         with pytest.raises(ValueError):
             nt.generate_prime(2)
@@ -140,44 +136,11 @@ class TestCrt:
         assert nt.crt(residues, moduli) == x % product
 
 
-class TestJacobi:
-    def test_known_values(self):
-        assert nt.jacobi(1, 3) == 1
-        assert nt.jacobi(2, 3) == -1
-        assert nt.jacobi(0, 3) == 0
-        assert nt.jacobi(1001, 9907) == -1  # textbook example
-
-    def test_even_modulus_raises(self):
-        with pytest.raises(ValueError):
-            nt.jacobi(3, 8)
-
-    def test_multiplicative_in_numerator(self):
-        n = 9907
-        for a, b in ((3, 5), (7, 11), (13, 17)):
-            assert nt.jacobi(a * b, n) == nt.jacobi(a, n) * nt.jacobi(b, n)
-
-    def test_matches_euler_for_primes(self):
-        p = 10007
-        for a in range(2, 50):
-            euler = pow(a, (p - 1) // 2, p)
-            expected = 1 if euler == 1 else -1
-            assert nt.jacobi(a, p) == expected
-
-
 class TestQuadraticResidues:
     def test_squares_are_residues(self):
         p = 103
         for a in range(1, 20):
             assert nt.is_quadratic_residue_mod_prime((a * a) % p, p)
-
-    def test_nonresidue_finder(self):
-        rng = fresh_rng(5)
-        p = nt.generate_blum_prime(24, rng=rng)
-        q = nt.generate_blum_prime(24, rng=rng)
-        x = nt.find_quadratic_nonresidue(p, q, rng=rng)
-        assert not nt.is_quadratic_residue_mod_prime(x, p)
-        assert not nt.is_quadratic_residue_mod_prime(x, q)
-        assert nt.jacobi(x, p * q) == 1
 
 
 class TestIntegerSqrt:

@@ -7,6 +7,7 @@ sees: sticky routing by the handshake seed, failover on a shard's
 drain of one shard while the rest keep serving.
 """
 
+import socket
 import threading
 import time
 
@@ -15,6 +16,7 @@ import pytest
 from repro.core.serialization import deployment_from_dict, deployment_to_dict
 from repro.core.session import SessionConfig
 from repro.serving import ClassificationFleet
+from repro.smc import wire
 from repro.smc.transport import (
     ServerError,
     TransportConfig,
@@ -221,5 +223,21 @@ def test_fleet_telemetry_merges_shard_snapshots(deployed, row):
         assert snap["counters"]["serve.requests"] >= 2
         waits = snap["histograms"]["serve.queue_wait"]
         assert waits["count"] >= 2 and len(waits["samples"]) >= 2
+    finally:
+        fleet.shutdown()
+
+
+def test_frontend_answers_oversized_frame_with_bad_request(deployed):
+    """The frontend caps what a client may declare, like a shard does."""
+    fleet = make_fleet(deployed, shards=1)
+    fleet.start()
+    try:
+        with socket.create_connection(
+            ("127.0.0.1", fleet.port), timeout=10
+        ) as s:
+            s.sendall(bytes((wire.KIND_REQUEST,)) + b"\xff\xff\xff\xff")
+            kind, reply = wire.recv_frame(s)
+        assert kind == wire.KIND_ERROR
+        assert wire.WireCodec().decode(reply)["code"] == "bad-request"
     finally:
         fleet.shutdown()

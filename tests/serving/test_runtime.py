@@ -167,6 +167,21 @@ def test_deeply_nested_request_gets_bad_request_error(deployed):
         stop_server(server, thread)
 
 
+def test_oversized_frame_gets_bad_request_error(deployed):
+    """A header declaring a body above wire.MAX_FRAME_BYTES is answered
+    with bad-request at once; the server never waits for that body."""
+    server, thread, port = start_server(deployed)
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+            s.sendall(bytes((wire.KIND_REQUEST,)) + b"\xff\xff\xff\xff")
+            kind, reply = wire.recv_frame(s)
+        assert kind == wire.KIND_ERROR
+        assert wire.WireCodec().decode(reply)["code"] == "bad-request"
+        assert thread.is_alive()
+    finally:
+        stop_server(server, thread)
+
+
 def test_overload_sheds_with_overloaded_error(deployed, rows):
     """With one worker and no queue, a second concurrent request is
     answered with an 'overloaded' error instead of waiting."""

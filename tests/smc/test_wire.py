@@ -1,5 +1,7 @@
 """Tests for the canonical wire codec."""
 
+import socket
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,37 @@ class TestFraming:
         assert int.from_bytes(frame[1:5], "big") == len(body)
         assert frame[5:] == body
         assert len(frame) == wire.frame_size([1, 2])
+
+    def test_oversized_frame_refused_before_its_body(self):
+        """A declared length above the cap raises at once: the peer
+        here never sends a body, so reading one would block."""
+        reader, writer = socket.socketpair()
+        with reader, writer:
+            writer.sendall(
+                bytes((wire.KIND_REQUEST,))
+                + (wire.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+            )
+            reader.settimeout(5)
+            with pytest.raises(wire.FrameTooLarge):
+                wire.recv_frame(reader)
+
+    def test_frame_cap_is_exact(self):
+        reader, writer = socket.socketpair()
+        with reader, writer:
+            reader.settimeout(5)
+            for size in (16, 17):
+                writer.sendall(wire.pack_frame(wire.KIND_MSG, b"x" * size))
+            assert wire.recv_frame(reader, max_bytes=16) == (
+                wire.KIND_MSG, b"x" * 16
+            )
+            with pytest.raises(WireError):
+                wire.recv_frame(reader, max_bytes=16)
+
+    def test_uncapped_read_for_own_processes(self):
+        reader, writer = socket.socketpair()
+        with reader, writer:
+            reader.settimeout(5)
+            writer.sendall(wire.pack_frame(wire.KIND_HEALTH, b"x" * 17))
+            assert wire.recv_frame(reader, max_bytes=None) == (
+                wire.KIND_HEALTH, b"x" * 17
+            )

@@ -9,12 +9,12 @@ arbitrary-precision integers. The package provides:
   experiments are reproducible end to end.
 * :mod:`repro.crypto.paillier` -- the Paillier additively homomorphic
   cryptosystem (the workhorse of Bost-style secure classifiers), with
-  CRT-accelerated decryption.
+  CRT-accelerated decryption and key-owner encryption.
 * :mod:`repro.crypto.modexp` -- the pluggable bignum kernel behind
   every modular exponentiation: the canonical built-in ``pow``, an
-  optional ``gmpy2`` (GMP) backend, fixed-base windowed
-  exponentiation tables and CRT-split powmod. All backends are
-  bit-for-bit interchangeable.
+  optional ``gmpy2`` (GMP) backend and fixed-base windowed
+  exponentiation tables. All backends are bit-for-bit
+  interchangeable.
 * :mod:`repro.crypto.engine` -- the batch crypto engine: bulk
   encrypt/decrypt/scalar-mul/re-randomise work and fused
   multi-exponentiation dot products.
@@ -43,7 +43,6 @@ from repro.crypto.dgk import DgkCiphertext, DgkKeyPair, DgkPrivateKey, DgkPublic
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.modexp import (
     MODEXP_BACKENDS,
-    CrtPowmod,
     FixedBaseWindow,
     gmpy2_available,
     powmod,
@@ -63,7 +62,6 @@ from repro.crypto.secret_sharing import AdditiveSecretSharer
 __all__ = [
     "AdditiveSecretSharer",
     "BeaverTriple",
-    "CrtPowmod",
     "CryptoEngine",
     "DeterministicRandom",
     "DgkCiphertext",

@@ -36,7 +36,15 @@ maximum weight bit-length instead of one full square-and-multiply
 ladder per ciphertext. Negative weights are folded in by inverting the
 ciphertext first (one cheap extended-gcd) so exponents stay small --
 mapping them through the signed encoding would blow each exponent up to
-the full modulus width and erase the gain.
+the full modulus width and erase the gain. Signed scalar
+multiplication follows the same rule
+(:meth:`~repro.crypto.paillier.PaillierCiphertext.signed_pow_job`).
+
+Only the key owner may pass its private key to :meth:`encrypt_batch`;
+the encryption nonces then go through the CRT kernel
+(:meth:`~repro.crypto.paillier._CrtParams.nonce_power`), the way
+:meth:`decrypt_batch` runs CRT when it holds the factors. Every other
+batch operation takes public material only.
 """
 
 from __future__ import annotations
@@ -183,13 +191,15 @@ class CryptoEngine:
         public_key: PaillierPublicKey,
         count: int,
         rng: DeterministicRandom,
+        private_key: Optional[PaillierPrivateKey] = None,
     ) -> List[int]:
         """``count`` blinding factors ``r^n mod n^2`` for ``public_key``.
 
-        Pool factors first (one locked batch take), then full
-        exponentiations for the shortfall with nonces drawn serially
-        from ``rng`` in order -- so with no pool attached the result is
-        bit-identical to the canonical per-value encryption loop.
+        Pool factors first (one locked batch take), then exponentiations
+        for the shortfall with nonces drawn serially from ``rng`` in
+        order -- so with no pool attached the result is bit-identical to
+        the canonical per-value encryption loop. A ``private_key`` with
+        its factors computes the shortfall by CRT, to the same values.
         """
         pool = self._pools.get(public_key.n)
         factors: List[int] = []
@@ -202,9 +212,14 @@ class CryptoEngine:
             n = public_key.n
             n_sq = public_key.n_squared
             nonces = [rng.random_unit(n) for _ in range(shortfall)]
-            factors.extend(
-                self.map_pow([(r, n, n_sq) for r in nonces])
-            )
+            if private_key is not None and private_key.has_crt:
+                crt = private_key.crt_params
+                powmod = self.modexp.powmod
+                factors.extend(crt.nonce_power(r, powmod) for r in nonces)
+            else:
+                factors.extend(
+                    self.map_pow([(r, n, n_sq) for r in nonces])
+                )
         return factors
 
     @staticmethod
@@ -231,6 +246,7 @@ class CryptoEngine:
         values: Sequence[int],
         rng: Optional[DeterministicRandom] = None,
         signed: bool = True,
+        private_key: Optional[PaillierPrivateKey] = None,
     ) -> List[PaillierCiphertext]:
         """Encrypt ``values`` under ``public_key``.
 
@@ -240,18 +256,24 @@ class CryptoEngine:
         :meth:`PaillierPublicKey.encrypt` bit for bit. With a pool
         attached for this key, ready factors are drained first -- the
         online cost collapses to two modular multiplications per
-        covered ciphertext -- and only the shortfall pays the full
-        exponentiation path.
+        covered ciphertext -- and only the shortfall pays the
+        exponentiation path. The key owner passes ``private_key`` to run
+        that path by CRT, with identical ciphertexts.
         """
         if not values:
             return []
+        if private_key is not None and \
+                private_key.public_key.n != public_key.n:
+            raise PaillierError("private key does not match the public key")
         rng = rng or default_rng()
         n = public_key.n
         n_sq = public_key.n_squared
         plaintexts = [
             public_key.encode_signed(v) if signed else v % n for v in values
         ]
-        factors = self._blinding_factors(public_key, len(values), rng)
+        factors = self._blinding_factors(
+            public_key, len(values), rng, private_key
+        )
         return [
             PaillierCiphertext(
                 public_key=public_key,
@@ -312,9 +334,10 @@ class CryptoEngine:
     ) -> List[PaillierCiphertext]:
         """Elementwise homomorphic scalar multiplication.
 
-        With ``signed=True`` scalars go through the signed encoding
-        (matching ``ciphertext * scalar``); with ``signed=False`` they
-        are raw elements of ``Z_n`` (matching ``mul_unsigned``).
+        With ``signed=True`` scalars are signed (matching
+        ``ciphertext * scalar``: a negative scalar inverts the ciphertext
+        and keeps its own width); with ``signed=False`` they are raw
+        elements of ``Z_n`` at full width (matching ``mul_unsigned``).
         """
         if len(ciphertexts) != len(scalars):
             raise EngineError(
@@ -325,12 +348,10 @@ class CryptoEngine:
         public_key = self._require_one_key(ciphertexts, "scalar_mul_batch")
         n = public_key.n
         n_sq = public_key.n_squared
-        exponents = [
-            public_key.encode_signed(s) if signed else s % n for s in scalars
-        ]
-        powers = self.map_pow(
-            [(ct.value, e, n_sq) for ct, e in zip(ciphertexts, exponents)]
-        )
+        powers = self.map_pow([
+            ct.signed_pow_job(s) if signed else (ct.value, s % n, n_sq)
+            for ct, s in zip(ciphertexts, scalars)
+        ])
         return [
             PaillierCiphertext(public_key=public_key, value=value)
             for value in powers

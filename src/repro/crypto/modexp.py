@@ -3,8 +3,7 @@
 Every hot path in this library -- Paillier encryption, DGK encryption,
 blinding-factor precomputation, batch decryption -- bottoms out in
 ``pow(base, exponent, modulus)`` over multi-hundred-bit integers. This
-module is the single place that kernel lives, in three coordinated
-pieces:
+module is the single place that kernel lives:
 
 * **Pluggable bignum backends.** :class:`PythonModexp` wraps the
   built-in ``pow`` and stays the canonical reference; :class:`Gmpy2Modexp`
@@ -29,14 +28,11 @@ pieces:
   pure Python (see ``docs/PERFORMANCE.md`` for the memory/speed
   trade-off across window sizes).
 
-* **CRT-split exponentiation.** When the factorisation of the modulus
-  is known (the encryptor holds the private key), :class:`CrtPowmod`
-  evaluates ``x^e mod p*q`` as two half-width exponentiations with
-  exponents reduced modulo the subgroup orders, recombined by Garner's
-  formula. Half-width multiplications are ~4x cheaper, so the split
-  pays for its bookkeeping several times over -- this is how
-  :class:`~repro.crypto.precompute.PrecomputedEncryptionPool` refills
-  cheaply on the key-holder's side.
+* **CRT with the factors.** The key owner knows ``p`` and ``q`` and
+  computes its blinding factors ``r^n mod n^2`` by CRT
+  (:meth:`repro.crypto.paillier._CrtParams.nonce_power`); that kernel
+  lives with the other CRT constants of the private key and takes its
+  ``powmod`` from here.
 
 Determinism note: backends are interchangeable *by construction* --
 ``powmod`` is a pure function of its integer arguments -- so the
@@ -50,10 +46,9 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import repro.telemetry as telemetry
-from repro.crypto.numtheory import modinv
 
 #: Backend names accepted everywhere a backend is selected by name
 #: (``SessionConfig.crypto_backend``, ``--crypto-backend``, the
@@ -356,71 +351,3 @@ class FixedBaseWindow:
     def pow_many(self, exponents: Sequence[int]) -> List[int]:
         """Vectorised :meth:`pow` over a batch of exponents."""
         return [self.pow(exponent) for exponent in exponents]
-
-
-class CrtPowmod:
-    """``x^e mod m1*m2`` via two half-width exponentiations.
-
-    The caller supplies coprime moduli ``m1, m2`` and multiples of the
-    respective multiplicative group orders; exponents are reduced
-    modulo each order, the two half-width powers computed, and the
-    results recombined with Garner's one-inverse formula. Used for
-    blinding-factor refill when the encryptor holds the Paillier
-    private key (``m1 = p^2``, ``m2 = q^2``, orders ``p(p-1)`` and
-    ``q(q-1)``).
-
-    Only valid when the factorisation is genuinely secret-side
-    knowledge: the recombined result equals the full-width ``powmod``
-    bit for bit (the parity tests assert exactly that), so nothing
-    about the ciphertext distribution changes.
-    """
-
-    def __init__(
-        self,
-        m1: int,
-        m2: int,
-        order1: int,
-        order2: int,
-        backend: Union[str, ModexpBackend, None] = None,
-    ) -> None:
-        if m1 <= 1 or m2 <= 1:
-            raise ModexpError("CRT moduli must both exceed 1")
-        if order1 <= 0 or order2 <= 0:
-            raise ModexpError("CRT group orders must be positive")
-        self.backend = resolve_backend(backend or get_default_backend())
-        self.m1 = m1
-        self.m2 = m2
-        self.order1 = order1
-        self.order2 = order2
-        self.modulus = m1 * m2
-        self._m2_inv_m1 = modinv(m2 % m1, m1)
-
-    def powmod(self, base: int, exponent: int) -> int:
-        """``base ** exponent mod m1*m2``, exponent reduced per factor."""
-        if exponent < 0:
-            raise ModexpError(
-                f"CRT exponent must be non-negative, got {exponent}"
-            )
-        backend = self.backend
-        a1 = backend.powmod(base % self.m1, exponent % self.order1, self.m1)
-        a2 = backend.powmod(base % self.m2, exponent % self.order2, self.m2)
-        return a2 + self.m2 * ((a1 - a2) * self._m2_inv_m1 % self.m1)
-
-    def powmod_jobs(
-        self, base: int, exponent: int
-    ) -> Tuple[Tuple[int, int, int], Tuple[int, int, int]]:
-        """The two half-width ``(base, exponent, modulus)`` jobs for one
-        exponentiation -- lets a batch engine fan the halves out and
-        :meth:`recombine` them afterwards."""
-        if exponent < 0:
-            raise ModexpError(
-                f"CRT exponent must be non-negative, got {exponent}"
-            )
-        return (
-            (base % self.m1, exponent % self.order1, self.m1),
-            (base % self.m2, exponent % self.order2, self.m2),
-        )
-
-    def recombine(self, a1: int, a2: int) -> int:
-        """Garner recombination of the two half-width powers."""
-        return a2 + self.m2 * ((a1 - a2) * self._m2_inv_m1 % self.m1)

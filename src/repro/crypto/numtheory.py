@@ -193,14 +193,6 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
     return result % total_modulus
 
 
-def is_quadratic_residue_mod_prime(a: int, p: int) -> bool:
-    """Euler criterion: is ``a`` a quadratic residue modulo prime ``p``?"""
-    a %= p
-    if a == 0:
-        return True
-    return pow(a, (p - 1) // 2, p) == 1
-
-
 def integer_sqrt(n: int) -> int:
     """Floor of the integer square root (exact, via ``math.isqrt``)."""
     if n < 0:

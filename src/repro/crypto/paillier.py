@@ -11,7 +11,13 @@ Implementation notes
   ``(1 + m*n) * r^n mod n^2`` -- a single modular exponentiation.
 * Signed plaintexts are supported by mapping negatives into the upper
   half of the plaintext space (two's-complement style wraparound); see
-  :meth:`PaillierPublicKey.encode_signed` / ``decode_signed``.
+  :meth:`PaillierPublicKey.encode_signed` / ``decode_signed``. A signed
+  *scalar* never goes through that encoding: ``c * (-k)`` inverts ``c``
+  and raises it to ``k``, so the exponent stays at the scalar's own
+  width instead of the full width of ``n``.
+* The key owner computes the blinding factor ``r^n mod n^2`` from the
+  factors of ``n`` (:meth:`_CrtParams.nonce_power`), bit-identical to
+  the public-key path and about twice as fast.
 * Every ciphertext remembers its public key so homomorphic operators can
   type-check key compatibility.
 """
@@ -19,7 +25,7 @@ Implementation notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 from repro.crypto.modexp import powmod
 from repro.crypto.numtheory import generate_prime, lcm, modinv
@@ -207,6 +213,7 @@ class _CrtParams:
     hp: int
     hq: int
     q_inv_p: int  # q^{-1} mod p, for the recombination step
+    q_sq_inv_p_sq: int  # q^{-2} mod p^2, for recombining mod n^2
 
     @staticmethod
     def build(p: int, q: int) -> "_CrtParams":
@@ -218,6 +225,27 @@ class _CrtParams:
             hp=modinv(((p - 1) * q) % p, p),
             hq=modinv(((q - 1) * p) % q, q),
             q_inv_p=modinv(q % p, p),
+            q_sq_inv_p_sq=modinv((q * q) % (p * p), p * p),
+        )
+
+    def nonce_power(
+        self, r: int, pow_fn: Callable[[int, int, int], int] = powmod
+    ) -> int:
+        """The blinding factor ``r^n mod n^2`` of a unit ``r`` of ``Z_n``.
+
+        Modulo ``p^2``, ``r^n`` is the Teichmueller lift of
+        ``(r mod p)^(n mod (p-1))``: the part of ``r`` of order ``p``
+        dies under the factor ``p`` of ``n``, and the lift of ``a`` is
+        ``a^p mod p^2``. Since ``n = q (mod p-1)``, each half is one
+        short power mod ``p`` and one ``p``-bit power mod ``p^2``;
+        Garner recombines the halves mod ``n^2``. The result equals
+        ``pow(r, n, n^2)`` bit for bit.
+        """
+        p, q = self.p, self.q
+        a_p = pow_fn(pow_fn(r % p, q % (p - 1), p), p, self.p_squared)
+        a_q = pow_fn(pow_fn(r % q, p % (q - 1), q), q, self.q_squared)
+        return a_q + self.q_squared * (
+            (a_p - a_q) * self.q_sq_inv_p_sq % self.p_squared
         )
 
     def half_decrypt_p(self, u_p: int) -> int:
@@ -324,14 +352,26 @@ class PaillierCiphertext:
             return self + (-other)
         return NotImplemented
 
+    def signed_pow_job(self, scalar: int) -> Tuple[int, int, int]:
+        """``(base, exponent, n^2)`` whose power encrypts ``scalar * m``.
+
+        A negative scalar inverts the ciphertext and keeps the exponent
+        at ``|scalar|``, so ``c * -1`` costs one inverse rather than a
+        power to the full width of ``n``. ``|scalar|`` must lie below
+        the signed bound, as for :meth:`PaillierPublicKey.encode_signed`.
+        """
+        self.public_key.encode_signed(scalar)  # magnitude check only
+        n_sq = self.public_key.n_squared
+        if scalar < 0:
+            return modinv(self.value, n_sq), -scalar, n_sq
+        return self.value, scalar, n_sq
+
     def __mul__(self, scalar) -> "PaillierCiphertext":
         if not isinstance(scalar, int):
             return NotImplemented
-        n_sq = self.public_key.n_squared
-        exponent = self.public_key.encode_signed(scalar)
         return PaillierCiphertext(
             public_key=self.public_key,
-            value=powmod(self.value, exponent, n_sq),
+            value=powmod(*self.signed_pow_job(scalar)),
         )
 
     def __rmul__(self, scalar) -> "PaillierCiphertext":

@@ -20,11 +20,10 @@ three strategies (see ``docs/PERFORMANCE.md`` for the accounting):
   ``Z_n^*`` and pay ``pow(r, n, n^2)`` per factor. Always correct,
   always available, and bit-identical to what
   :meth:`~repro.crypto.paillier.PaillierPublicKey.encrypt` would do.
-* ``"crt"`` -- when the pool's owner also holds the *private* key
-  (server-side pools blinding their own responses), the two
-  half-width exponentiations ``r^n mod p^2`` / ``r^n mod q^2`` with
-  CRT-reduced exponents recombine to the exact same factor several
-  times cheaper (:class:`repro.crypto.modexp.CrtPowmod`). Same
+* ``"crt"`` -- when the pool's owner also holds the *private* key,
+  ``r^n mod n^2`` is computed from the factors of ``n``
+  (:meth:`repro.crypto.paillier._CrtParams.nonce_power`, the kernel
+  the client's own encryptions use) at about half the cost. Same
   uniform ``r``, same factor, bit for bit.
 * ``"fixed-base"`` -- public-key-only acceleration: fix a subgroup
   generator ``g``, precompute a window table for ``g^n mod n^2``
@@ -56,7 +55,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 import repro.telemetry as telemetry
-from repro.crypto.modexp import CrtPowmod, FixedBaseWindow, powmod
+from repro.crypto.modexp import FixedBaseWindow, powmod
 from repro.crypto.paillier import (
     PaillierCiphertext,
     PaillierError,
@@ -149,15 +148,10 @@ class PrecomputedEncryptionPool:
         )
 
         n = public_key.n
-        self._crt: Optional[CrtPowmod] = None
+        self._private_key = private_key
         self._window: Optional[FixedBaseWindow] = None
         self._exponent_bits = n.bit_length()
-        if strategy == "crt":
-            p, q = private_key.p, private_key.q
-            self._crt = CrtPowmod(
-                p * p, q * q, p * (p - 1), q * (q - 1)
-            )
-        elif strategy == "fixed-base":
+        if strategy == "fixed-base":
             generator = self._rng.random_unit(n)
             self.fixed_base_generator = generator
             self._window = FixedBaseWindow(
@@ -209,25 +203,14 @@ class PrecomputedEncryptionPool:
             return self._window.pow_many(draws)
         if self.strategy == "crt":
             telemetry.count("precompute.crt_factors", len(draws))
-            jobs = []
-            for nonce in draws:
-                half_p, half_q = self._crt.powmod_jobs(nonce, n)
-                jobs.append(half_p)
-                jobs.append(half_q)
-            halves = self._map_pow(jobs)
-            return [
-                self._crt.recombine(halves[2 * i], halves[2 * i + 1])
-                for i in range(len(draws))
-            ]
-        return self._map_pow([(nonce, n, n_squared) for nonce in draws])
-
-    def _map_pow(self, jobs: List[tuple]) -> List[int]:
-        """Independent exponentiations, on the engine's bignum backend
-        when one is attached."""
+            crt = self._private_key.crt_params
+            pow_fn = powmod if self._engine is None \
+                else self._engine.modexp.powmod
+            return [crt.nonce_power(nonce, pow_fn) for nonce in draws]
+        jobs = [(nonce, n, n_squared) for nonce in draws]
         if self._engine is not None:
             return self._engine.map_pow(jobs)
-        return [powmod(base, exponent, modulus)
-                for base, exponent, modulus in jobs]
+        return [powmod(*job) for job in jobs]
 
     def take_factors(self, count: int) -> List[int]:
         """Pop up to ``count`` ready factors in one locked operation.

@@ -354,7 +354,7 @@ class ClassificationFleet:
             return None
         if kind != wire.KIND_HEALTH:
             return {}  # alive, just busy shedding
-        return wire.WireCodec().decode(reply)
+        return wire.WireCodec().decode(reply, max_elements=None)
 
     def _heartbeat_loop(self) -> None:
         while not self._stopping.wait(self.heartbeat_interval):

@@ -82,8 +82,7 @@ class TwoPartyContext:
 
     def client_encrypt(self, value: int) -> PaillierCiphertext:
         """Client-side Paillier encryption, counted in the trace."""
-        self.trace.count(Op.PAILLIER_ENCRYPT)
-        return self.paillier.public_key.encrypt(value, rng=self.client_rng)
+        return self.client_encrypt_batch([value])[0]
 
     def server_encrypt(self, value: int) -> PaillierCiphertext:
         """Server-side Paillier encryption under the client's key."""
@@ -124,11 +123,14 @@ class TwoPartyContext:
         """Client-side batch encryption; one counted op per value.
 
         Nonces come from ``client_rng`` in input order, so the batch is
-        transcript-identical to a loop of :meth:`client_encrypt`.
+        transcript-identical to a loop of
+        :meth:`PaillierPublicKey.encrypt`. The client owns the key, so
+        the blinding factors are computed by CRT from its factors.
         """
         self.trace.count(Op.PAILLIER_ENCRYPT, len(values))
         return self.engine.encrypt_batch(
-            self.paillier.public_key, values, rng=self.client_rng
+            self.paillier.public_key, values, rng=self.client_rng,
+            private_key=self.paillier.private_key,
         )
 
     def server_encrypt_batch(

@@ -60,7 +60,7 @@ import numbers
 import struct
 import socket
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.crypto.beaver import BeaverTriple
 from repro.crypto.dgk import DgkCiphertext, DgkPublicKey
@@ -101,6 +101,16 @@ ELEMENT_OVERHEAD = 5
 #: element sit inside. Protocol payloads nest a few levels; a hostile
 #: frame nested thousands deep would otherwise exhaust the stack.
 MAX_NESTING_DEPTH = 64
+
+#: Most elements (scalars, ciphertexts and containers alike) one
+#: payload may decode to. A one-byte ``None`` or a five-byte empty list
+#: becomes a Python object ten times its wire size, so the frame cap
+#: alone would let one frame cost the server gigabytes. The decoder
+#: checks each container's declared length against what is left, so a
+#: payload is refused before its items are built. Protocol payloads
+#: stay far below: the largest flight of a 15-tree, depth-8 forest
+#: query on the warfarin cohort holds 6 236 elements, at any key size.
+MAX_DECODE_ELEMENTS = 1 << 20
 
 #: Largest frame body :func:`recv_frame` accepts from a peer; a longer
 #: declared length raises :class:`FrameTooLarge` before any of the body
@@ -381,19 +391,32 @@ class WireCodec:
     encode = staticmethod(encode)
     encoded_size = staticmethod(encoded_size)
 
-    def decode(self, data: bytes) -> Any:
-        """Decode one payload; rejects trailing garbage."""
-        value, offset = self._decode(memoryview(data), 0, 0)
+    def decode(
+        self, data: bytes, max_elements: Optional[int] = MAX_DECODE_ELEMENTS
+    ) -> Any:
+        """Decode one payload; rejects trailing garbage and payloads of
+        more than ``max_elements`` elements (``None`` lifts the cap)."""
+        budget = [float("inf") if max_elements is None else max_elements]
+        self._charge(budget, 1)
+        value, offset = self._decode(memoryview(data), 0, 0, budget)
         if offset != len(data):
             raise WireError(
                 f"{len(data) - offset} trailing bytes after decoded payload"
             )
         return value
 
+    @staticmethod
+    def _charge(budget: List[float], count: int) -> None:
+        """Take ``count`` elements from the payload's remaining budget."""
+        budget[0] -= count
+        if budget[0] < 0:
+            raise WireError("payload holds more elements than the decoder allows")
+
     def _decode(
-        self, view: memoryview, offset: int, depth: int
+        self, view: memoryview, offset: int, depth: int, budget: List[float]
     ) -> Tuple[Any, int]:
-        """Decode the element at ``offset`` inside ``depth`` containers."""
+        """Decode the element at ``offset`` inside ``depth`` containers,
+        charging each container's items to ``budget``."""
         if depth > MAX_NESTING_DEPTH:
             raise WireError(
                 f"payload nests deeper than {MAX_NESTING_DEPTH} containers"
@@ -439,9 +462,10 @@ class WireCodec:
                 raise WireError(
                     f"Beaver triple must carry 3 shares, got {count}"
                 )
+            self._charge(budget, 3)
             shares = []
             for _ in range(3):
-                item, offset = self._decode(view, offset, depth + 1)
+                item, offset = self._decode(view, offset, depth + 1, budget)
                 if not isinstance(item, AdditiveShare):
                     raise WireError(
                         f"Beaver triple element decoded as "
@@ -452,18 +476,20 @@ class WireCodec:
         if tag in (TAG_LIST, TAG_TUPLE):
             count = _U32.unpack(self._take(view, offset, 4))[0]
             offset += 4
+            self._charge(budget, count)
             items = []
             for _ in range(count):
-                item, offset = self._decode(view, offset, depth + 1)
+                item, offset = self._decode(view, offset, depth + 1, budget)
                 items.append(item)
             return (items if tag == TAG_LIST else tuple(items)), offset
         if tag == TAG_DICT:
             count = _U32.unpack(self._take(view, offset, 4))[0]
             offset += 4
+            self._charge(budget, 2 * count)
             result = {}
             for _ in range(count):
-                key, offset = self._decode(view, offset, depth + 1)
-                value, offset = self._decode(view, offset, depth + 1)
+                key, offset = self._decode(view, offset, depth + 1, budget)
+                value, offset = self._decode(view, offset, depth + 1, budget)
                 result[key] = value
             return result, offset
         raise WireError(f"unknown type tag 0x{tag:02X}")

@@ -2,13 +2,14 @@
 decryption equivalence, and fused dot products."""
 
 import copy
+import dataclasses
 import threading
 
 import pytest
 
 from repro.crypto.engine import CryptoEngine, EngineError
 from repro.crypto.modexp import ModexpError
-from repro.crypto.paillier import PaillierPrivateKey
+from repro.crypto.paillier import PaillierError, PaillierPrivateKey
 from repro.core.session import SessionConfig
 from repro.crypto.rand import fresh_rng
 from repro.smc.argmax import secure_argmax
@@ -130,8 +131,9 @@ class TestSerialParallelParity:
     def test_scalar_mul_batch_matches_operator(
         self, paillier_keys, serial_engine, parallel_engine
     ):
-        values = [4, -2, 9, 1, 0]
-        scalars = [3, -5, 0, 7, -1]
+        half = paillier_keys.public_key.n // 2
+        values = [4, -2, 9, 1, 0, 1, 1, -1]
+        scalars = [3, -5, 0, 7, -1, -(2 ** 40), -(half - 1), half - 1]
         cts = serial_engine.encrypt_batch(
             paillier_keys.public_key, values, rng=fresh_rng(4)
         )
@@ -139,6 +141,11 @@ class TestSerialParallelParity:
         for engine in (serial_engine, parallel_engine):
             result = engine.scalar_mul_batch(cts, scalars)
             assert [r.value for r in result] == [r.value for r in reference]
+        assert serial_engine.decrypt_batch(
+            paillier_keys.private_key, reference
+        ) == [v * s for v, s in zip(values, scalars)]
+        with pytest.raises(PaillierError, match="exceeds"):
+            serial_engine.scalar_mul_batch(cts[:1], [-half])
 
     def test_rerandomize_batch_parity_and_plaintext(
         self, paillier_keys, serial_engine, parallel_engine
@@ -413,6 +420,113 @@ class TestPoolDraining:
         rng = fresh_rng(808)
         loop = [paillier_keys.public_key.encrypt(v, rng=rng) for v in values]
         assert [c.value for c in batch] == [c.value for c in loop]
+
+
+def _edge_values(public_key):
+    half = public_key.n // 2
+    return [0, 1, -1, -2, -123456789, half - 1, -(half - 1)]
+
+
+class TestKeyOwnerEncryption:
+    """With the private key, the nonce powers run by CRT; the
+    ciphertexts must equal the public-key encryptions bit for bit."""
+
+    def test_crt_encrypt_batch_bit_identical(
+        self, paillier_keys, serial_engine, parallel_engine
+    ):
+        public = paillier_keys.public_key
+        values = _edge_values(public)
+        rng = fresh_rng(820)
+        reference = [public.encrypt(v, rng=rng) for v in values]
+        for engine in (serial_engine, parallel_engine):
+            crt = engine.encrypt_batch(
+                public, values, rng=fresh_rng(820),
+                private_key=paillier_keys.private_key,
+            )
+            assert [c.value for c in crt] == [c.value for c in reference]
+
+    def test_key_without_factors_takes_public_path(
+        self, paillier_keys, serial_engine
+    ):
+        private = paillier_keys.private_key
+        stripped = PaillierPrivateKey(
+            public_key=private.public_key, lam=private.lam, mu=private.mu
+        )
+        values = [3, -3]
+        plain = serial_engine.encrypt_batch(
+            private.public_key, values, rng=fresh_rng(821)
+        )
+        out = serial_engine.encrypt_batch(
+            private.public_key, values, rng=fresh_rng(821),
+            private_key=stripped,
+        )
+        assert [c.value for c in out] == [c.value for c in plain]
+
+    def test_mismatched_private_key_rejected(
+        self, paillier_keys, serial_engine
+    ):
+        from repro.crypto.paillier import PaillierKeyPair
+        other = PaillierKeyPair.generate(key_bits=256, rng=fresh_rng(822))
+        with pytest.raises(PaillierError, match="does not match"):
+            serial_engine.encrypt_batch(
+                paillier_keys.public_key, [1], rng=fresh_rng(823),
+                private_key=other.private_key,
+            )
+
+    def test_context_client_encryptions_bit_identical(self):
+        ctx = make_context(config=SessionConfig(
+            seed=824, paillier_bits=TEST_PAILLIER_BITS,
+            dgk_bits=TEST_DGK_BITS,
+        ))
+        public = ctx.paillier.public_key
+        values = _edge_values(public)
+        rng = copy.deepcopy(ctx.client_rng)
+        reference = [public.encrypt(v, rng=rng) for v in values]
+        singles = [ctx.client_encrypt(v) for v in values[:3]]
+        batch = ctx.client_encrypt_batch(values[3:])
+        assert [c.value for c in singles + batch] == \
+            [c.value for c in reference]
+
+
+class _PublicHalfOnly:
+    """A key pair whose private half raises on any access."""
+
+    def __init__(self, public_key):
+        self.public_key = public_key
+
+    @property
+    def private_key(self):
+        raise AssertionError("server-role code read the client's private key")
+
+
+class TestServerRoleKeyIsolation:
+    """The server's methods take the client's public key only, so a
+    speedup from the factors can never leak into the server role."""
+
+    def test_server_methods_never_touch_private_key(self):
+        ctx = make_context(config=SessionConfig(
+            seed=826, paillier_bits=TEST_PAILLIER_BITS,
+            dgk_bits=TEST_DGK_BITS,
+        ))
+        private = ctx.paillier.private_key
+        server = dataclasses.replace(
+            ctx, paillier=_PublicHalfOnly(ctx.paillier.public_key)
+        )
+        a = server.server_encrypt(4)
+        b, c = server.server_encrypt_batch([-3, 6])
+        outs = [
+            a, b, c,
+            server.rerandomize(a),
+            *server.rerandomize_batch([b, c]),
+            server.scalar_mul(a, -2),
+            *server.scalar_mul_batch([b, c], [-1, 2]),
+            *server.scalar_mul_batch([b], [5], signed=False),
+            server.add(a, b),
+        ]
+        assert [private.decrypt(ct) for ct in outs] == \
+            [4, -3, 6, 4, -3, 6, -8, 3, 12, -15, 1]
+        with pytest.raises(AssertionError, match="private key"):
+            server.client_encrypt(1)
 
 
 class TestModexpSelection:

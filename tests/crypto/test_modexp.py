@@ -1,4 +1,4 @@
-"""Tests for the pluggable modexp layer: backends, windows, CRT split.
+"""Tests for the pluggable modexp layer: backends and fixed-base windows.
 
 The contract under test is bit-for-bit parity: every code path in
 :mod:`repro.crypto.modexp` must agree with the built-in three-argument
@@ -13,7 +13,6 @@ import pytest
 from repro.crypto import modexp
 from repro.crypto.modexp import (
     MODEXP_BACKENDS,
-    CrtPowmod,
     FixedBaseWindow,
     Gmpy2Modexp,
     ModexpError,
@@ -24,8 +23,6 @@ from repro.crypto.modexp import (
     resolve_backend,
     set_default_backend,
 )
-from repro.crypto.numtheory import generate_prime
-from repro.crypto.rand import fresh_rng
 
 needs_gmpy2 = pytest.mark.skipif(
     not gmpy2_available(), reason="optional gmpy2 package not installed"
@@ -194,53 +191,3 @@ class TestFixedBaseWindow:
         assert window.digits == 16
         assert window.table_entries == 16 * 15
         assert window.table_bytes() == window.table_entries * 32
-
-
-class TestCrtPowmod:
-    def _make(self, seed, backend=None):
-        rng = fresh_rng(seed)
-        p = generate_prime(96, rng=rng)
-        q = generate_prime(96, rng=rng)
-        while q == p:  # pragma: no cover
-            q = generate_prime(96, rng=rng)
-        crt = CrtPowmod(
-            p * p, q * q, p * (p - 1), q * (q - 1), backend=backend
-        )
-        return crt, p * q
-
-    @pytest.mark.parametrize("backend_name", ["python", "gmpy2"])
-    def test_matches_full_width_powmod(self, backend_name):
-        if backend_name == "gmpy2" and not gmpy2_available():
-            pytest.skip("optional gmpy2 package not installed")
-        crt, n = self._make(41, backend=backend_name)
-        rng = random.Random(42)
-        for _ in range(25):
-            base = rng.randrange(1, n)
-            exponent = rng.getrandbits(192)
-            assert crt.powmod(base, exponent) == pow(
-                base, exponent, crt.modulus
-            )
-
-    def test_jobs_plus_recombine_equals_powmod(self):
-        crt, n = self._make(43)
-        rng = random.Random(44)
-        for _ in range(10):
-            base = rng.randrange(1, n)
-            exponent = rng.getrandbits(192)
-            (b1, e1, m1), (b2, e2, m2) = crt.powmod_jobs(base, exponent)
-            a1 = pow(b1, e1, m1)
-            a2 = pow(b2, e2, m2)
-            assert crt.recombine(a1, a2) == crt.powmod(base, exponent)
-
-    def test_rejects_negative_exponent(self):
-        crt, _ = self._make(45)
-        with pytest.raises(ModexpError):
-            crt.powmod(2, -1)
-        with pytest.raises(ModexpError):
-            crt.powmod_jobs(2, -1)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ModexpError):
-            CrtPowmod(1, 9, 2, 6)
-        with pytest.raises(ModexpError):
-            CrtPowmod(4, 9, 0, 6)

@@ -136,13 +136,6 @@ class TestCrt:
         assert nt.crt(residues, moduli) == x % product
 
 
-class TestQuadraticResidues:
-    def test_squares_are_residues(self):
-        p = 103
-        for a in range(1, 20):
-            assert nt.is_quadratic_residue_mod_prime((a * a) % p, p)
-
-
 class TestIntegerSqrt:
     @given(st.integers(0, 10**12))
     @settings(max_examples=100)

@@ -1,9 +1,12 @@
 """Unit and property tests for the Paillier cryptosystem."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.modexp import gmpy2_available, resolve_backend
 from repro.crypto.paillier import PaillierError, PaillierKeyPair
 from repro.crypto.rand import fresh_rng
 
@@ -143,3 +146,53 @@ class TestSerialization:
         size = ct.serialized_size_bytes()
         assert size == (paillier_keys.public_key.n_squared.bit_length() + 7) // 8
         assert 90 <= size <= 97  # 384-bit key -> ~768-bit ciphertext
+
+
+class TestNegativeScalars:
+    """A negative scalar inverts the ciphertext and keeps its own width."""
+
+    def test_negative_scalars_decrypt(self, paillier_keys):
+        public, private = paillier_keys.public_key, paillier_keys.private_key
+        half = public.n // 2
+        ct = public.encrypt(3, rng=fresh_rng(25))
+        for k in (-1, -2, -(2 ** 40), -(half - 1), 0, 1):
+            assert private.decrypt(ct * k) == public.decode_signed(
+                (3 * k) % public.n
+            )
+        one = public.encrypt(1, rng=fresh_rng(26))
+        assert private.decrypt(one * -(half - 1)) == -(half - 1)
+
+    def test_magnitude_bound_still_enforced(self, paillier_keys):
+        ct = paillier_keys.public_key.encrypt(3, rng=fresh_rng(27))
+        bound = paillier_keys.public_key.signed_bound
+        for k in (bound, -bound, bound + 1, -(bound + 1)):
+            with pytest.raises(PaillierError, match="exceeds"):
+                _ = ct * k
+
+    def test_negative_exponent_stays_short(self, paillier_keys):
+        ct = paillier_keys.public_key.encrypt(3, rng=fresh_rng(28))
+        base, exponent, modulus = ct.signed_pow_job(-5)
+        assert exponent == 5
+        assert base * ct.value % modulus == 1
+
+
+class TestNoncePower:
+    """The key owner's CRT blinding factor equals the full-width power."""
+
+    @pytest.mark.parametrize("backend_name", ["python", "gmpy2"])
+    def test_matches_full_width_powmod(self, paillier_keys, backend_name):
+        if backend_name == "gmpy2" and not gmpy2_available():
+            pytest.skip("optional gmpy2 package not installed")
+        pow_fn = resolve_backend(backend_name).powmod
+        crt = paillier_keys.private_key.crt_params
+        n = paillier_keys.public_key.n
+        rng = random.Random(42)
+        for _ in range(25):
+            r = rng.randrange(1, n)
+            assert crt.nonce_power(r, pow_fn) == pow(r, n, n * n)
+
+    def test_edge_nonces(self, paillier_keys):
+        crt = paillier_keys.private_key.crt_params
+        n = paillier_keys.public_key.n
+        for r in (1, 2, n - 1, n - 2):
+            assert crt.nonce_power(r) == pow(r, n, n * n)

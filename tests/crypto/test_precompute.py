@@ -253,6 +253,22 @@ class TestRefillStrategies:
         )
         assert pow_pool.take_factors(6) == crt_pool.take_factors(6)
 
+    def test_crt_refill_on_engine_matches_pow_refill(self, paillier_keys):
+        # The "crt" refill runs the key owner's nonce kernel on the
+        # engine's backend; it must still equal the "pow" refill.
+        from repro.crypto.engine import CryptoEngine
+        engine = CryptoEngine()
+        pow_pool = PrecomputedEncryptionPool(
+            paillier_keys.public_key, size=12, rng=fresh_rng(904),
+            engine=engine, strategy="pow",
+        )
+        crt_pool = PrecomputedEncryptionPool(
+            paillier_keys.public_key, size=12, rng=fresh_rng(904),
+            private_key=paillier_keys.private_key, engine=engine,
+            strategy="crt",
+        )
+        assert pow_pool.take_factors(12) == crt_pool.take_factors(12)
+
     @pytest.mark.parametrize("strategy", ["pow", "crt", "fixed-base"])
     def test_strategy_ciphertexts_decrypt(self, paillier_keys, strategy):
         kwargs = {}

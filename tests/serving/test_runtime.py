@@ -167,6 +167,26 @@ def test_deeply_nested_request_gets_bad_request_error(deployed):
         stop_server(server, thread)
 
 
+def test_request_past_element_cap_gets_bad_request_error(deployed, rows):
+    """A well-formed request padded past wire.MAX_DECODE_ELEMENTS (a
+    ~1 MB frame, well under the frame cap) is refused at decode."""
+    server, thread, port = start_server(deployed)
+    try:
+        payload = {
+            "row": [int(v) for v in rows[0]],
+            "seed": _BASE_SEED,
+            "padding": [None] * wire.MAX_DECODE_ELEMENTS,
+        }
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
+            wire.send_frame(s, wire.KIND_REQUEST, wire.encode(payload))
+            kind, reply = wire.recv_frame(s)
+        assert kind == wire.KIND_ERROR
+        assert wire.WireCodec().decode(reply)["code"] == "bad-request"
+        assert thread.is_alive()
+    finally:
+        stop_server(server, thread)
+
+
 def test_oversized_frame_gets_bad_request_error(deployed):
     """A header declaring a body above wire.MAX_FRAME_BYTES is answered
     with bad-request at once; the server never waits for that body."""

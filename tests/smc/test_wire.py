@@ -164,6 +164,35 @@ class TestErrors:
         with pytest.raises(WireError):
             WireCodec().decode(wire.encode(nest(cap + 1)))
 
+    def test_element_cap_is_exact(self):
+        cap = wire.MAX_DECODE_ELEMENTS
+        at_cap = [None] * (cap - 1)  # the list itself is one element
+        assert WireCodec().decode(wire.encode(at_cap)) == at_cap
+        with pytest.raises(WireError, match="more elements"):
+            WireCodec().decode(wire.encode(at_cap + [None]))
+
+    def test_element_cap_counts_every_container(self):
+        payload = {"a": [1, 2], "b": (3,), "c": {}}
+        # root + 3 keys + 3 values + 3 items
+        assert WireCodec().decode(wire.encode(payload), max_elements=10) \
+            == payload
+        with pytest.raises(WireError, match="more elements"):
+            WireCodec().decode(wire.encode(payload), max_elements=9)
+
+    def test_element_cap_refuses_before_building_items(self):
+        # A header declaring 2^32-1 items is refused on the count alone.
+        hostile = b"\x07\xff\xff\xff\xff" + b"\x00" * 64
+        with pytest.raises(WireError, match="more elements"):
+            WireCodec().decode(hostile)
+
+    def test_element_cap_can_be_lifted(self):
+        payload = [None] * 16
+        with pytest.raises(WireError):
+            WireCodec().decode(wire.encode(payload), max_elements=16)
+        assert WireCodec().decode(
+            wire.encode(payload), max_elements=None
+        ) == payload
+
 
 class TestKeyring:
     def test_roundtrip(self, paillier, dgk):

@@ -21,16 +21,22 @@ Measures the engine-level wins this repo's batch paths build on:
    Gated: offline+online through the fastest pure-Python pooled path
    must beat the seed serial loop by >= 2x; with gmpy2 installed the
    pooled batch-encrypt must win by >= 5x.
+6. **Blind pair**: the tree's leaf blinding ``c^rho * r^n mod n^2``
+   with a full-width ``rho``, as a scalar multiplication followed by a
+   re-randomisation vs :meth:`CryptoEngine.blind_batch`'s one
+   windowed multi-exponentiation. Gated at <= 0.8x: the two powers
+   share one chain of squarings, an algorithmic saving.
 
-Results are printed as tables and recorded to ``BENCH_crypto.json``
-(via :func:`repro.bench.reporting.write_bench_json`) so future PRs have
-a throughput trajectory to compare against.
+Results are printed as tables and merged into ``BENCH_crypto.json``
+under ``e20_engine`` (via :func:`repro.bench.reporting.update_bench_json`,
+which leaves ``e25_shares`` alone) so future PRs have a throughput
+trajectory to compare against.
 """
 
 import os
 import time
 
-from repro.bench import Table, write_bench_json
+from repro.bench import Table, update_bench_json
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.modexp import (
     FixedBaseWindow,
@@ -39,7 +45,7 @@ from repro.crypto.modexp import (
     resolve_backend,
     set_default_backend,
 )
-from repro.crypto.paillier import PaillierKeyPair
+from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair
 from repro.crypto.precompute import PrecomputedEncryptionPool
 from repro.crypto.rand import fresh_rng
 
@@ -49,6 +55,7 @@ DOT_FEATURES = 64
 DECRYPT_BATCH = 64
 MODEXP_POWS = 32
 POOL_BATCH = 64
+BLIND_BATCH = 32
 
 _BENCH_JSON = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_crypto.json"
@@ -281,7 +288,48 @@ def test_e20_engine_throughput():
                    pooled_speedup])
     table.print()
 
-    record = write_bench_json(
+    # 6. Blind pair: scalar-mul + refresh vs one fused multi-exp.
+    blind_rng = fresh_rng(10)
+    blind_cts = serial.encrypt_batch(
+        public, list(range(BLIND_BATCH)), rng=blind_rng
+    )
+    rhos = [1 + blind_rng.randbelow(n - 1) for _ in range(BLIND_BATCH)]
+
+    def unfused_blind():
+        powered = [
+            PaillierCiphertext(public_key=public, value=value)
+            for value in serial.map_pow(
+                [(ct.value, rho, n_sq) for ct, rho in zip(blind_cts, rhos)]
+            )
+        ]
+        return serial.rerandomize_batch(powered, rng=fresh_rng(11))
+
+    def fused_blind():
+        return serial.blind_batch(
+            blind_cts, rhos, [None] * BLIND_BATCH, rng=fresh_rng(11)
+        )
+
+    assert [c.value for c in fused_blind()] == \
+        [c.value for c in unfused_blind()]
+    unfused_blind_s = _best_of(unfused_blind)
+    fused_blind_s = _best_of(fused_blind)
+    blind_ratio = fused_blind_s / unfused_blind_s
+    metrics["blind_pair_batch_values"] = BLIND_BATCH
+    metrics["blind_pair_unfused_seconds"] = unfused_blind_s
+    metrics["blind_pair_fused_seconds"] = fused_blind_s
+    metrics["blind_pair_fused_ratio"] = blind_ratio
+
+    table = Table(
+        f"E20f: blind pair c^rho * r^n of {BLIND_BATCH} ciphertexts "
+        f"({ENGINE_KEY_BITS}-bit key, full-width rho)",
+        ["path", "seconds", "ratio vs unfused"],
+    )
+    table.add_row(["scalar-mul + refresh", unfused_blind_s, 1.0])
+    table.add_row(["blind_batch (one multi-exp)", fused_blind_s,
+                   blind_ratio])
+    table.print()
+
+    record = update_bench_json(
         _BENCH_JSON,
         "e20_engine",
         metrics,
@@ -313,6 +361,9 @@ def test_e20_engine_throughput():
           f"(x{online_speedup:.1f} online), "
           f"fixed-base w=6 x{python_pow_s / metrics['fixedbase_w6_seconds']:.2f}"
           f" -- PASS")
+    # The fused blind shares one squaring chain between c^rho and r^n.
+    assert blind_ratio <= 0.8
+    print(f"E20 gate: blind pair x{blind_ratio:.2f} of unfused -- PASS")
     if gmpy2_available():
         # GMP makes both the refill and the comparison loop faster;
         # the pooled total must still win by the headline margin.

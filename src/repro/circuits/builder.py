@@ -156,11 +156,6 @@ class Circuit:
         """Number of XOR gates (free to garble, still wires to track)."""
         return sum(1 for g in self._gates if g.kind is GateKind.XOR)
 
-    @property
-    def gate_count(self) -> int:
-        """Total gates of all kinds."""
-        return len(self._gates)
-
     def input_count(self, owner: Owner) -> int:
         """Number of input bits supplied by ``owner``."""
         return sum(1 for o in self._inputs.values() if o is owner)

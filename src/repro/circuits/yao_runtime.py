@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.circuits.builder import Circuit, CircuitError, Gate, GateKind, Owner
 from repro.crypto.ot import one_of_two_transfer
@@ -167,15 +167,6 @@ class Garbler:
                 raise YaoRuntimeError(f"missing server input for wire {wire}")
             labels[wire] = self.label_for(wire, assignment[wire])
         return labels
-
-    def decode_outputs(self, active_labels: Sequence[int]) -> List[int]:
-        """Garbler-side decode (used by tests); deployments publish the
-        permute bits instead."""
-        garbled = self.garble()
-        return [
-            (label & 1) ^ permute
-            for label, permute in zip(active_labels, garbled.output_permute_bits)
-        ]
 
 
 class Evaluator:

@@ -2,7 +2,8 @@
 
 Every Paillier-heavy protocol step in this library reduces to a handful
 of bulk shapes -- encrypt N values, decrypt N ciphertexts, N independent
-scalar multiplications, N re-randomisations, or one fused dot product.
+scalar multiplications, N re-randomisations, N blind-and-refresh
+steps, or one fused dot product.
 :class:`CryptoEngine` exposes exactly those batch APIs.
 
 Determinism is preserved by construction: all randomness (encryption
@@ -31,9 +32,11 @@ fall back to full exponentiations for whatever the pool cannot cover.
 
 The fused :meth:`CryptoEngine.dot_product` evaluates
 ``prod_i c_i^{w_i} mod n^2`` with *simultaneous multi-exponentiation*
-(interleaved binary / Straus): one shared chain of squarings over the
-maximum weight bit-length instead of one full square-and-multiply
-ladder per ciphertext. Negative weights are folded in by inverting the
+(interleaved fixed windows / Straus): one shared chain of squarings
+over the maximum weight bit-length instead of one full
+square-and-multiply ladder per ciphertext; :meth:`CryptoEngine.blind_batch`
+shares one chain between a full-width blinding ``c^rho`` and its
+refresh ``r^n``. Negative weights are folded in by inverting the
 ciphertext first (one cheap extended-gcd) so exponents stay small --
 mapping them through the signed encoding would blow each exponent up to
 the full modulus width and erase the gain. Signed scalar
@@ -87,13 +90,17 @@ class EngineError(Exception):
 def _multiexp(bases: Sequence[int], exponents: Sequence[int],
               modulus: int, backend: ModexpBackend) -> int:
     """``prod_i bases[i]^exponents[i] mod modulus`` by interleaved
-    binary multi-exponentiation.
+    fixed-window multi-exponentiation (Straus).
 
     All exponents must be non-negative. One squaring chain of
     ``max(bit_length)`` steps is shared across every base; each base
-    contributes one multiplication per set bit of its exponent. The
-    accumulator and bases live in the bignum backend's native integer
-    type, so a GMP backend multiplies without per-step conversions.
+    keeps a table of its first ``2^w - 1`` powers and contributes one
+    multiplication per non-zero ``w``-bit digit of its exponent. A table
+    costs ``2^w - 2`` multiplications and cuts a base's digit
+    multiplications from about ``bits / 2`` to ``bits / w``, so ``w``
+    grows with the longest exponent; below 128 bits (dot-product
+    weights) exponents stay binary. Accumulator and tables live in the
+    backend's native integer type, so GMP multiplies without conversions.
     """
     max_bits = 0
     for exponent in exponents:
@@ -101,14 +108,25 @@ def _multiexp(bases: Sequence[int], exponents: Sequence[int],
             raise EngineError("multi-exponentiation needs non-negative exponents")
         if exponent.bit_length() > max_bits:
             max_bits = exponent.bit_length()
+    window = 1 if max_bits < 128 else 4 if max_bits < 384 else \
+        5 if max_bits < 1024 else 6
+    mask = (1 << window) - 1
     mod = backend.wrap(modulus)
-    wrapped = [backend.wrap(base) for base in bases]
-    accumulator = backend.wrap(1)
-    for bit in range(max_bits - 1, -1, -1):
-        accumulator = accumulator * accumulator % mod
-        for base, exponent in zip(wrapped, exponents):
-            if (exponent >> bit) & 1:
-                accumulator = accumulator * base % mod
+    one = backend.wrap(1)
+    tables = []
+    for base in bases:
+        table = [one, backend.wrap(base)]
+        for _ in range(mask - 1):
+            table.append(table[-1] * table[1] % mod)
+        tables.append(table)
+    accumulator = one
+    for shift in range((max_bits - 1) // window * window, -1, -window):
+        for _ in range(window):
+            accumulator = accumulator * accumulator % mod
+        for table, exponent in zip(tables, exponents):
+            digit = (exponent >> shift) & mask
+            if digit:
+                accumulator = accumulator * table[digit] % mod
     return backend.unwrap(accumulator)
 
 
@@ -245,10 +263,9 @@ class CryptoEngine:
         public_key: PaillierPublicKey,
         values: Sequence[int],
         rng: Optional[DeterministicRandom] = None,
-        signed: bool = True,
         private_key: Optional[PaillierPrivateKey] = None,
     ) -> List[PaillierCiphertext]:
-        """Encrypt ``values`` under ``public_key``.
+        """Encrypt the signed integers ``values`` under ``public_key``.
 
         With no pool attached (:meth:`attach_pool`), nonces are drawn
         serially from ``rng`` in input order, then the ``r^n mod n^2``
@@ -268,9 +285,7 @@ class CryptoEngine:
         rng = rng or default_rng()
         n = public_key.n
         n_sq = public_key.n_squared
-        plaintexts = [
-            public_key.encode_signed(v) if signed else v % n for v in values
-        ]
+        plaintexts = [public_key.encode_signed(v) for v in values]
         factors = self._blinding_factors(
             public_key, len(values), rng, private_key
         )
@@ -330,15 +345,10 @@ class CryptoEngine:
         self,
         ciphertexts: Sequence[PaillierCiphertext],
         scalars: Sequence[int],
-        signed: bool = True,
     ) -> List[PaillierCiphertext]:
-        """Elementwise homomorphic scalar multiplication.
-
-        With ``signed=True`` scalars are signed (matching
-        ``ciphertext * scalar``: a negative scalar inverts the ciphertext
-        and keeps its own width); with ``signed=False`` they are raw
-        elements of ``Z_n`` at full width (matching ``mul_unsigned``).
-        """
+        """Elementwise homomorphic scalar multiplication by signed
+        scalars (matching ``ciphertext * scalar``: a negative scalar
+        inverts the ciphertext and keeps its own width)."""
         if len(ciphertexts) != len(scalars):
             raise EngineError(
                 f"{len(ciphertexts)} ciphertexts vs {len(scalars)} scalars"
@@ -346,11 +356,8 @@ class CryptoEngine:
         if not ciphertexts:
             return []
         public_key = self._require_one_key(ciphertexts, "scalar_mul_batch")
-        n = public_key.n
-        n_sq = public_key.n_squared
         powers = self.map_pow([
-            ct.signed_pow_job(s) if signed else (ct.value, s % n, n_sq)
-            for ct, s in zip(ciphertexts, scalars)
+            ct.signed_pow_job(s) for ct, s in zip(ciphertexts, scalars)
         ])
         return [
             PaillierCiphertext(public_key=public_key, value=value)
@@ -378,6 +385,49 @@ class CryptoEngine:
             )
             for ct, factor in zip(ciphertexts, factors)
         ]
+
+    def blind_batch(
+        self,
+        ciphertexts: Sequence[PaillierCiphertext],
+        scalars: Sequence[int],
+        offsets: Sequence[Optional[int]],
+        rng: Optional[DeterministicRandom] = None,
+    ) -> List[PaillierCiphertext]:
+        """Blind, shift and refresh: ``[rho_i * m_i + a_i]`` under a
+        fresh nonce, i.e. ``c_i^rho_i * (1 + a_i n) * r_i^n mod n^2``.
+
+        Each ``rho_i`` is a raw element of ``Z_n`` at full width (the
+        protocols' multiplicative blinding); an offset of ``None`` adds
+        nothing. Each output is one :func:`_multiexp` over ``[c_i, r_i]``,
+        so the blinding power and the refresh share one squaring chain;
+        that needs the nonce ``r_i`` itself, so an attached pool's ready
+        powers are not drawn here. Nonces come serially from ``rng`` in
+        input order, so with no pool attached the result is
+        bit-identical to scalar multiplication by ``rho_i``, the offset
+        add and then :meth:`rerandomize_batch`.
+        """
+        if not len(ciphertexts) == len(scalars) == len(offsets):
+            raise EngineError(
+                f"{len(ciphertexts)} ciphertexts vs {len(scalars)} scalars "
+                f"vs {len(offsets)} offsets"
+            )
+        if not ciphertexts:
+            return []
+        rng = rng or default_rng()
+        public_key = self._require_one_key(ciphertexts, "blind_batch")
+        n = public_key.n
+        n_sq = public_key.n_squared
+        blinded: List[PaillierCiphertext] = []
+        for ct, scalar, offset in zip(ciphertexts, scalars, offsets):
+            value = self.multiexp(
+                [ct.value, rng.random_unit(n)], [scalar % n, n], n_sq
+            )
+            if offset is not None:
+                value = value * (1 + public_key.encode_signed(offset) * n)
+            blinded.append(
+                PaillierCiphertext(public_key=public_key, value=value % n_sq)
+            )
+        return blinded
 
     def dot_product(
         self,

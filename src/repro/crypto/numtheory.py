@@ -9,7 +9,7 @@ enough for the key sizes used in experiments.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.crypto.rand import DeterministicRandom, default_rng
 
@@ -198,13 +198,3 @@ def integer_sqrt(n: int) -> int:
     if n < 0:
         raise ValueError("integer_sqrt of a negative number")
     return math.isqrt(n)
-
-
-def bit_length_of_product(factors: Iterable[int]) -> int:
-    """Bit length of the product of ``factors`` without materialising it
-    when the factors are huge (falls back to exact product -- the sizes
-    in this library make that cheap)."""
-    product = 1
-    for f in factors:
-        product *= f
-    return product.bit_length()

@@ -61,11 +61,6 @@ class PaillierPublicKey:
         return self.n * self.n
 
     @property
-    def max_plaintext(self) -> int:
-        """Largest raw plaintext (``n - 1``)."""
-        return self.n - 1
-
-    @property
     def signed_bound(self) -> int:
         """Magnitude bound for signed encoding: values in
         ``(-n/2, n/2)`` round-trip exactly."""
@@ -92,32 +87,18 @@ class PaillierPublicKey:
         return raw
 
     def encrypt(
-        self, value: int, rng: Optional[DeterministicRandom] = None, signed: bool = True
+        self, value: int, rng: Optional[DeterministicRandom] = None
     ) -> "PaillierCiphertext":
-        """Encrypt ``value``.
-
-        Parameters
-        ----------
-        value:
-            Integer plaintext. With ``signed=True`` (default) negatives
-            are supported via wraparound encoding.
-        rng:
-            Randomness source for the blinding factor.
-        signed:
-            When ``False``, ``value`` must already lie in ``[0, n)``.
-        """
+        """Encrypt the signed integer ``value`` (negatives via the
+        wraparound encoding), drawing the nonce from ``rng``."""
         rng = rng or default_rng()
-        plaintext = self.encode_signed(value) if signed else value % self.n
+        plaintext = self.encode_signed(value)
         nonce = rng.random_unit(self.n)
         n_sq = self.n_squared
         # (1 + n)^m == 1 + m*n (mod n^2), avoiding one exponentiation.
         cipher = ((1 + plaintext * self.n) % n_sq) \
             * powmod(nonce, self.n, n_sq) % n_sq
         return PaillierCiphertext(public_key=self, value=cipher)
-
-    def encrypt_zero(self, rng: Optional[DeterministicRandom] = None) -> "PaillierCiphertext":
-        """A fresh encryption of zero, used for re-randomisation."""
-        return self.encrypt(0, rng=rng)
 
 
 @dataclass(frozen=True)
@@ -376,21 +357,6 @@ class PaillierCiphertext:
 
     def __rmul__(self, scalar) -> "PaillierCiphertext":
         return self.__mul__(scalar)
-
-    def mul_unsigned(self, scalar: int) -> "PaillierCiphertext":
-        """Multiply the plaintext by a raw element of ``Z_n``.
-
-        Unlike ``*``, the scalar is *not* interpreted as signed -- any
-        value in ``[0, n)`` is allowed. Protocols use this for full-range
-        multiplicative blinding (``rho * m mod n`` is uniform for
-        ``m != 0`` coprime with ``n``).
-        """
-        n_sq = self.public_key.n_squared
-        exponent = scalar % self.public_key.n
-        return PaillierCiphertext(
-            public_key=self.public_key,
-            value=powmod(self.value, exponent, n_sq),
-        )
 
     def rerandomize(
         self, rng: Optional[DeterministicRandom] = None

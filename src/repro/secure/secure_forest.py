@@ -143,8 +143,7 @@ class SecureRandomForestClassifier(SecureClassifier):
             for position in order:
                 cost, label = leaves[position]
                 rho = 1 + ctx.server_rng.randbelow(modulus - 1)
-                ctx.trace.count(Op.PAILLIER_SCALAR_MUL)
-                blinded.append(ctx.rerandomize(cost.mul_unsigned(rho)))
+                blinded.extend(ctx.blind_batch([cost], [rho], [None]))
                 labels.append(label)
             all_blinded.append(blinded)
             per_tree_labels.append(labels)

@@ -174,28 +174,18 @@ class SecureDecisionTreeClassifier(SecureClassifier):
         )
         leaves = _path_costs(ctx, residual, branch_bits)
 
-        # Blind, permute, ship -- all three bulk shapes (unsigned scalar
-        # multiplications, label adds, re-randomisations) run as engine
-        # batches.
+        # Blind, permute, ship: each leaf's cost and label slot is
+        # cost^rho (plus the label) under a fresh nonce, one engine batch
+        # over the interleaved pairs.
         modulus = ctx.paillier.public_key.n
-        costs = [cost for cost, _ in leaves]
-        labels = [label for _, label in leaves]
-        rhos: List[int] = []
-        rho_labels: List[int] = []
-        for _ in leaves:
-            rhos.append(1 + ctx.server_rng.randbelow(modulus - 1))
-            rho_labels.append(1 + ctx.server_rng.randbelow(modulus - 1))
-        masked_costs = ctx.scalar_mul_batch(costs, rhos, signed=False)
-        label_slots = ctx.scalar_mul_batch(costs, rho_labels, signed=False)
-        ctx.trace.count(Op.PAILLIER_ADD, len(leaves))
-        label_slots = [slot + label for slot, label in zip(label_slots, labels)]
-        refreshed = ctx.rerandomize_batch(
-            [ct for pair in zip(masked_costs, label_slots) for ct in pair]
+        rhos = [1 + ctx.server_rng.randbelow(modulus - 1)
+                for _ in range(2 * len(leaves))]
+        refreshed = ctx.blind_batch(
+            [cost for cost, _ in leaves for _ in range(2)], rhos,
+            [slot for _, label in leaves for slot in (None, label)],
         )
-        blinded: List[Tuple[PaillierCiphertext, PaillierCiphertext]] = [
-            (refreshed[2 * i], refreshed[2 * i + 1])
-            for i in range(len(leaves))
-        ]
+        blinded: List[Tuple[PaillierCiphertext, PaillierCiphertext]] = \
+            list(zip(refreshed[0::2], refreshed[1::2]))
         ctx.server_rng.shuffle(blinded)
         ctx.channel.reset_direction()
         payload = ctx.channel.server_sends(

@@ -30,11 +30,12 @@ invariants, in order of importance:
    accept loop; in-flight requests run to completion before
    :meth:`serve_forever` returns.
 
-Serving telemetry: ``serve.requests`` / ``serve.errors`` /
-``serve.shed`` counters, the ``serve.queue_wait`` histogram
-(accept-to-handler latency), and the ``serve.queue_depth`` /
-``serve.queue_peak`` gauges. See ``docs/DEPLOYMENT.md`` for the
-operator view and ``docs/OBSERVABILITY.md`` for the catalogue.
+Serving telemetry: ``serve.requests`` / ``serve.errors`` (plus one
+``serve.errors.<cause>`` counter per cause) / ``serve.shed`` counters,
+the ``serve.queue_wait`` histogram (accept-to-handler latency), and
+the ``serve.queue_depth`` / ``serve.queue_peak`` gauges. See
+``docs/DEPLOYMENT.md`` for the operator view and
+``docs/OBSERVABILITY.md`` for the catalogue.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ class ClassificationServer:
             # The handler reports its own failures to the client; this
             # boundary only guarantees a broken socket or a bug in the
             # error path itself cannot take a pool thread down with it.
-            telemetry.count("serve.errors")
+            _count_error("handler")
         finally:
             self._note_admitted(-1)
             self._slots.release()
@@ -296,7 +297,7 @@ class ClassificationServer:
         try:
             kind, body = wire.recv_frame(sock)
         except wire.FrameTooLarge as error:
-            telemetry.count("serve.errors")
+            _count_error("frame_too_large")
             self._send_error(sock, "bad-request", str(error), request_id)
             return
         except (wire.WireError, OSError):
@@ -326,7 +327,7 @@ class ClassificationServer:
                 default_disclosure=self.deployed.disclosure,
             )
         except (BadRequest, wire.WireError) as error:
-            telemetry.count("serve.errors")
+            _count_error("bad_request")
             self._send_error(sock, "bad-request", str(error), request_id)
             return
         try:
@@ -335,15 +336,16 @@ class ClassificationServer:
             ) as request_span:
                 result = self._classify(session, sock, request_span)
         except Exception as error:  # the per-request fault boundary
-            telemetry.count("serve.errors")
-            self._send_error(sock, *_sanitize(error), request_id)
+            code, message = _sanitize(error)
+            _count_error(code)
+            self._send_error(sock, code, message, request_id)
             return
         try:
             wire.send_frame(sock, wire.KIND_RESULT, wire.encode(result))
         except OSError:
             # The client hung up after the protocol finished. The
             # result is only theirs to lose -- count it, keep serving.
-            telemetry.count("serve.errors")
+            _count_error("result_send")
 
     def _classify(self, session: RequestSession, sock, request_span) -> dict:
         """Run one classification on a private context/codec/transport."""
@@ -472,6 +474,12 @@ class ClassificationServer:
             wire.send_frame(sock, wire.KIND_ERROR, body)
         except OSError:  # pragma: no cover - peer already disconnected
             pass
+
+
+def _count_error(cause: str) -> None:
+    """Count a failed request in ``serve.errors`` and its cause's counter."""
+    telemetry.count("serve.errors")
+    telemetry.count(f"serve.errors.{cause}")
 
 
 def _sanitize(error: Exception) -> tuple:

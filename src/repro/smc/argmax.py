@@ -108,7 +108,7 @@ def secure_argmax(
         chosen = blinded_pair[1] if bit else blinded_pair[0]
         bit_enc = ctx.client_encrypt(bit)
         chosen, bit_enc = ctx.channel.client_sends(
-            [ctx.rerandomize(chosen, rng=ctx.client_rng), bit_enc]
+            [ctx.client_rerandomize(chosen), bit_enc]
         )
 
         # Server: subtract blind_max + b * (blind_challenger - blind_max).

@@ -104,10 +104,20 @@ class TwoPartyContext:
         self.trace.count(Op.PAILLIER_SCALAR_MUL)
         return a * scalar
 
-    def rerandomize(self, a: PaillierCiphertext, rng=None) -> PaillierCiphertext:
-        """Ciphertext re-randomisation, counted."""
+    def rerandomize(self, a: PaillierCiphertext) -> PaillierCiphertext:
+        """Server-side ciphertext re-randomisation, counted."""
         self.trace.count(Op.PAILLIER_RERANDOMIZE)
-        return a.rerandomize(rng=rng or self.server_rng)
+        return a.rerandomize(rng=self.server_rng)
+
+    def client_rerandomize(self, a: PaillierCiphertext) -> PaillierCiphertext:
+        """Client-side re-randomisation, counted: ``a`` times a fresh
+        encryption of zero, whose nonce power the key owner computes by
+        CRT -- bit-identical to :meth:`PaillierCiphertext.rerandomize`."""
+        self.trace.count(Op.PAILLIER_RERANDOMIZE)
+        return a + self.engine.encrypt_batch(
+            self.paillier.public_key, [0], rng=self.client_rng,
+            private_key=self.paillier.private_key,
+        )[0]
 
     def blinding_noise(self, payload_bits: int, rng=None) -> int:
         """Draw additive blinding noise covering ``payload_bits`` plus
@@ -151,23 +161,28 @@ class TwoPartyContext:
             self.paillier.private_key, ciphertexts, signed=signed
         )
 
-    def scalar_mul_batch(
+    def rerandomize_batch(
+        self, ciphertexts: Sequence[PaillierCiphertext]
+    ) -> List[PaillierCiphertext]:
+        """Server-side batch re-randomisation, counted per element."""
+        self.trace.count(Op.PAILLIER_RERANDOMIZE, len(ciphertexts))
+        return self.engine.rerandomize_batch(ciphertexts, rng=self.server_rng)
+
+    def blind_batch(
         self,
         ciphertexts: Sequence[PaillierCiphertext],
         scalars: Sequence[int],
-        signed: bool = True,
+        offsets: Sequence[Optional[int]],
     ) -> List[PaillierCiphertext]:
-        """Batch homomorphic scalar multiplication, counted per element."""
+        """Server-side :meth:`CryptoEngine.blind_batch`, counted as the
+        scalar multiplications, offset adds and refreshes it fuses."""
+        adds = sum(offset is not None for offset in offsets)
         self.trace.count(Op.PAILLIER_SCALAR_MUL, len(ciphertexts))
-        return self.engine.scalar_mul_batch(ciphertexts, scalars, signed=signed)
-
-    def rerandomize_batch(
-        self, ciphertexts: Sequence[PaillierCiphertext], rng=None
-    ) -> List[PaillierCiphertext]:
-        """Batch re-randomisation, counted per element."""
+        if adds:
+            self.trace.count(Op.PAILLIER_ADD, adds)
         self.trace.count(Op.PAILLIER_RERANDOMIZE, len(ciphertexts))
-        return self.engine.rerandomize_batch(
-            ciphertexts, rng=rng or self.server_rng
+        return self.engine.blind_batch(
+            ciphertexts, scalars, offsets, rng=self.server_rng
         )
 
 

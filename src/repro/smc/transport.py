@@ -367,11 +367,6 @@ def make_transport(
     )
 
 
-def attach_transport(ctx, transport) -> None:
-    """Route a context's channel through ``transport``."""
-    ctx.channel.transport = transport
-
-
 # -- the wire peer process ---------------------------------------------------
 
 

@@ -3,18 +3,24 @@ decryption equivalence, and fused dot products."""
 
 import copy
 import dataclasses
+import random
 import threading
 
 import pytest
 
-from repro.crypto.engine import CryptoEngine, EngineError
-from repro.crypto.modexp import ModexpError
-from repro.crypto.paillier import PaillierError, PaillierPrivateKey
+from repro.crypto.engine import CryptoEngine, EngineError, _multiexp
+from repro.crypto.modexp import ModexpError, gmpy2_available, resolve_backend
+from repro.crypto.paillier import (
+    PaillierCiphertext,
+    PaillierError,
+    PaillierPrivateKey,
+)
 from repro.core.session import SessionConfig
 from repro.crypto.rand import fresh_rng
 from repro.smc.argmax import secure_argmax
 from repro.smc.context import make_context
 from repro.smc.dotproduct import encrypt_feature_vector, encrypted_dot_product
+from repro.smc.protocol import Op
 
 from tests.conftest import TEST_DGK_BITS, TEST_PAILLIER_BITS
 
@@ -347,6 +353,92 @@ class TestKeyConsistencyValidation:
         assert [paillier_keys.private_key.decrypt(c) for c in out] == [10, 18]
 
 
+class TestMultiexp:
+    """The windowed multi-exponentiation equals the product of ``pow``s
+    for every mix of widths, on both bignum backends."""
+
+    @pytest.mark.parametrize("backend_name", ["python", "gmpy2"])
+    def test_matches_pow(self, backend_name, paillier_keys):
+        if backend_name == "gmpy2" and not gmpy2_available():
+            pytest.skip("optional gmpy2 package not installed")
+        backend = resolve_backend(backend_name)
+        public = paillier_keys.public_key
+        n, n_sq = public.n, public.n_squared
+        rnd = random.Random(830)
+        wide = [n, n - 1, rnd.randrange(n), (1 << 600) - 1, 1 << 1100]
+        short = [0, 1, 2, 3, 0xFFFF, rnd.getrandbits(40), rnd.getrandbits(127)]
+        cases = [
+            [wide[0]], [short[4]], [0],
+            [wide[1], n], [short[5], wide[2]], [0, n], [short[6], 0],
+            [wide[3], short[4], 1], [wide[4], wide[0], short[5]],
+            [0, 0, 0], [short[1], short[2], short[3]],
+        ]
+        for exponents in cases:
+            bases = [rnd.randrange(1, n_sq) for _ in exponents]
+            expected = 1
+            for base, exponent in zip(bases, exponents):
+                expected = expected * pow(base, exponent, n_sq) % n_sq
+            assert _multiexp(bases, exponents, n_sq, backend) == expected
+
+    def test_negative_exponent_rejected(self, paillier_keys):
+        with pytest.raises(EngineError, match="non-negative"):
+            _multiexp([2, 3], [5, -1], paillier_keys.public_key.n_squared,
+                      resolve_backend("python"))
+
+
+class TestBlindBatch:
+    """One fused c^rho * (1 + a n) * r^n per slot, bit-identical to the
+    scalar multiplication, offset add and refresh it replaces."""
+
+    @staticmethod
+    def _unfused(engine, cts, scalars, offsets, rng):
+        """The three steps blind_batch fuses, one after another."""
+        public = cts[0].public_key
+        shifted = []
+        for ct, scalar, offset in zip(cts, scalars, offsets):
+            powered = PaillierCiphertext(
+                public_key=public,
+                value=pow(ct.value, scalar % public.n, public.n_squared),
+            )
+            shifted.append(powered if offset is None else powered + offset)
+        return engine.rerandomize_batch(shifted, rng=rng)
+
+    def test_equals_scalar_mul_add_rerandomize(
+        self, paillier_keys, serial_engine, parallel_engine
+    ):
+        public = paillier_keys.public_key
+        n = public.n
+        cts = serial_engine.encrypt_batch(
+            public, [0, 3, -7, 11], rng=fresh_rng(840)
+        )
+        scalars = [1, n - 5, fresh_rng(841).randbelow(n), n + 9]
+        offsets = [None, 4, None, 0]
+        expected = self._unfused(
+            serial_engine, cts, scalars, offsets, fresh_rng(842)
+        )
+        for engine in (serial_engine, parallel_engine):
+            fused = engine.blind_batch(
+                cts, scalars, offsets, rng=fresh_rng(842)
+            )
+            assert [c.value for c in fused] == [c.value for c in expected]
+        assert [paillier_keys.private_key.decrypt_raw(c) for c in fused] \
+            == [0, 3 * (n - 5) % n + 4, -7 * scalars[2] % n, 11 * 9]
+
+    def test_rejects_length_mismatch_and_mixed_keys(
+        self, paillier_keys, serial_engine
+    ):
+        from repro.crypto.paillier import PaillierKeyPair
+        public = paillier_keys.public_key
+        a = public.encrypt(1, rng=fresh_rng(846))
+        with pytest.raises(EngineError, match="offsets"):
+            serial_engine.blind_batch([a, a], [2, 3], [None])
+        other = PaillierKeyPair.generate(key_bits=256, rng=fresh_rng(847))
+        b = other.public_key.encrypt(1, rng=fresh_rng(848))
+        with pytest.raises(EngineError, match="ciphertext 1"):
+            serial_engine.blind_batch([a, b], [2, 3], [None, None])
+        assert serial_engine.blind_batch([], [], []) == []
+
+
 class TestPoolDraining:
     """encrypt_batch / rerandomize_batch drain an attached precompute
     pool before falling back to fresh exponentiations."""
@@ -487,6 +579,20 @@ class TestKeyOwnerEncryption:
         assert [c.value for c in singles + batch] == \
             [c.value for c in reference]
 
+    def test_client_refresh_bit_identical(self):
+        """The argmax client's refresh runs by CRT, to the value the
+        public-key path gives on the same nonce."""
+        ctx = make_context(config=SessionConfig(
+            seed=825, paillier_bits=TEST_PAILLIER_BITS,
+            dgk_bits=TEST_DGK_BITS,
+        ))
+        chosen = ctx.server_encrypt(-9)
+        rng = copy.deepcopy(ctx.client_rng)
+        reference = [chosen.rerandomize(rng=rng) for _ in range(3)]
+        refreshed = [ctx.client_rerandomize(chosen) for _ in range(3)]
+        assert [c.value for c in refreshed] == [c.value for c in reference]
+        assert ctx.trace.op_count(Op.PAILLIER_RERANDOMIZE) == 3
+
 
 class _PublicHalfOnly:
     """A key pair whose private half raises on any access."""
@@ -519,12 +625,11 @@ class TestServerRoleKeyIsolation:
             server.rerandomize(a),
             *server.rerandomize_batch([b, c]),
             server.scalar_mul(a, -2),
-            *server.scalar_mul_batch([b, c], [-1, 2]),
-            *server.scalar_mul_batch([b], [5], signed=False),
+            *server.blind_batch([b, c], [5, 1], [None, 2]),
             server.add(a, b),
         ]
         assert [private.decrypt(ct) for ct in outs] == \
-            [4, -3, 6, 4, -3, 6, -8, 3, 12, -15, 1]
+            [4, -3, 6, 4, -3, 6, -8, -15, 8, 1]
         with pytest.raises(AssertionError, match="private key"):
             server.client_encrypt(1)
 

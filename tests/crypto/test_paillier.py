@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.engine import CryptoEngine
 from repro.crypto.modexp import gmpy2_available, resolve_backend
 from repro.crypto.paillier import PaillierError, PaillierKeyPair
 from repro.crypto.rand import fresh_rng
@@ -118,17 +119,23 @@ class TestHomomorphism:
         with pytest.raises(PaillierError, match="different keys"):
             _ = a + b
 
-    def test_mul_unsigned_full_range(self, paillier_keys):
+    def test_blind_full_range(self, paillier_keys):
         n = paillier_keys.public_key.n
         ct = paillier_keys.public_key.encrypt(3, rng=fresh_rng(23))
         rho = n - 5  # far above the signed bound
         expected = (3 * rho) % n
-        assert paillier_keys.private_key.decrypt_raw(ct.mul_unsigned(rho)) == expected
+        (blinded,) = CryptoEngine().blind_batch(
+            [ct], [rho], [None], rng=fresh_rng(26)
+        )
+        assert paillier_keys.private_key.decrypt_raw(blinded) == expected
 
-    def test_mul_unsigned_of_zero_is_zero(self, paillier_keys):
+    def test_blind_of_zero_is_zero(self, paillier_keys):
         ct = paillier_keys.public_key.encrypt(0, rng=fresh_rng(24))
         rho = paillier_keys.public_key.n - 123
-        assert paillier_keys.private_key.decrypt_raw(ct.mul_unsigned(rho)) == 0
+        (blinded,) = CryptoEngine().blind_batch(
+            [ct], [rho], [None], rng=fresh_rng(27)
+        )
+        assert paillier_keys.private_key.decrypt_raw(blinded) == 0
 
 
 class TestRerandomize:

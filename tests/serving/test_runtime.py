@@ -365,3 +365,44 @@ def test_health_probe_can_carry_telemetry(deployed):
     finally:
         stop_server(server, thread)
         telemetry.configure(False, reset=True)
+
+
+def test_errors_are_counted_by_cause(deployed, rows):
+    """Each failed request raises serve.errors and exactly one
+    serve.errors.<cause> counter, so the causes always sum to the
+    total."""
+    import repro.telemetry as telemetry
+
+    telemetry.configure(True, reset=True)
+    server, thread, port = start_server(
+        deployed, max_workers=2, request_timeout_s=0.5
+    )
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+            s.sendall(bytes((wire.KIND_REQUEST,)) + b"\xff\xff\xff\xff")
+            assert wire.recv_frame(s)[0] == wire.KIND_ERROR
+        with pytest.raises(ServerError, match="bad-request"):
+            request_classification("127.0.0.1", port, [], seed=_BASE_SEED)
+        with pytest.raises(ServerError, match="internal"):
+            request_classification(
+                "127.0.0.1", port, rows[0][:2], seed=_BASE_SEED
+            )
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
+            request = {"row": rows[0], "seed": _BASE_SEED}
+            wire.send_frame(s, wire.KIND_REQUEST, wire.encode(request))
+            while wire.recv_frame(s)[0] != wire.KIND_ERROR:
+                pass  # never answer the protocol: the deadline fires
+        counters = telemetry.snapshot()["counters"]
+    finally:
+        stop_server(server, thread)
+        telemetry.configure(False, reset=True)
+    causes = {
+        name[len("serve.errors."):]: count
+        for name, count in counters.items()
+        if name.startswith("serve.errors.")
+    }
+    assert causes == {
+        "frame_too_large": 1, "bad_request": 1, "internal": 1,
+        "deadline": 1,
+    }
+    assert counters["serve.errors"] == sum(causes.values())

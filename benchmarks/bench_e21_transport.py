@@ -7,8 +7,10 @@ encrypted comparison, secure argmax) over the three channel backends:
    behaviour);
 2. **inproc** -- every message round-trips through the canonical wire
    codec in-process;
-3. **tcp** -- every message crosses a real localhost socket to a peer
-   process and back.
+3. **tcp** -- every message crosses a real socket (one end of a
+   ``socket.socketpair()``) to the shared mirror loop
+   (:func:`repro.smc.transport.mirror_frames`, the serving client's
+   echo loop) running in a thread, and back.
 
 All three must produce identical traces, so the byte counts printed
 here are the *measured* socket traffic, not a model.  The tcp-vs-bare
@@ -20,7 +22,10 @@ Results land in ``BENCH_transport.json`` so future PRs can track codec
 and transport overhead over time.
 """
 
+import contextlib
 import os
+import socket
+import threading
 import time
 
 from repro.bench import Table, write_bench_json
@@ -33,7 +38,7 @@ from repro.smc.network import NetworkProfile
 from repro.smc.transport import (
     InProcessTransport,
     TcpTransport,
-    start_wire_peer,
+    mirror_frames,
 )
 
 from conftest import BENCH_DGK_BITS, BENCH_PAILLIER_BITS
@@ -88,24 +93,28 @@ def test_e21_transport_overhead():
 
     inproc_s, inproc_trace = _best_of(_contexts(REPEATS), attach_inproc)
 
-    peer, port = start_wire_peer()
-    transports = []
+    sessions = []
 
     def attach_tcp(ctx):
-        if transports:
-            # The peer serves one connection at a time; release it
-            # before dialing the next repeat.
-            transports[-1].close()
-        transport = TcpTransport(port=port,
-                                 codec=wire.codec_for_context(ctx))
-        transports.append(transport)
+        # One socket pair per repeat; the mirror loop echoes every frame
+        # until the near end sends its KIND_RESULT.
+        near, far = socket.socketpair()
+        mirror = threading.Thread(target=mirror_frames, args=(far,),
+                                  daemon=True)
+        mirror.start()
+        transport = TcpTransport(near, wire.codec_for_context(ctx), 30.0)
+        sessions.append((near, far, mirror, transport))
         ctx.channel.transport = transport
 
     try:
         tcp_s, tcp_trace = _best_of(_contexts(REPEATS), attach_tcp)
     finally:
-        transports[-1].close(shutdown_peer=True)
-        peer.join(timeout=10)
+        for near, far, mirror, transport in sessions:
+            with contextlib.suppress(OSError):  # closed by a failed run
+                wire.send_frame(near, wire.KIND_RESULT, wire.encode(None))
+            mirror.join(timeout=10)
+            transport.close()
+            far.close()
 
     # The backends must agree on every accounted quantity.
     for trace in (inproc_trace, tcp_trace):
@@ -136,7 +145,7 @@ def test_e21_transport_overhead():
     )
     table.add_row(["bare (accounting only)", bare_s, 0.0])
     table.add_row(["inproc (codec round-trip)", inproc_s, inproc_s - bare_s])
-    table.add_row(["tcp (localhost peer process)", tcp_s, tcp_s - bare_s])
+    table.add_row(["tcp (socket pair, mirror thread)", tcp_s, tcp_s - bare_s])
     table.print()
 
     print(f"LOOPBACK model predicts {modeled_s:.6f}s of transfer for this "

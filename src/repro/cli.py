@@ -7,10 +7,9 @@ Commands
 ``tradeoff``
     Sweep privacy budgets and print the speedup curve.
 ``classify``
-    Run live hybrid (disclose-then-SMC) classifications, either through
-    the in-process transport or over a real localhost TCP socket
-    (``--transport tcp``); ``--backend shares`` swaps the online phase
-    onto the secret-sharing protocol engine.
+    Run live hybrid (disclose-then-SMC) classifications through the
+    in-process codec transport; ``--backend shares`` swaps the online
+    phase onto the secret-sharing protocol engine.
 ``serve``
     Serve a saved deployment bundle over a TCP socket, concurrently
     (``--workers``/``--queue-depth``/``--request-timeout``; see
@@ -51,12 +50,7 @@ from repro.api import (
 )
 from repro.bench import Table
 from repro.cliutil import add_format_argument, add_metrics_argument, emit
-from repro.core.session import (
-    CRYPTO_BACKENDS,
-    PROTOCOL_BACKENDS,
-    RNG_MODES,
-    TRANSPORT_BACKENDS,
-)
+from repro.core.session import CRYPTO_BACKENDS, PROTOCOL_BACKENDS, RNG_MODES
 from repro.data import (
     generate_adult_like,
     generate_cancer_like,
@@ -109,12 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="privacy budget (default 0.05)")
     classify.add_argument("--rows", type=int, default=3,
                           help="number of test rows to classify live")
-    classify.add_argument(
-        "--transport", choices=TRANSPORT_BACKENDS, default="inproc",
-        help="wire backend: 'inproc' round-trips every message through "
-             "the canonical codec in-process; 'tcp' ships every message "
-             "over a localhost socket to a peer process (default inproc)",
-    )
     add_format_argument(classify)
     add_metrics_argument(classify)
 
@@ -344,9 +332,7 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.smc import wire
-    from repro.smc.transport import (
-        InProcessTransport, TcpTransport, start_wire_peer,
-    )
+    from repro.smc.transport import InProcessTransport
 
     metered = _begin_metrics(args)
     pipeline, train, test = _fitted_pipeline(args)
@@ -358,96 +344,74 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         f"modeled speedup over pure SMC: {pipeline.speedup():.1f}x",
     ]
     ctx = pipeline.make_context(seed=args.seed + 1)
-    codec = wire.codec_for_context(ctx)
-    peer = None
-    if args.transport == "tcp":
-        peer, port = start_wire_peer()
-        transport = TcpTransport(port=port, codec=codec)
-        lines.append(f"transport: tcp (peer process on 127.0.0.1:{port})")
-    else:
-        transport = InProcessTransport(codec)
-        lines.append("transport: inproc (canonical codec round-trip)")
+    transport = InProcessTransport(wire.codec_for_context(ctx))
+    lines.append("transport: inproc (canonical codec round-trip)")
     ctx.channel.transport = transport
     mismatches = 0
     rows = []
     payload = {
         "dataset": args.dataset,
         "classifier": args.classifier,
-        "transport": args.transport,
         "budget": args.budget,
         "risk": solution.risk,
         "disclosed": names,
         "speedup": pipeline.speedup(),
         "rows": rows,
     }
-    try:
-        for row_id, row in enumerate(test.X[: args.rows]):
-            label = pipeline.classify(row, ctx=ctx)
-            expected = pipeline.secure_model.predict_quantized(row)
-            mismatches += label != expected
-            rows.append({
-                "row": row_id,
-                "secure": int(label),
-                "plaintext": int(expected),
-                "match": bool(label == expected),
-            })
+    for row_id, row in enumerate(test.X[: args.rows]):
+        label = pipeline.classify(row, ctx=ctx)
+        expected = pipeline.secure_model.predict_quantized(row)
+        mismatches += label != expected
+        rows.append({
+            "row": row_id,
+            "secure": int(label),
+            "plaintext": int(expected),
+            "match": bool(label == expected),
+        })
+        lines.append(
+            f"row {row_id}: secure={label} plaintext={expected} "
+            f"{'OK' if label == expected else 'MISMATCH'}"
+        )
+    lines.append(f"traffic: {ctx.trace.total_bytes} bytes over "
+                 f"{ctx.trace.rounds} rounds")
+    live_ops = {op.value: n for op, n in ctx.trace.ops.items()}
+    payload["traffic"] = {
+        "bytes": ctx.trace.total_bytes,
+        "rounds": ctx.trace.rounds,
+        "messages": ctx.trace.messages,
+        "ops": live_ops,
+    }
+    measured = transport.stats.total_bytes
+    payload["measured_bytes"] = measured
+    if measured != ctx.trace.total_bytes:
+        lines.append(f"WARNING: transport measured {measured} bytes; "
+                     f"accounting disagrees")
+        mismatches += 1
+    if metered:
+        telemetry_bytes = telemetry.wire_bytes_total(telemetry.snapshot())
+        payload["telemetry_wire_bytes"] = telemetry_bytes
+        if telemetry_bytes != ctx.trace.total_bytes:
             lines.append(
-                f"row {row_id}: secure={label} plaintext={expected} "
-                f"{'OK' if label == expected else 'MISMATCH'}"
+                f"WARNING: telemetry attributed {telemetry_bytes} wire "
+                f"bytes; trace accounted {ctx.trace.total_bytes}"
             )
-        lines.append(f"traffic: {ctx.trace.total_bytes} bytes over "
-                     f"{ctx.trace.rounds} rounds")
-        live_ops = {op.value: n for op, n in ctx.trace.ops.items()}
-        payload["traffic"] = {
-            "bytes": ctx.trace.total_bytes,
-            "rounds": ctx.trace.rounds,
-            "messages": ctx.trace.messages,
-            "ops": live_ops,
-        }
-        measured = transport.stats.total_bytes
-        payload["measured_bytes"] = measured
-        if measured != ctx.trace.total_bytes:
-            lines.append(f"WARNING: transport measured {measured} bytes; "
-                         f"accounting disagrees")
             mismatches += 1
-        elif args.transport == "tcp":
-            peer_counts = transport.peer_stats()
-            payload["peer_bytes_received"] = peer_counts["bytes_received"]
+        else:
             lines.append(
-                f"measured on the socket: {measured} bytes "
-                f"({transport.stats.frames} frames; peer saw "
-                f"{peer_counts['bytes_received']} bytes) -- matches "
-                f"the trace exactly"
+                f"telemetry wire bytes reconcile with the trace: "
+                f"{telemetry_bytes} bytes"
             )
-        if metered:
-            telemetry_bytes = telemetry.wire_bytes_total(telemetry.snapshot())
-            payload["telemetry_wire_bytes"] = telemetry_bytes
-            if telemetry_bytes != ctx.trace.total_bytes:
-                lines.append(
-                    f"WARNING: telemetry attributed {telemetry_bytes} wire "
-                    f"bytes; trace accounted {ctx.trace.total_bytes}"
-                )
-                mismatches += 1
-            else:
-                lines.append(
-                    f"telemetry wire bytes reconcile with the trace: "
-                    f"{telemetry_bytes} bytes"
-                )
-            counters = telemetry.snapshot()["counters"]
-            published = {
-                name[len("op."):]: value for name, value in counters.items()
-                if name.startswith("op.")
-            }
-            if published != live_ops:
-                lines.append(
-                    "WARNING: telemetry op.* counters disagree with the "
-                    "trace's ops"
-                )
-                mismatches += 1
-    finally:
-        if peer is not None:
-            transport.close(shutdown_peer=True)
-            peer.join(timeout=10)
+        counters = telemetry.snapshot()["counters"]
+        published = {
+            name[len("op."):]: value for name, value in counters.items()
+            if name.startswith("op.")
+        }
+        if published != live_ops:
+            lines.append(
+                "WARNING: telemetry op.* counters disagree with the "
+                "trace's ops"
+            )
+            mismatches += 1
     payload["mismatches"] = mismatches
     emit(args.format, text="\n".join(lines), payload=payload)
     if metered:

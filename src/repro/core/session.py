@@ -1,6 +1,6 @@
 """Session configuration: one object for a whole two-party session.
 
-Key sizes, bignum and protocol backends, transport policy, randomness
+Key sizes, bignum and protocol backends, socket timeouts, randomness
 mode, serving policy and the telemetry switch live in one validated
 dataclass, :class:`SessionConfig`, accepted everywhere a session is
 built (:func:`repro.smc.context.make_context`,
@@ -24,10 +24,6 @@ from repro.core.exceptions import ReproError
 #: this module stays import-light; a unit test asserts the two stay in
 #: sync).
 CRYPTO_BACKENDS = ("auto", "python", "gmpy2")
-
-#: Transport backends, mirrored from
-#: :data:`repro.smc.transport.TRANSPORT_BACKENDS` (same sync test).
-TRANSPORT_BACKENDS = ("inproc", "tcp")
 
 #: Protocol backends, mirrored from
 #: :data:`repro.secure.backends.PROTOCOL_BACKENDS` (same sync test).
@@ -59,19 +55,16 @@ class SessionConfig:
         (GMP; raises if the optional package is missing). All backends
         are bit-for-bit identical -- this is a wall-clock knob only.
         See ``docs/PERFORMANCE.md``.
-    transport_backend:
-        Wire backend for live protocol runs: ``"inproc"`` round-trips
-        every message through the canonical codec in-process, ``"tcp"``
-        ships each message over a localhost socket to a peer process.
     protocol_backend:
         Online-phase protocol engine: ``"paillier"`` (default; the
         paper's homomorphic protocol stack, all work online) or
         ``"shares"`` (additive secret sharing over precomputed Beaver
         triples; ring arithmetic online, triple dealing offline). The
         CLI surfaces this as ``--backend``.
-    connect_timeout / io_timeout / transport_retries / backoff_seconds:
-        Socket transport policy (see
-        :class:`repro.smc.transport.TransportConfig`).
+    connect_timeout / io_timeout:
+        Socket timeouts in seconds: one connect attempt (the fleet
+        frontend dialing a shard) and one blocking send/receive on a
+        served connection.
     rng_mode:
         ``"deterministic"`` (seeded, reproducible transcripts) or
         ``"system"`` (OS entropy; suitable for real key material, not
@@ -119,12 +112,9 @@ class SessionConfig:
     dgk_plaintext_bits: int = 16
     statistical_security_bits: int = DEFAULT_STATISTICAL_SECURITY_BITS
     crypto_backend: str = "auto"
-    transport_backend: str = "inproc"
     protocol_backend: str = "paillier"
     connect_timeout: float = 5.0
     io_timeout: float = 30.0
-    transport_retries: int = 3
-    backoff_seconds: float = 0.05
     rng_mode: str = "deterministic"
     telemetry: bool = False
     max_workers: int = 4
@@ -140,11 +130,6 @@ class SessionConfig:
                 f"unknown crypto backend {self.crypto_backend!r}; "
                 f"expected one of {CRYPTO_BACKENDS}"
             )
-        if self.transport_backend not in TRANSPORT_BACKENDS:
-            raise ReproError(
-                f"unknown transport backend {self.transport_backend!r}; "
-                f"expected one of {TRANSPORT_BACKENDS}"
-            )
         if self.protocol_backend not in PROTOCOL_BACKENDS:
             raise ReproError(
                 f"unknown protocol backend {self.protocol_backend!r}; "
@@ -159,8 +144,6 @@ class SessionConfig:
                      "statistical_security_bits"):
             if getattr(self, name) <= 0:
                 raise ReproError(f"{name} must be positive")
-        if self.transport_retries < 0:
-            raise ReproError("transport_retries must be non-negative")
         if self.max_workers < 1:
             raise ReproError(
                 f"max_workers must be positive, got {self.max_workers}"
@@ -193,7 +176,7 @@ class SessionConfig:
         """Build a config from a parsed CLI namespace.
 
         Reads whichever of ``--seed``, ``--crypto-backend``,
-        ``--transport``, ``--backend``, ``--rng-mode``,
+        ``--backend``, ``--rng-mode``,
         ``--metrics``, ``--queue-depth``, ``--request-timeout``,
         ``--shards``, ``--ledger`` and ``--privacy-budget`` the
         subcommand defined; anything absent keeps its default.
@@ -203,7 +186,6 @@ class SessionConfig:
         for field_name, arg_name in (
             ("seed", "seed"),
             ("crypto_backend", "crypto_backend"),
-            ("transport_backend", "transport"),
             ("protocol_backend", "backend"),
             ("rng_mode", "rng_mode"),
             ("queue_depth", "queue_depth"),

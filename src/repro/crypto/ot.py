@@ -69,11 +69,6 @@ class OTPublicParameters:
     x0: int
     x1: int
 
-    def serialized_size_bytes(self) -> int:
-        """Wire size: three modulus-sized integers plus the exponent."""
-        per_int = (self.modulus.bit_length() + 7) // 8
-        return 3 * per_int + 4
-
 
 class ObliviousTransferSender:
     """Sender side of 1-out-of-2 OT.

@@ -55,7 +55,7 @@ from repro.secure.backends import make_protocol_backend
 from repro.serving.budget import BudgetEnforcer, identity_for_context
 from repro.serving.session import BadRequest, RequestSession
 from repro.smc import wire
-from repro.smc.transport import TcpTransport, TransportConfig, TransportError
+from repro.smc.transport import TcpTransport, TransportError
 
 
 class ClassificationServer:
@@ -79,8 +79,9 @@ class ClassificationServer:
         ``"shares"`` server shares one offline triple store across
         requests), ``ledger_path`` / ``privacy_budget`` (per-client
         cumulative privacy-budget enforcement; see
-        :mod:`repro.serving.budget` and ``docs/PRIVACY.md``) and the
-        transport timeout fields.
+        :mod:`repro.serving.budget` and ``docs/PRIVACY.md``) and
+        ``io_timeout`` (the socket deadline when ``request_timeout_s``
+        is unset).
     max_connections:
         Stop accepting after this many accepted connections (shed ones
         included) and drain; ``None`` serves until :meth:`shutdown` or
@@ -277,23 +278,16 @@ class ClassificationServer:
             self._note_admitted(-1)
             self._slots.release()
 
-    def _transport_config(self) -> TransportConfig:
+    def _io_timeout(self) -> float:
+        """Per-request socket deadline: ``request_timeout_s`` if set."""
         cfg = self.config
-        io_timeout = (
-            cfg.request_timeout_s
-            if cfg.request_timeout_s is not None
-            else cfg.io_timeout
-        )
-        return TransportConfig(
-            connect_timeout=cfg.connect_timeout,
-            io_timeout=io_timeout,
-            retries=0,  # a serving socket is never redialed
-            backoff_seconds=cfg.backoff_seconds,
-        )
+        if cfg.request_timeout_s is not None:
+            return cfg.request_timeout_s
+        return cfg.io_timeout
 
     def _handle(self, sock: socket.socket, request_id: str) -> None:
         """Serve one accepted connection end to end."""
-        sock.settimeout(self._transport_config().io_timeout)
+        sock.settimeout(self._io_timeout())
         try:
             kind, body = wire.recv_frame(sock)
         except wire.FrameTooLarge as error:
@@ -384,9 +378,7 @@ class ClassificationServer:
         wire_sock = sock.dup()
         try:
             transport = TcpTransport(
-                codec=wire.codec_for_context(ctx),
-                config=self._transport_config(),
-                sock=wire_sock,
+                wire_sock, wire.codec_for_context(ctx), self._io_timeout()
             )
             ctx.channel.transport = transport
             label = self.deployed.classify(

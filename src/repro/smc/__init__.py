@@ -9,9 +9,9 @@ This package is the SMC substrate the secure classifiers run on:
   direction, messages, rounds), plus latency/bandwidth network profiles
   (LAN / WAN / loopback). A channel optionally routes every payload
   through a transport.
-* :mod:`repro.smc.transport` -- pluggable transports: in-process codec
-  round-trip and a real TCP socket backend with a mirror peer process,
-  timeouts and bounded retry; plus socket serving of deployment bundles.
+* :mod:`repro.smc.transport` -- transports: in-process codec round-trip
+  and a TCP socket backend whose far end mirrors every frame, with
+  timeouts; plus socket serving of deployment bundles.
 * :mod:`repro.smc.protocol` -- execution traces: operation counters,
   transfer statistics and wall-clock timing shared by all protocols.
 * :mod:`repro.smc.comparison` -- the DGK private-input comparison and the
@@ -43,7 +43,6 @@ _TRANSPORT_EXPORTS = frozenset({
     "TcpTransport",
     "TransportConfig",
     "TransportError",
-    "make_transport",
 })
 
 
@@ -70,5 +69,4 @@ __all__ = [
     "TransportError",
     "WireCodec",
     "WireError",
-    "make_transport",
 ]

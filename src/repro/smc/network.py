@@ -11,8 +11,8 @@ Every logical wire crossing goes through a :class:`Channel`, which
 
 A channel optionally carries a *transport* (see
 :mod:`repro.smc.transport`): when attached, every payload is actually
-encoded, shipped across the transport (e.g. a localhost TCP socket to a
-peer process), decoded on the far side and handed back -- the protocol
+encoded, shipped across the transport (e.g. a TCP socket whose far end
+mirrors each frame), decoded on the far side and handed back -- the protocol
 then runs on data that genuinely crossed the wire, and the measured
 frame bytes are asserted against the trace accounting.
 
@@ -54,18 +54,12 @@ def wire_size(payload: Any) -> int:
     (``wire_size(-255) != wire_size(255)`` resolves to two distinct
     encodings of equal, unambiguous length) and numpy scalars
     (``np.int64``, ``np.bool_``, ...) are sized like their canonical
-    Python equivalents.
-
-    Objects that expose ``serialized_size_bytes()`` but have no codec
-    encoding (e.g. OT parameter blocks) are sized at their declared
-    width plus the element overhead; they can be accounted in the
-    simulator but not shipped over a real transport.
+    Python equivalents. A payload the codec cannot encode cannot cross
+    the wire, so it raises :class:`ChannelError`.
     """
     try:
         return wire.encoded_size(payload)
     except wire.WireError:
-        if hasattr(payload, "serialized_size_bytes"):
-            return wire.ELEMENT_OVERHEAD + payload.serialized_size_bytes()
         raise ChannelError(
             f"cannot size payload of type {type(payload).__name__}"
         ) from None

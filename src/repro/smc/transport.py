@@ -1,39 +1,41 @@
-"""Pluggable two-party transports: in-process and real TCP sockets.
+"""Two-party transports: in-process and over a TCP socket.
 
 The protocols in this library are written as straight-line two-party
 computations driven through an accounted :class:`~repro.smc.network.Channel`.
-This module makes the *wire* under that channel real and pluggable:
+This module makes the *wire* under that channel real:
 
 * :class:`InProcessTransport` -- the payload is round-tripped through
   the canonical codec (:mod:`repro.smc.wire`) in the same address
   space. No sockets, but every message is genuinely encoded and
   decoded, so codec fidelity is load-bearing even in-process.
 * :class:`TcpTransport` -- every channel message is framed and shipped
-  over a localhost/LAN TCP socket to a *peer process* (the remote
-  endpoint of the wire), which decodes it, re-encodes it canonically
-  and returns it. The protocol then computes on data that physically
-  crossed the network, and both endpoints independently measure the
-  frame bytes, which must equal the trace accounting exactly.
+  over a connected TCP socket whose far end runs
+  :func:`mirror_frames`: it decodes the frame, re-encodes it
+  canonically and returns it. The protocol then computes on data that
+  physically crossed the socket, and both endpoints independently
+  measure the frame bytes, which must equal the trace accounting
+  exactly.
 
 On top of the message transports sits the deployment serving path:
-:func:`serve_deployment` runs a classification server -- since PR 5 a
-thin wrapper over the concurrent, fault-isolated
-:class:`repro.serving.ClassificationServer` runtime -- that loads a
-deployment bundle and serves live hybrid queries over a socket;
-:func:`request_classification` is the matching *client process* side.
-Each query's protocol messages all cross the socket between the two
-processes, and the client gets back the label plus the server's trace
-accounting together with its own independent byte counts.
+:func:`serve_deployment` runs a classification server -- a thin
+wrapper over the concurrent, fault-isolated
+:class:`repro.serving.ClassificationServer` runtime, which drives a
+:class:`TcpTransport` on every socket it accepts -- and
+:func:`request_classification` is the matching *client process* side,
+which runs :func:`mirror_frames`. Each query's protocol messages all
+cross the socket between the two processes, and the client gets back
+the label plus the server's trace accounting together with its own
+independent byte counts.
 
-Failure semantics: connects and reads are bounded by timeouts; transient
-connection failures (refused connects, connections dropped mid-protocol)
-are retried with exponential backoff up to a bounded attempt budget;
-anything that exhausts the budget or hits a hard timeout raises
-:class:`TransportError` -- no hung processes, no silent corruption. A
-server that *rejects* a request (overload, bad request, deadline, an
-internal handler failure) answers a ``KIND_ERROR`` frame, which the
-client raises as a typed :class:`ServerError` carrying the machine
--readable code.
+Failure semantics: connects and reads are bounded by timeouts. The
+client retries a refused or failed connect with jittered exponential
+backoff up to a bounded attempt budget; once connected, any socket or
+wire failure raises :class:`TransportError` at once and nothing is
+resent -- no hung processes, no silent corruption. A server that
+*rejects* a request (overload, bad request, deadline, an internal
+handler failure) answers a ``KIND_ERROR`` frame, which the client
+raises as a typed :class:`ServerError` carrying the machine-readable
+code.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ import multiprocessing
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-import repro.telemetry as telemetry
 from repro.crypto.rand import secure_rng
 from repro.smc import wire
 from repro.smc.network import Direction
@@ -86,19 +87,18 @@ class ServerError(TransportError):
 
 @dataclass(frozen=True)
 class TransportConfig:
-    """Timeout and retry policy for socket transports.
+    """Timeout and connect-retry policy of :func:`request_classification`.
 
     Attributes
     ----------
     connect_timeout:
         Seconds allowed for one TCP connect attempt.
     io_timeout:
-        Seconds allowed for one blocking send/receive. A hard timeout is
+        Seconds allowed for one blocking send/receive. A timeout is
         not retried: the peer is alive-but-stuck, and retrying would
         just hang for longer.
     retries:
-        Additional attempts after the first on *transient* failures
-        (connection refused, connection dropped mid-exchange).
+        Additional connect attempts after the first.
     backoff_seconds:
         Initial retry delay window; doubles per retry. Each retry
         actually sleeps a uniform *full jitter* draw from
@@ -177,94 +177,34 @@ class InProcessTransport:
 
 
 class TcpTransport:
-    """Channel transport backed by a real TCP connection to a peer.
+    """Channel transport over a connected TCP socket.
+
+    The far end of the socket runs :func:`mirror_frames`: it decodes
+    each protocol frame and answers with its canonical re-encoding. The
+    serving runtime drives one of these on every socket it accepts.
 
     Parameters
     ----------
-    host / port:
-        The wire peer's listening address (see :func:`start_wire_peer`).
-    codec:
-        Codec holding the session's public keys; its keyring is sent to
-        the peer at handshake so both endpoints decode identically.
-    config:
-        Timeout/retry policy.
     sock:
-        An already-connected socket to adopt instead of dialing out
-        (used by the serving path, where the server answers on the
-        connection the client opened). Adopted sockets skip the keyring
-        handshake unless ``handshake`` is true.
+        A connected socket. The transport sends the codec's keyring on
+        it at construction, so both ends decode identically.
+    codec:
+        Codec holding the session's public keys.
+    io_timeout:
+        Seconds allowed for one blocking send/receive.
     """
 
     def __init__(
-        self,
-        host: str = _LOCALHOST,
-        port: int = 0,
-        codec: wire.WireCodec = wire.WireCodec(),
-        config: TransportConfig = TransportConfig(),
-        sock: Optional[socket.socket] = None,
-        handshake: bool = True,
+        self, sock: socket.socket, codec: wire.WireCodec, io_timeout: float
     ) -> None:
-        self.host = host
-        self.port = port
         self.codec = codec
-        self.config = config
+        self.io_timeout = io_timeout
         self.stats = TransportStats()
         self.last_frame_bytes = 0
         self._sock: Optional[socket.socket] = sock
-        self._adopted = sock is not None
-        if sock is not None:
-            sock.settimeout(config.io_timeout)
-            if handshake:
-                self._send_keyring(sock)
-        self._closed = False
-
-    # -- connection management ------------------------------------------
-
-    def _send_keyring(self, sock: socket.socket) -> None:
-        keyring = wire.keyring_payload(
-            paillier=self.codec.paillier, dgk=self.codec.dgk
-        )
+        sock.settimeout(io_timeout)
+        keyring = wire.keyring_payload(paillier=codec.paillier, dgk=codec.dgk)
         wire.send_frame(sock, wire.KIND_KEYS, wire.encode(keyring))
-
-    def _connect(self) -> socket.socket:
-        """Dial the peer with bounded retry-with-backoff."""
-        delay = self.config.backoff_seconds
-        last_error: Optional[Exception] = None
-        for attempt in range(self.config.retries + 1):
-            if attempt:
-                telemetry.count("transport.connect_retries")
-                _backoff_sleep(delay)
-                delay *= 2
-            try:
-                sock = socket.create_connection(
-                    (self.host, self.port), timeout=self.config.connect_timeout
-                )
-                sock.settimeout(self.config.io_timeout)
-                self._send_keyring(sock)
-                return sock
-            except (ConnectionError, socket.timeout, OSError) as error:
-                last_error = error
-        raise TransportError(
-            f"could not connect to wire peer at {self.host}:{self.port} "
-            f"after {self.config.retries + 1} attempts: {last_error}"
-        )
-
-    def _ensure_sock(self) -> socket.socket:
-        if self._closed:
-            raise TransportError("transport is closed")
-        if self._sock is None:
-            self._sock = self._connect()
-        return self._sock
-
-    def _drop_sock(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-            self._sock = None
-
-    # -- the transport contract -----------------------------------------
 
     def exchange(self, direction: Direction, payload: Any) -> Any:
         """Ship one protocol message across the socket and back.
@@ -273,208 +213,107 @@ class TcpTransport:
         re-encoding; the returned payload is the decode of that reply,
         so every value the protocol computes on has survived a real
         encode -> wire -> decode -> encode -> wire -> decode cycle.
-        Frame sizes are verified on both legs.
+        A socket or wire failure closes the transport and raises
+        :class:`TransportError`; nothing is resent.
         """
+        if self._sock is None:
+            raise TransportError("transport is closed")
         body = wire.encode(payload)
-        frame_bytes = wire.FRAME_OVERHEAD + len(body)
-        delay = self.config.backoff_seconds
-        last_error: Optional[Exception] = None
-        for attempt in range(self.config.retries + 1):
-            if attempt:
-                telemetry.count("transport.retries")
-                _backoff_sleep(delay)
-                delay *= 2
-            try:
-                sock = self._ensure_sock()
-                wire.send_frame(sock, wire.KIND_MSG, body)
-                kind, reply = wire.recv_frame(sock)
-            except socket.timeout as error:
-                # A hard timeout means the peer is stuck, not gone;
-                # retrying would hang for another full window.
-                self._drop_sock()
-                raise TransportError(
-                    f"timed out after {self.config.io_timeout}s waiting "
-                    f"for the wire peer"
-                ) from error
-            except (ConnectionError, wire.WireError, OSError) as error:
-                # Dropped connection: reconnect (fresh handshake) and
-                # resend. The exchange is a pure function of the frame,
-                # so resending is idempotent.
-                telemetry.count("transport.reconnects")
-                last_error = error
-                self._drop_sock()
-                continue
-            if kind != wire.KIND_MSG:
-                raise TransportError(
-                    f"wire peer answered frame kind 0x{kind:02X}, "
-                    f"expected a mirrored message"
-                )
-            if reply != body:
-                raise TransportError(
-                    "wire peer's canonical re-encoding differs from the "
-                    "sent frame; codec is not canonical"
-                )
-            self.last_frame_bytes = frame_bytes
-            self.stats.record(direction, frame_bytes)
-            return self.codec.decode(reply)
-        raise TransportError(
-            f"exchange failed after {self.config.retries + 1} attempts: "
-            f"{last_error}"
-        )
-
-    def peer_stats(self) -> Dict[str, int]:
-        """Ask the peer for its independent byte accounting."""
-        sock = self._ensure_sock()
         try:
-            wire.send_frame(sock, wire.KIND_STATS, wire.encode(None))
-            kind, reply = wire.recv_frame(sock)
-        except (ConnectionError, socket.timeout, OSError) as error:
-            raise TransportError(f"stats request failed: {error}") from error
-        if kind != wire.KIND_STATS:
-            raise TransportError(f"unexpected stats reply kind 0x{kind:02X}")
+            wire.send_frame(self._sock, wire.KIND_MSG, body)
+            kind, reply = wire.recv_frame(self._sock)
+        except socket.timeout as error:
+            self.close()
+            raise TransportError(
+                f"timed out after {self.io_timeout}s waiting for the peer"
+            ) from error
+        except (wire.WireError, OSError) as error:
+            self.close()
+            raise TransportError(
+                f"connection to the peer failed: {error}"
+            ) from error
+        if kind != wire.KIND_MSG:
+            raise TransportError(
+                f"peer answered frame kind 0x{kind:02X}, "
+                f"expected a mirrored message"
+            )
+        if reply != body:
+            raise TransportError(
+                "peer's canonical re-encoding differs from the sent "
+                "frame; codec is not canonical"
+            )
+        self.last_frame_bytes = wire.FRAME_OVERHEAD + len(body)
+        self.stats.record(direction, self.last_frame_bytes)
         return self.codec.decode(reply)
 
-    def close(self, shutdown_peer: bool = False) -> None:
-        """Close the connection; optionally stop the peer process."""
+    def close(self) -> None:
+        """Close the socket; later exchanges raise."""
         if self._sock is not None:
             try:
-                kind = wire.KIND_SHUTDOWN if shutdown_peer else wire.KIND_CLOSE
-                wire.send_frame(self._sock, kind, wire.encode(None))
-            except OSError:  # pragma: no cover - peer may already be gone
+                self._sock.close()
+            except OSError:  # pragma: no cover - close is best-effort
                 pass
-        self._drop_sock()
-        self._closed = True
+            self._sock = None
 
 
-TRANSPORT_BACKENDS = ("inproc", "tcp")
+def mirror_frames(
+    sock: socket.socket, pace_seconds: float = 0.0
+) -> Tuple[Any, Dict[str, int]]:
+    """The far end of a :class:`TcpTransport`: echo frames until a result.
 
-
-def make_transport(
-    backend: str,
-    codec: wire.WireCodec,
-    host: str = _LOCALHOST,
-    port: int = 0,
-    config: TransportConfig = TransportConfig(),
-):
-    """Build a transport by backend name (``inproc`` or ``tcp``)."""
-    if backend == "inproc":
-        return InProcessTransport(codec)
-    if backend == "tcp":
-        return TcpTransport(host=host, port=port, codec=codec, config=config)
-    raise TransportError(
-        f"unknown transport backend {backend!r}; expected one of "
-        f"{TRANSPORT_BACKENDS}"
-    )
-
-
-# -- the wire peer process ---------------------------------------------------
-
-
-def _serve_wire_connection(
-    sock: socket.socket,
-    codec_box: List[Optional[wire.WireCodec]],
-    counters: Dict[str, int],
-    drop_after: Optional[int],
-) -> str:
-    """Serve one accepted connection of the mirror peer.
-
-    Returns ``"shutdown"`` when the client asked the peer to exit,
-    ``"dropped"`` after an injected mid-protocol drop, else ``"closed"``.
+    A ``KIND_KEYS`` frame sets the codec; each ``KIND_MSG`` frame is
+    decoded and answered with its canonical re-encoding; ``KIND_RESULT``
+    ends the loop and returns its decoded payload together with this
+    end's own frame counts (``frames``, ``bytes_received``,
+    ``bytes_sent``). A ``KIND_ERROR`` frame raises :class:`ServerError`;
+    a timeout, a dropped connection or any other frame kind raises
+    :class:`TransportError`. ``pace_seconds`` sleeps before echoing
+    each frame, to simulate a remote peer's per-round latency.
     """
+    stats: Dict[str, int] = {
+        "frames": 0, "bytes_received": 0, "bytes_sent": 0
+    }
+    codec: Optional[wire.WireCodec] = None
     while True:
         try:
             kind, body = wire.recv_frame(sock)
-        except wire.WireError:
-            return "closed"  # client went away; await the next connection
+        except socket.timeout as error:
+            raise TransportError(
+                f"peer timed out after {sock.gettimeout()}s"
+            ) from error
+        except wire.WireError as error:
+            raise TransportError(
+                f"peer dropped the connection: {error}"
+            ) from error
         if kind == wire.KIND_KEYS:
-            codec_box[0] = wire.codec_from_keyring(
-                wire.WireCodec().decode(body)
-            )
+            codec = wire.codec_from_keyring(wire.WireCodec().decode(body))
             continue
         if kind == wire.KIND_MSG:
-            counters["frames"] += 1
-            counters["bytes_received"] += wire.FRAME_OVERHEAD + len(body)
-            if drop_after is not None and counters["frames"] == drop_after \
-                    and not counters.get("dropped"):
-                # Fault injection: kill the connection mid-protocol,
-                # exactly once. The peer keeps listening; a transport
-                # with retry enabled reconnects and resends.
-                counters["dropped"] = 1
-                sock.close()
-                return "dropped"
-            codec = codec_box[0]
             if codec is None:
-                return "closed"
+                raise TransportError(
+                    "peer sent protocol frames before its keyring"
+                )
+            stats["frames"] += 1
+            stats["bytes_received"] += wire.FRAME_OVERHEAD + len(body)
             payload = codec.decode(body)
-            reencoded = wire.encode(payload)
-            counters["bytes_sent"] += wire.send_frame(
-                sock, wire.KIND_MSG, reencoded
+            if pace_seconds > 0.0:
+                time.sleep(pace_seconds)
+            stats["bytes_sent"] += wire.send_frame(
+                sock, wire.KIND_MSG, wire.encode(payload)
             )
             continue
-        if kind == wire.KIND_STATS:
-            wire.send_frame(sock, wire.KIND_STATS, wire.encode(dict(counters)))
-            continue
-        if kind == wire.KIND_CLOSE:
-            return "closed"
-        if kind == wire.KIND_SHUTDOWN:
-            return "shutdown"
-        return "closed"
-
-
-def wire_peer_serve(
-    listener: socket.socket, drop_after: Optional[int] = None
-) -> None:
-    """Accept loop of the mirror peer: decode every protocol frame,
-    answer with its canonical re-encoding, keep independent byte counts.
-
-    ``drop_after`` injects exactly one mid-protocol connection drop
-    after that many mirrored frames (for fault-injection tests).
-    """
-    codec_box: List[Optional[wire.WireCodec]] = [None]
-    counters: Dict[str, int] = {
-        "frames": 0, "bytes_received": 0, "bytes_sent": 0
-    }
-    while True:
-        try:
-            sock, _ = listener.accept()
-        except OSError:  # pragma: no cover - listener closed under us
-            return
-        with sock:
-            outcome = _serve_wire_connection(
-                sock, codec_box, counters, drop_after
+        if kind == wire.KIND_ERROR:
+            report = wire.WireCodec().decode(body)
+            raise ServerError(
+                code=str(report.get("code", "internal")),
+                message=str(report.get("message", "")),
+                request_id=str(report.get("request_id", "")),
             )
-        if outcome == "shutdown":
-            return
-
-
-def _wire_peer_main(ready, drop_after: Optional[int]) -> None:
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((_LOCALHOST, 0))
-    listener.listen(4)
-    ready.send(listener.getsockname()[1])
-    ready.close()
-    with listener:
-        wire_peer_serve(listener, drop_after=drop_after)
-
-
-def start_wire_peer(
-    drop_after: Optional[int] = None,
-) -> Tuple[multiprocessing.Process, int]:
-    """Launch the mirror peer in a separate process.
-
-    Returns ``(process, port)``; the peer listens on localhost and runs
-    until it receives a shutdown frame (or is terminated).
-    """
-    parent, child = multiprocessing.Pipe()
-    process = multiprocessing.Process(
-        target=_wire_peer_main, args=(child, drop_after), daemon=True
-    )
-    process.start()
-    child.close()
-    port = parent.recv()
-    parent.close()
-    return process, port
+        if kind == wire.KIND_RESULT:
+            return wire.WireCodec().decode(body), stats
+        raise TransportError(
+            f"unexpected frame kind 0x{kind:02X} from the peer"
+        )
 
 
 # -- deployment serving over a socket ---------------------------------------
@@ -613,8 +452,9 @@ def request_classification(
     """Client-process side of one served query.
 
     Connects to a :func:`serve_deployment` server, submits the query,
-    mirrors every protocol frame (each crosses the socket physically),
-    and returns the label plus both endpoints' byte accounting.
+    mirrors every protocol frame through :func:`mirror_frames` (each
+    crosses the socket physically), and returns the label plus both
+    endpoints' byte accounting.
 
     ``pace_seconds`` sleeps before mirroring each protocol frame,
     simulating a remote client's per-round network latency (localhost
@@ -644,8 +484,8 @@ def request_classification(
             last_error = error
     if sock is None:
         raise TransportError(
-            f"could not reach classification server at {host}:{port}: "
-            f"{last_error}"
+            f"could not reach classification server at {host}:{port} "
+            f"after {config.retries + 1} attempts: {last_error}"
         )
     sock.settimeout(config.io_timeout)
     request = {
@@ -655,57 +495,13 @@ def request_classification(
             [int(i) for i in disclosure] if disclosure is not None else None
         ),
     }
-    stats: Dict[str, int] = {
-        "frames": 0, "bytes_received": 0, "bytes_sent": 0
-    }
-    codec: Optional[wire.WireCodec] = None
     with sock:
         wire.send_frame(sock, wire.KIND_REQUEST, wire.encode(request))
-        while True:
-            try:
-                kind, body = wire.recv_frame(sock)
-            except socket.timeout as error:
-                raise TransportError(
-                    f"classification server timed out after "
-                    f"{config.io_timeout}s"
-                ) from error
-            except wire.WireError as error:
-                raise TransportError(
-                    f"classification server dropped the connection: {error}"
-                ) from error
-            if kind == wire.KIND_KEYS:
-                codec = wire.codec_from_keyring(wire.WireCodec().decode(body))
-                continue
-            if kind == wire.KIND_MSG:
-                if codec is None:
-                    raise TransportError(
-                        "server sent protocol frames before its keyring"
-                    )
-                stats["frames"] += 1
-                stats["bytes_received"] += wire.FRAME_OVERHEAD + len(body)
-                payload = codec.decode(body)
-                if pace_seconds > 0.0:
-                    time.sleep(pace_seconds)
-                stats["bytes_sent"] += wire.send_frame(
-                    sock, wire.KIND_MSG, wire.encode(payload)
-                )
-                continue
-            if kind == wire.KIND_ERROR:
-                report = wire.WireCodec().decode(body)
-                raise ServerError(
-                    code=str(report.get("code", "internal")),
-                    message=str(report.get("message", "")),
-                    request_id=str(report.get("request_id", "")),
-                )
-            if kind == wire.KIND_RESULT:
-                result = wire.WireCodec().decode(body)
-                return ClassificationResult(
-                    label=int(result["label"]),
-                    server_trace=result["trace"],
-                    client_stats=stats,
-                    request_id=str(result.get("request_id", "")),
-                    budget=result.get("budget"),
-                )
-            raise TransportError(
-                f"unexpected frame kind 0x{kind:02X} from the server"
-            )
+        result, stats = mirror_frames(sock, pace_seconds)
+    return ClassificationResult(
+        label=int(result["label"]),
+        server_trace=result["trace"],
+        client_stats=stats,
+        request_id=str(result.get("request_id", "")),
+        budget=result.get("budget"),
+    )

@@ -130,8 +130,9 @@ KIND_MSG = 0x01        # a protocol message (mirror/forward me)
 KIND_KEYS = 0x02       # session keyring (public keys for the codec)
 KIND_REQUEST = 0x03    # classification request (row, disclosure, seed)
 KIND_RESULT = 0x04     # classification result (label + trace summary)
-KIND_STATS = 0x05      # byte-accounting stats request / reply
-KIND_CLOSE = 0x06      # end of session (connection may be reused)
+# 0x05 and 0x06 are retired: they were the echo peer's byte-stats query
+# and end-of-session frames, which no served connection sends. They
+# stay unassigned so old frames never read as something else.
 KIND_SHUTDOWN = 0x07   # stop serving entirely (body carries the token)
 KIND_ERROR = 0x08      # server-side failure report (code, message, id)
 KIND_HEALTH = 0x09     # liveness probe / status reply (fleet heartbeats)
@@ -169,8 +170,8 @@ def payload_tag_name(payload: Any) -> str:
     """Lower-case wire-tag name of ``payload``'s top level.
 
     Used by telemetry's per-tag wire-byte counters
-    (``wire.bytes.tag.<name>``); payloads with no codec tag (accounted
-    but unshippable objects) report as ``"opaque"``.
+    (``wire.bytes.tag.<name>``); payloads with no codec tag report as
+    ``"opaque"``.
     """
     payload = _canonical(payload)
     if payload is None:

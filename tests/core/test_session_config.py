@@ -11,7 +11,6 @@ from repro.core.session import (
     CRYPTO_BACKENDS,
     PROTOCOL_BACKENDS,
     RNG_MODES,
-    TRANSPORT_BACKENDS,
     SessionConfig,
 )
 
@@ -20,20 +19,17 @@ class TestValidation:
     def test_defaults_are_valid(self):
         config = SessionConfig()
         assert config.crypto_backend == "auto"
-        assert config.transport_backend == "inproc"
         assert config.rng_mode == "deterministic"
         assert config.telemetry is False
 
     @pytest.mark.parametrize("field,value", [
         ("crypto_backend", "openssl"),
-        ("transport_backend", "carrier-pigeon"),
         ("protocol_backend", "garbled"),
         ("rng_mode", "lava-lamp"),
         ("paillier_bits", 0),
         ("dgk_bits", -1),
         ("dgk_plaintext_bits", 0),
         ("statistical_security_bits", 0),
-        ("transport_retries", -1),
         ("max_workers", 0),
         ("queue_depth", -1),
         ("request_timeout_s", 0.0),
@@ -52,6 +48,13 @@ class TestValidation:
     def test_valid_privacy_budget_accepted(self):
         assert SessionConfig(privacy_budget=0.0).privacy_budget == 0.0
         assert SessionConfig(privacy_budget=1.0).privacy_budget == 1.0
+
+    @pytest.mark.parametrize("field", [
+        "transport_backend", "transport_retries", "backoff_seconds",
+    ])
+    def test_retired_transport_fields_are_gone(self, field):
+        with pytest.raises(TypeError):
+            SessionConfig(**{field: 1})
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -72,14 +75,13 @@ class TestOverrides:
 class TestFromArgs:
     def test_reads_cli_namespace(self):
         args = argparse.Namespace(
-            seed=4, transport="tcp",
+            seed=4,
             rng_mode="system", metrics="out.json",
             crypto_backend="python",
         )
         config = SessionConfig.from_args(args)
         assert config.seed == 4
         assert config.crypto_backend == "python"
-        assert config.transport_backend == "tcp"
         assert config.rng_mode == "system"
         assert config.telemetry is True
 
@@ -106,7 +108,7 @@ class TestFromArgs:
         assert config.privacy_budget == 0.2
 
     def test_extra_overrides_win(self):
-        args = argparse.Namespace(seed=1, transport="inproc")
+        args = argparse.Namespace(seed=1)
         config = SessionConfig.from_args(args, paillier_bits=384, seed=8)
         assert config.paillier_bits == 384
         assert config.seed == 8
@@ -119,10 +121,6 @@ class TestBackendTuplesStayInSync:
     def test_crypto_backends(self):
         from repro.crypto.modexp import MODEXP_BACKENDS
         assert tuple(CRYPTO_BACKENDS) == tuple(MODEXP_BACKENDS)
-
-    def test_transport_backends(self):
-        from repro.smc.transport import TRANSPORT_BACKENDS as REAL
-        assert tuple(TRANSPORT_BACKENDS) == tuple(REAL)
 
     def test_protocol_backends(self):
         from repro.secure.backends import PROTOCOL_BACKENDS as REAL

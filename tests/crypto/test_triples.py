@@ -85,8 +85,10 @@ class TestBackgroundRefill:
 
     def test_concurrent_drain_never_fails_and_restocks(self, store):
         """Four threads drain with fallback while the refiller tops up:
-        every take succeeds, accounting balances, and the stock ends
-        above the low-water mark once the burst is over."""
+        every take succeeds, the stock ends above the low-water mark
+        once the burst is over, and accounting balances. The balance is
+        read after the refiller has stopped: while it runs, a batch can
+        land between the two reads."""
         per_thread, takers = 30, 4
         store.refill(triples=40)
         store.start_background_refill(
@@ -112,12 +114,6 @@ class TestBackgroundRefill:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert errors == []
-            consumed = takers * per_thread * 2
-            dealt, masks_dealt = store.total_dealt
-            assert dealt == consumed + store.remaining_triples
-            assert masks_dealt == (
-                takers * per_thread + store.remaining_masks(BITS)
-            )
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 if (store.remaining_triples >= 16
@@ -128,6 +124,10 @@ class TestBackgroundRefill:
             assert store.remaining_masks(BITS) >= 4
         finally:
             store.stop_background_refill()
+        consumed = takers * per_thread * 2
+        dealt, masks_dealt = store.total_dealt
+        assert dealt == consumed + store.remaining_triples
+        assert masks_dealt == takers * per_thread + store.remaining_masks(BITS)
 
     def test_stop_is_idempotent_and_restartable(self, store):
         store.start_background_refill(low_water=2)

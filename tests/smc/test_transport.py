@@ -1,9 +1,10 @@
-"""Tests for the pluggable transports: parity, byte accounting, faults.
+"""Tests for the transports: parity, byte accounting, faults.
 
 The parity tests run the same composed protocol (DGK comparison,
 encrypted comparison, secure argmax) from the same seed over the bare
-channel, the in-process codec transport and the real TCP mirror-peer
-transport, and require identical results and byte-identical traces.
+channel, the in-process codec transport and a socket transport whose
+far end runs the shared mirror loop, and require identical results and
+byte-identical traces.
 """
 
 import socket
@@ -23,8 +24,8 @@ from repro.smc.transport import (
     TcpTransport,
     TransportConfig,
     TransportError,
-    make_transport,
-    start_wire_peer,
+    mirror_frames,
+    request_classification,
 )
 
 from tests.conftest import TEST_DGK_BITS, TEST_PAILLIER_BITS
@@ -57,6 +58,22 @@ def _run_protocols(ctx):
     return results, summary
 
 
+class _Mirror(threading.Thread):
+    """The far end of a socket pair, running :func:`mirror_frames`."""
+
+    def __init__(self, sock):
+        super().__init__(daemon=True)
+        self.sock = sock
+        self.result = self.stats = self.error = None
+
+    def run(self):
+        with self.sock:
+            try:
+                self.result, self.stats = mirror_frames(self.sock)
+            except TransportError as error:
+                self.error = error
+
+
 class TestParity:
     def test_all_backends_agree(self):
         # Bare channel (accounting only).
@@ -70,18 +87,22 @@ class TestParity:
         inproc_ctx.channel.transport = inproc
         inproc_results, inproc_summary = _run_protocols(inproc_ctx)
 
-        # TCP transport: every payload crosses a real localhost socket
-        # to a peer process.
-        peer, port = start_wire_peer()
+        # Socket transport: every payload crosses a real socket to the
+        # mirror loop and back; a KIND_RESULT frame ends the session.
+        near, far = socket.socketpair()
+        mirror = _Mirror(far)
+        mirror.start()
         tcp_ctx = _fresh_ctx()
-        tcp = TcpTransport(port=port, codec=wire.codec_for_context(tcp_ctx))
+        tcp = TcpTransport(near, wire.codec_for_context(tcp_ctx), 30.0)
         tcp_ctx.channel.transport = tcp
         try:
             tcp_results, tcp_summary = _run_protocols(tcp_ctx)
-            peer_counts = tcp.peer_stats()
+            wire.send_frame(near, wire.KIND_RESULT, wire.encode("done"))
         finally:
-            tcp.close(shutdown_peer=True)
-            peer.join(timeout=10)
+            tcp.close()
+            mirror.join(timeout=10)
+        assert mirror.error is None
+        assert mirror.result == "done"
 
         assert inproc_results == bare_results
         assert tcp_results == bare_results
@@ -93,9 +114,9 @@ class TestParity:
         assert tcp.stats.bytes_client_to_server == trace.bytes_client_to_server
         assert tcp.stats.bytes_server_to_client == trace.bytes_server_to_client
         assert tcp.stats.frames == trace.messages
-        assert peer_counts["frames"] == trace.messages
-        assert peer_counts["bytes_received"] == trace.total_bytes
-        assert peer_counts["bytes_sent"] == trace.total_bytes
+        assert mirror.stats["frames"] == trace.messages
+        assert mirror.stats["bytes_received"] == trace.total_bytes
+        assert mirror.stats["bytes_sent"] == trace.total_bytes
         assert inproc.stats.total_bytes == trace.total_bytes
 
     def test_channel_asserts_frame_size(self):
@@ -113,88 +134,76 @@ class TestParity:
             ctx.channel.client_sends([1, 2, 3])
 
 
-class TestMakeTransport:
-    def test_backend_names(self):
-        codec = wire.WireCodec()
-        assert isinstance(make_transport("inproc", codec), InProcessTransport)
-        with pytest.raises(TransportError, match="unknown transport"):
-            make_transport("carrier-pigeon", codec)
+def _free_port():
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
 
 
 class TestFaultInjection:
-    def test_dropped_connection_is_retried(self):
-        # The peer kills the connection once, mid-protocol, after the
-        # third mirrored frame; the transport reconnects and resends.
-        peer, port = start_wire_peer(drop_after=3)
+    def test_peer_closing_mid_protocol_fails_at_once(self):
+        # The peer echoes three frames, reads the fourth and hangs up:
+        # that exchange raises, the trace keeps only the three delivered
+        # messages, and nothing is sent again.
+        near, far = socket.socketpair()
+        received = []
+
+        def echo_then_close(echoed=3):
+            with far:
+                wire.recv_frame(far)  # the keyring
+                while True:
+                    try:
+                        kind, body = wire.recv_frame(far)
+                    except wire.WireError:
+                        return
+                    received.append(kind)
+                    if len(received) > echoed:
+                        return
+                    wire.send_frame(far, kind, body)
+
+        peer = threading.Thread(target=echo_then_close, daemon=True)
+        peer.start()
         ctx = _fresh_ctx()
-        tcp = TcpTransport(
-            port=port,
-            codec=wire.codec_for_context(ctx),
-            config=TransportConfig(retries=3, backoff_seconds=0.01),
-        )
+        tcp = TcpTransport(near, wire.codec_for_context(ctx), 30.0)
         ctx.channel.transport = tcp
-        try:
-            results, _ = _run_protocols(ctx)
-            peer_counts = tcp.peer_stats()
-        finally:
-            tcp.close(shutdown_peer=True)
-            peer.join(timeout=10)
-        assert results == [1, 1, 1]
-        assert peer_counts["dropped"] == 1
-        # The dropped frame was re-sent, so the peer saw one extra frame.
-        assert peer_counts["frames"] == ctx.trace.messages + 1
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="connection to the peer"):
+            _run_protocols(ctx)
+        assert time.monotonic() - started < 10.0
+        peer.join(timeout=10)
+        assert received == [wire.KIND_MSG] * 4
+        assert ctx.trace.messages == tcp.stats.frames == 3
+        assert ctx.trace.total_bytes == tcp.stats.total_bytes
+        with pytest.raises(TransportError, match="closed"):
+            tcp.exchange(Direction.CLIENT_TO_SERVER, 1)
 
     def test_unresponsive_peer_times_out_cleanly(self):
-        # A listener that accepts and then never answers: the exchange
-        # must fail with TransportError within the io timeout, not hang.
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        port = listener.getsockname()[1]
-        stop = threading.Event()
-
-        def black_hole():
-            listener.settimeout(5.0)
-            try:
-                sock, _ = listener.accept()
-            except OSError:
-                return
-            with sock:
-                stop.wait(5.0)
-
-        thread = threading.Thread(target=black_hole, daemon=True)
-        thread.start()
-        tcp = TcpTransport(
-            port=port,
-            codec=wire.WireCodec(),
-            config=TransportConfig(io_timeout=0.5, retries=1,
-                                   backoff_seconds=0.01),
-        )
+        # A peer that never answers: the exchange must fail with a
+        # TransportError chained from the socket timeout (the serving
+        # runtime maps that chain to its "deadline" error), not hang.
+        near, far = socket.socketpair()
+        tcp = TcpTransport(near, wire.WireCodec(), io_timeout=0.5)
         started = time.monotonic()
         try:
-            with pytest.raises(TransportError, match="timed out"):
+            with pytest.raises(TransportError, match="timed out") as info:
                 tcp.exchange(Direction.CLIENT_TO_SERVER, [1, 2, 3])
         finally:
-            stop.set()
             tcp.close()
-            listener.close()
-            thread.join(timeout=5)
+            far.close()
+        assert isinstance(info.value.__cause__, socket.timeout)
         assert time.monotonic() - started < 5.0
 
     def test_connection_refused_is_bounded(self):
-        # Nothing listens on the port: connect retries then fails loudly.
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.bind(("127.0.0.1", 0))
-        free_port = probe.getsockname()[1]
-        probe.close()
-        tcp = TcpTransport(
-            port=free_port,
-            codec=wire.WireCodec(),
-            config=TransportConfig(connect_timeout=0.5, retries=1,
-                                   backoff_seconds=0.01),
-        )
-        with pytest.raises(TransportError, match="could not connect"):
-            tcp.exchange(Direction.CLIENT_TO_SERVER, 1)
+        # Nothing listens on the port: the client retries its connect,
+        # then fails loudly.
+        with pytest.raises(TransportError, match="could not reach"):
+            request_classification(
+                "127.0.0.1", _free_port(), row=[1], seed=0,
+                config=TransportConfig(connect_timeout=0.5, retries=1,
+                                       backoff_seconds=0.01),
+            )
 
 
 class TestBackoffJitter:
@@ -219,25 +228,19 @@ class TestBackoffJitter:
         slept = []
         monkeypatch.setattr(transport_mod.time, "sleep", slept.append)
         attempts = []
-        real_create = socket.create_connection
 
         def refusing(address, timeout=None):
             attempts.append(address)
             raise ConnectionRefusedError("test: nothing listening")
 
         monkeypatch.setattr(socket, "create_connection", refusing)
-        try:
-            tcp = TcpTransport(
-                port=1, codec=wire.WireCodec(),
+        with pytest.raises(TransportError, match="after 3 attempts"):
+            request_classification(
+                "127.0.0.1", 1, row=[1], seed=0,
                 config=TransportConfig(connect_timeout=0.1, retries=2,
                                        backoff_seconds=0.01),
             )
-            with pytest.raises(TransportError, match="after 3 attempts"):
-                tcp.exchange(Direction.CLIENT_TO_SERVER, 1)
-        finally:
-            monkeypatch.setattr(socket, "create_connection", real_create)
         assert len(attempts) == 3  # initial + retries, jitter or not
-        backoffs = [s for s in slept if s >= 0.0]
-        assert len(backoffs) >= 2
+        assert len(slept) == 2
         # Full jitter: every sleep fits inside its doubled window.
-        assert backoffs[0] <= 0.01 and backoffs[1] <= 0.02
+        assert 0.0 <= slept[0] <= 0.01 and 0.0 <= slept[1] <= 0.02

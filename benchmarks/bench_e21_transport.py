@@ -28,7 +28,7 @@ import socket
 import threading
 import time
 
-from repro.bench import Table, write_bench_json
+from repro.bench import Table, update_bench_json
 from repro.core.session import SessionConfig
 from repro.smc import wire
 from repro.smc.argmax import secure_argmax
@@ -152,7 +152,7 @@ def test_e21_transport_overhead():
           f"trace; measured tcp-vs-bare gap is {tcp_s - bare_s:.6f}s "
           f"(codec alone: {inproc_s - bare_s:.6f}s)")
 
-    write_bench_json(
+    update_bench_json(
         _BENCH_JSON, "e21_transport", metrics,
         meta={"paillier_bits": BENCH_PAILLIER_BITS,
               "dgk_bits": BENCH_DGK_BITS, "repeats": REPEATS},

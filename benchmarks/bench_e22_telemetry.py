@@ -17,7 +17,7 @@ import os
 import time
 
 import repro.telemetry as telemetry
-from repro.bench import Table, write_bench_json
+from repro.bench import Table, update_bench_json
 from repro.core.session import SessionConfig
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.paillier import PaillierKeyPair
@@ -99,7 +99,7 @@ def test_e22_telemetry_overhead():
         telemetry.configure(False, reset=True)
     table.print()
 
-    write_bench_json(
+    update_bench_json(
         _BENCH_JSON, "telemetry_overhead", metrics,
         meta={"key_bits": KEY_BITS, "encrypt_batch": ENCRYPT_BATCH,
               "dot_features": DOT_FEATURES},

@@ -28,7 +28,8 @@ the thread entry chain that reaches the offending method.
 
 Scope: ``repro.serving``, ``repro.telemetry``,
 ``repro.crypto.stockpile`` (the one stockpile behind both offline
-phases, with its background refiller) and ``repro.crypto.triples`` --
+phases) and ``repro.crypto.triples`` (the shares server's triple store,
+which its handler threads drain while an offline step refills it) --
 the code that shares state across threads today. Widen the tuple as
 concurrency spreads.
 """

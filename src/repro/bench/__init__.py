@@ -11,7 +11,6 @@ from repro.bench.reporting import (
     format_seconds,
     format_speedup,
     update_bench_json,
-    write_bench_json,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "format_seconds",
     "format_speedup",
     "update_bench_json",
-    "write_bench_json",
 ]

@@ -91,51 +91,20 @@ def format_speedup(ratio: float) -> str:
     return f"{ratio:.1f}x"
 
 
-def write_bench_json(
-    path: str,
-    name: str,
-    metrics: Dict[str, float],
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Write one benchmark record as JSON so later PRs can track a perf
-    trajectory.
-
-    The record carries the metric dict verbatim plus enough environment
-    context (CPU count, Python version, timestamp) to interpret
-    absolute numbers; the written payload is also returned.
-    """
-    import os
-
-    record: Dict[str, object] = {
-        "bench": name,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "metrics": {key: float(value) for key, value in metrics.items()},
-    }
-    if meta:
-        record["meta"] = meta
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return record
-
-
 def update_bench_json(
     path: str,
     name: str,
     metrics: Dict[str, float],
     meta: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """Merge one benchmark record into a *shared* JSON file.
+    """Merge one benchmark record into a shared JSON trajectory file.
 
-    :func:`write_bench_json` owns its file outright -- fine while one
-    bench per file, wrong once two experiments report into the same
-    trajectory file (e23 and e24 both land in ``BENCH_serving.json``).
-    This variant reads the existing document, keys records by their
-    ``bench`` name under a ``"benches"`` map, replaces only this
-    bench's entry, and leaves the others alone. A legacy single-record
+    The record carries the metric dict verbatim plus enough environment
+    context (CPU count, Python version, timestamp) to interpret
+    absolute numbers. The existing document is read, records are keyed
+    by their ``bench`` name under a ``"benches"`` map, only this
+    bench's entry is replaced, and the others are left alone (e23 and
+    e24 both land in ``BENCH_serving.json``). A legacy single-record
     file is upgraded in place (its old record becomes one entry).
     Returns the record written for ``name``.
     """

@@ -32,7 +32,9 @@ Every command takes ``--format {text,json}`` (the convention ``lint``
 introduced); ``tradeoff``, ``classify`` and ``serve`` also take
 ``--metrics PATH`` to switch telemetry on and export the session's
 spans/counters as JSON (see ``docs/OBSERVABILITY.md``). Every command
-is deterministic given ``--seed``.
+is deterministic given ``--seed``. The bignum kernel is the process
+default, chosen by the ``REPRO_CRYPTO_BACKEND`` environment variable
+(``auto``, ``python`` or ``gmpy2``; see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from repro.api import (
 )
 from repro.bench import Table
 from repro.cliutil import add_format_argument, add_metrics_argument, emit
-from repro.core.session import CRYPTO_BACKENDS, PROTOCOL_BACKENDS, RNG_MODES
+from repro.core.session import PROTOCOL_BACKENDS, RNG_MODES
 from repro.data import (
     generate_adult_like,
     generate_cancer_like,
@@ -132,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "each shard runs its own crypto engine and "
                             "--workers thread pool (default 1: a single "
                             "in-process server)")
-    serve.add_argument("--crypto-backend", choices=CRYPTO_BACKENDS,
-                       default=None, dest="crypto_backend",
-                       help="bignum kernel for modular exponentiation "
-                            "(default auto: use gmpy2 when installed, "
-                            "else pure Python; see docs/PERFORMANCE.md)")
     serve.add_argument("--backend", choices=PROTOCOL_BACKENDS, default=None,
                        help="online-phase protocol backend for served "
                             "queries: 'paillier' or 'shares' (shares "
@@ -218,11 +215,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dataset", choices=sorted(DATASETS), default="warfarin")
     sub.add_argument("--classifier", choices=CLASSIFIERS,
                      default="naive_bayes")
-    sub.add_argument("--crypto-backend", choices=CRYPTO_BACKENDS,
-                     default=None, dest="crypto_backend",
-                     help="bignum kernel for modular exponentiation "
-                          "(default auto: use gmpy2 when installed, else "
-                          "pure Python; bit-identical either way)")
     sub.add_argument("--rng-mode", choices=RNG_MODES, default=None,
                      help="randomness mode for the live session "
                           "(default deterministic)")
@@ -294,7 +286,6 @@ def _fitted_pipeline(args: argparse.Namespace) -> tuple:
     pipeline = PrivacyAwareClassifier(
         PipelineConfig(
             classifier=args.classifier, paillier_bits=384, dgk_bits=192,
-            crypto_backend=session.crypto_backend,
             seed=args.seed,
             session=session,
         )
@@ -430,7 +421,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         queue_depth=args.queue_depth,
         request_timeout_s=args.request_timeout,
-        crypto_backend=args.crypto_backend or "auto",
         protocol_backend=args.backend or "paillier",
         shards=args.shards,
         telemetry=bool(metered),

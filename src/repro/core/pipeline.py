@@ -28,7 +28,6 @@ import numpy as np
 
 import repro.telemetry as telemetry
 from repro.classifiers.decision_tree import DecisionTreeClassifier
-from repro.crypto.modexp import MODEXP_BACKENDS as CRYPTO_BACKENDS
 from repro.classifiers.linear import LogisticRegressionClassifier
 from repro.classifiers.naive_bayes import NaiveBayesClassifier
 from repro.core.exceptions import ReproError
@@ -92,11 +91,6 @@ class PipelineConfig:
     paillier_bits / dgk_bits / dgk_plaintext_bits:
         Key sizes for the *live* protocol context created by
         :meth:`PrivacyAwareClassifier.make_context`.
-    crypto_backend:
-        Bignum kernel for modular exponentiation in live contexts:
-        ``"auto"`` (probe for gmpy2, fall back to pure Python),
-        ``"python"`` or ``"gmpy2"``. Bit-for-bit identical across
-        backends; wall-clock only.
     protocol_backend:
         Online-phase protocol engine for live queries *and* the
         analytic cost model: ``"paillier"`` (default) or ``"shares"``
@@ -110,7 +104,7 @@ class PipelineConfig:
         Optional :class:`repro.core.session.SessionConfig` governing the
         live crypto session wholesale. When given it takes precedence
         over the per-parameter ``paillier_bits`` / ``dgk_bits`` /
-        ``crypto_backend`` / ``seed`` fields above for context creation
+        ``seed`` fields above for context creation
         (those remain in force for the analytic cost model's sizes).
 
     Example::
@@ -134,7 +128,6 @@ class PipelineConfig:
     paillier_bits: int = 512
     dgk_bits: int = 256
     dgk_plaintext_bits: int = 16
-    crypto_backend: str = "auto"
     protocol_backend: str = "paillier"
     tree_max_depth: int = 6
     linear_iterations: int = 300
@@ -151,11 +144,6 @@ class PipelineConfig:
             raise ReproError(
                 f"unknown adversary model {self.adversary_model!r}; "
                 f"expected 'naive_bayes' or 'chow_liu'"
-            )
-        if self.crypto_backend not in CRYPTO_BACKENDS:
-            raise ReproError(
-                f"unknown crypto backend {self.crypto_backend!r}; "
-                f"expected one of {CRYPTO_BACKENDS}"
             )
         if self.protocol_backend not in PROTOCOL_BACKENDS:
             raise ReproError(
@@ -193,7 +181,6 @@ class PipelineConfig:
             paillier_bits=self.paillier_bits,
             dgk_bits=self.dgk_bits,
             dgk_plaintext_bits=self.dgk_plaintext_bits,
-            crypto_backend=self.crypto_backend,
             protocol_backend=self.protocol_backend,
         )
 

@@ -1,11 +1,14 @@
 """Session configuration: one object for a whole two-party session.
 
-Key sizes, bignum and protocol backends, socket timeouts, randomness
-mode, serving policy and the telemetry switch live in one validated
+Key sizes, the protocol backend, socket timeouts, randomness mode,
+serving policy and the telemetry switch live in one validated
 dataclass, :class:`SessionConfig`, accepted everywhere a session is
 built (:func:`repro.smc.context.make_context`,
 :class:`repro.core.pipeline.PipelineConfig`, the CLI and the serving
-runtime).
+runtime). The bignum kernel is not a session setting: every engine
+runs on the process default of :mod:`repro.crypto.modexp`
+(``REPRO_CRYPTO_BACKEND`` or
+:func:`~repro.crypto.modexp.set_default_backend`).
 
 This module is deliberately light: it imports no sockets, no process
 pools, no numpy -- the :mod:`repro.api` facade re-exports it without
@@ -19,14 +22,10 @@ from typing import Optional
 
 from repro.core.exceptions import ReproError
 
-#: Bignum (modular-exponentiation) backends, mirrored from
-#: :data:`repro.crypto.modexp.MODEXP_BACKENDS` (kept literal here so
+#: Protocol backends, mirrored from
+#: :data:`repro.secure.backends.PROTOCOL_BACKENDS` (kept literal here so
 #: this module stays import-light; a unit test asserts the two stay in
 #: sync).
-CRYPTO_BACKENDS = ("auto", "python", "gmpy2")
-
-#: Protocol backends, mirrored from
-#: :data:`repro.secure.backends.PROTOCOL_BACKENDS` (same sync test).
 PROTOCOL_BACKENDS = ("paillier", "shares")
 
 RNG_MODES = ("deterministic", "system")
@@ -48,13 +47,6 @@ class SessionConfig:
         cryptosystems.
     statistical_security_bits:
         Width of the additive blinding margin (``kappa``).
-    crypto_backend:
-        Bignum kernel for the modular exponentiations: ``"auto"``
-        (default; probes for ``gmpy2`` and falls back to pure Python),
-        ``"python"`` (the canonical built-in ``pow``) or ``"gmpy2"``
-        (GMP; raises if the optional package is missing). All backends
-        are bit-for-bit identical -- this is a wall-clock knob only.
-        See ``docs/PERFORMANCE.md``.
     protocol_backend:
         Online-phase protocol engine: ``"paillier"`` (default; the
         paper's homomorphic protocol stack, all work online) or
@@ -103,7 +95,7 @@ class SessionConfig:
 
         config = SessionConfig(seed=7, paillier_bits=384, dgk_bits=192)
         ctx = make_context(config=config)
-        gmp = config.with_overrides(crypto_backend="gmpy2")
+        served = config.with_overrides(max_workers=8)
     """
 
     seed: int = 0
@@ -111,7 +103,6 @@ class SessionConfig:
     dgk_bits: int = 256
     dgk_plaintext_bits: int = 16
     statistical_security_bits: int = DEFAULT_STATISTICAL_SECURITY_BITS
-    crypto_backend: str = "auto"
     protocol_backend: str = "paillier"
     connect_timeout: float = 5.0
     io_timeout: float = 30.0
@@ -125,11 +116,6 @@ class SessionConfig:
     privacy_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.crypto_backend not in CRYPTO_BACKENDS:
-            raise ReproError(
-                f"unknown crypto backend {self.crypto_backend!r}; "
-                f"expected one of {CRYPTO_BACKENDS}"
-            )
         if self.protocol_backend not in PROTOCOL_BACKENDS:
             raise ReproError(
                 f"unknown protocol backend {self.protocol_backend!r}; "
@@ -175,8 +161,7 @@ class SessionConfig:
     def from_args(cls, args, **extra) -> "SessionConfig":
         """Build a config from a parsed CLI namespace.
 
-        Reads whichever of ``--seed``, ``--crypto-backend``,
-        ``--backend``, ``--rng-mode``,
+        Reads whichever of ``--seed``, ``--backend``, ``--rng-mode``,
         ``--metrics``, ``--queue-depth``, ``--request-timeout``,
         ``--shards``, ``--ledger`` and ``--privacy-budget`` the
         subcommand defined; anything absent keeps its default.
@@ -185,7 +170,6 @@ class SessionConfig:
         values = {}
         for field_name, arg_name in (
             ("seed", "seed"),
-            ("crypto_backend", "crypto_backend"),
             ("protocol_backend", "backend"),
             ("rng_mode", "rng_mode"),
             ("queue_depth", "queue_depth"),

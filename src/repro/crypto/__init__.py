@@ -14,14 +14,14 @@ arbitrary-precision integers. The package provides:
   every modular exponentiation: the canonical built-in ``pow``, an
   optional ``gmpy2`` (GMP) backend and fixed-base windowed
   exponentiation tables. All backends are bit-for-bit
-  interchangeable.
+  interchangeable; the process default is the one switch.
 * :mod:`repro.crypto.engine` -- the batch crypto engine: bulk
-  encrypt/decrypt/scalar-mul/re-randomise work and fused
+  encrypt/decrypt/re-randomise/blind work and fused
   multi-exponentiation dot products.
-* :mod:`repro.crypto.stockpile` -- the one thread-safe stockpile with
-  background refill behind the offline phases: the precomputed
-  encryption pool (:mod:`repro.crypto.precompute`) and the Beaver
-  triple store (:mod:`repro.crypto.triples`).
+* :mod:`repro.crypto.stockpile` -- the one thread-safe stockpile,
+  filled by an explicit offline refill, behind the offline phases: the
+  precomputed encryption pool (:mod:`repro.crypto.precompute`) and the
+  Beaver triple store (:mod:`repro.crypto.triples`).
 * :mod:`repro.crypto.dgk` -- a Damgaard-Geisler-Kroigaard style
   small-plaintext cryptosystem with cheap zero testing, used by the
   secure comparison protocol.

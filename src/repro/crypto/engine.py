@@ -1,9 +1,9 @@
 """Batch crypto engine: the performance backbone of the encrypted paths.
 
 Every Paillier-heavy protocol step in this library reduces to a handful
-of bulk shapes -- encrypt N values, decrypt N ciphertexts, N independent
-scalar multiplications, N re-randomisations, N blind-and-refresh
-steps, or one fused dot product.
+of bulk shapes -- encrypt N values, decrypt N ciphertexts, N
+re-randomisations, N blind-and-refresh steps, or one fused dot
+product.
 :class:`CryptoEngine` exposes exactly those batch APIs.
 
 Determinism is preserved by construction: all randomness (encryption
@@ -17,10 +17,14 @@ from fleet shard processes (:mod:`repro.serving.fleet`).
 
 The big-integer kernel itself is pluggable (:mod:`repro.crypto.modexp`):
 every engine carries a *modexp backend* -- pure-Python ``pow``
-(canonical) or GMP via ``gmpy2`` when available -- selected by name
-through ``CryptoEngine(modexp=...)``, ``SessionConfig.crypto_backend``
-or ``--crypto-backend``. Modexp backends are bit-for-bit
-interchangeable, so this is a wall-clock knob only.
+(canonical) or GMP via ``gmpy2`` when available. Production code builds
+plain ``CryptoEngine()``, which takes the process default
+(:func:`~repro.crypto.modexp.get_default_backend`: ``REPRO_CRYPTO_BACKEND``
+or :func:`~repro.crypto.modexp.set_default_backend`), the same backend
+the module-level ``powmod`` of the DGK and scalar paths uses, so one
+process never mixes kernels. ``CryptoEngine(modexp=...)`` is the hook
+the parity tests use. Modexp backends are bit-for-bit interchangeable,
+so the choice moves wall-clock time only.
 
 An engine can also *drain a precompute pool*
 (:meth:`CryptoEngine.attach_pool`): when a
@@ -144,9 +148,10 @@ class CryptoEngine:
     ----------
     modexp:
         Bignum backend name (``"auto"`` / ``"python"`` / ``"gmpy2"``)
-        or instance; ``None`` keeps the process default. The resolved
-        choice is recorded in telemetry as ``engine.modexp.<name>`` so
-        metrics documents say which kernel produced their numbers.
+        or instance, for parity tests; ``None`` (what production code
+        passes) keeps the process default. The resolved choice is
+        recorded in telemetry as ``engine.modexp.<name>`` so metrics
+        documents say which kernel produced their numbers.
     """
 
     def __init__(
@@ -193,16 +198,6 @@ class CryptoEngine:
         pool for the same key replaces the first.
         """
         self._pools[pool.public_key.n] = pool
-
-    def detach_pool(self, public_key: PaillierPublicKey) -> None:
-        """Stop draining the pool attached for ``public_key`` (no-op
-        when none is attached)."""
-        self._pools.pop(public_key.n, None)
-
-    def pool_for(self, public_key: PaillierPublicKey
-                 ) -> Optional["PrecomputedEncryptionPool"]:
-        """The attached pool for ``public_key``, if any."""
-        return self._pools.get(public_key.n)
 
     def _blinding_factors(
         self,
@@ -340,29 +335,6 @@ class CryptoEngine:
         if signed:
             return [public_key.decode_signed(raw) for raw in raws]
         return raws
-
-    def scalar_mul_batch(
-        self,
-        ciphertexts: Sequence[PaillierCiphertext],
-        scalars: Sequence[int],
-    ) -> List[PaillierCiphertext]:
-        """Elementwise homomorphic scalar multiplication by signed
-        scalars (matching ``ciphertext * scalar``: a negative scalar
-        inverts the ciphertext and keeps its own width)."""
-        if len(ciphertexts) != len(scalars):
-            raise EngineError(
-                f"{len(ciphertexts)} ciphertexts vs {len(scalars)} scalars"
-            )
-        if not ciphertexts:
-            return []
-        public_key = self._require_one_key(ciphertexts, "scalar_mul_batch")
-        powers = self.map_pow([
-            ct.signed_pow_job(s) for ct, s in zip(ciphertexts, scalars)
-        ])
-        return [
-            PaillierCiphertext(public_key=public_key, value=value)
-            for value in powers
-        ]
 
     def rerandomize_batch(
         self,

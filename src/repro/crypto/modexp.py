@@ -11,10 +11,13 @@ module is the single place that kernel lives:
   package is importable -- a capability probe, never a hard dependency.
   Both backends are bit-for-bit identical on every input, so switching
   backends can change wall-clock time only, never a ciphertext. The
-  process-wide default is selected with :func:`set_default_backend`
-  (``"auto"`` probes gmpy2 and falls back to pure Python), seeded from
-  the ``REPRO_CRYPTO_BACKEND`` environment variable, and surfaced on
-  the CLI as ``--crypto-backend``.
+  process-wide default (:func:`get_default_backend`) is the one switch:
+  it is seeded from the ``REPRO_CRYPTO_BACKEND`` environment variable
+  (``"auto"``, the default, probes gmpy2 and falls back to pure Python)
+  and can be replaced with :func:`set_default_backend`. The module-level
+  :func:`powmod` and every production
+  :class:`~repro.crypto.engine.CryptoEngine` read it, so one process
+  never mixes kernels.
 
 * **Fixed-base windowed exponentiation.** The protocols exponentiate a
   tiny set of *fixed* bases with varying exponents: Paillier blinding
@@ -51,8 +54,8 @@ from typing import List, Optional, Sequence, Union
 import repro.telemetry as telemetry
 
 #: Backend names accepted everywhere a backend is selected by name
-#: (``SessionConfig.crypto_backend``, ``--crypto-backend``, the
-#: ``REPRO_CRYPTO_BACKEND`` environment variable).
+#: (the ``REPRO_CRYPTO_BACKEND`` environment variable,
+#: :func:`set_default_backend`, :func:`resolve_backend`).
 MODEXP_BACKENDS = ("auto", "python", "gmpy2")
 
 #: Environment variable consulted for the initial process-wide default.
@@ -103,8 +106,8 @@ class Gmpy2Modexp:
         except ImportError as exc:
             raise ModexpError(
                 "the gmpy2 backend needs the optional 'gmpy2' package "
-                "(pip install gmpy2); use --crypto-backend auto to fall "
-                "back to pure Python when it is missing"
+                "(pip install gmpy2); use REPRO_CRYPTO_BACKEND=auto to "
+                "fall back to pure Python when it is missing"
             ) from exc
         self._powmod = gmpy2.powmod
         self._mpz = gmpy2.mpz

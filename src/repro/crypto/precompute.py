@@ -8,10 +8,10 @@ encryption at two modular multiplications -- one to two orders of
 magnitude faster.
 
 :class:`PrecomputedEncryptionPool` implements that split. The client
-fills a pool while idle (or a background thread does) and drains it
-during live queries; the pool refuses to silently fall back when empty
-so callers account the offline work honestly (use ``refill`` or
-``encrypt_fallback`` explicitly).
+fills a pool while idle and drains it during live queries; the pool
+refuses to silently fall back when empty so callers account the
+offline work honestly (use ``refill`` or ``encrypt_fallback``
+explicitly).
 
 The refill itself -- the offline phase's whole cost -- runs one of
 three strategies (see ``docs/PERFORMANCE.md`` for the accounting):
@@ -42,11 +42,8 @@ three strategies (see ``docs/PERFORMANCE.md`` for the accounting):
 distribution. Pass a :class:`~repro.crypto.engine.CryptoEngine` to run
 the refill exponentiations on that engine's bignum backend.
 
-The factors live in a :class:`~repro.crypto.stockpile.Stockpile`, so a
-daemon refiller thread
-(:meth:`PrecomputedEncryptionPool.start_background_refill`) can top the
-pool up below a low-water mark while the main thread keeps draining it;
-the expensive exponentiations run outside the stock's lock, so
+The factors live in a :class:`~repro.crypto.stockpile.Stockpile`; the
+expensive exponentiations of a refill run outside the stock's lock, so
 concurrent encrypts never contend with them.
 """
 
@@ -248,17 +245,3 @@ class PrecomputedEncryptionPool:
         """Full-cost encryption when the pool is dry (explicit opt-in)."""
         telemetry.count("precompute.fallbacks")
         return self.public_key.encrypt(value, rng=self._rng)
-
-    def start_background_refill(
-        self, low_water: int, batch: int = 0
-    ) -> None:
-        """Keep the pool topped up from a daemon thread: whenever a take
-        leaves fewer than ``low_water`` factors, precompute back up to
-        ``batch`` (default ``2 * low_water``). See
-        :meth:`repro.crypto.stockpile.Stockpile.start_background_refill`.
-        """
-        self._stock.start_background_refill(low_water, batch)
-
-    def stop_background_refill(self, timeout: float = 5.0) -> None:
-        """Stop the refiller thread and wait for it to exit."""
-        self._stock.stop_background_refill(timeout)

@@ -6,8 +6,9 @@ randomness: one :class:`~repro.crypto.beaver.BeaverTriple` pair per
 product and one :class:`~repro.crypto.beaver.ComparisonMask` pair per
 comparison. :class:`TripleStore` is the stockpile -- the share-protocol
 counterpart of :class:`repro.crypto.precompute.PrecomputedEncryptionPool`
--- filled during the offline phase (or by a background thread) and
-drained by live queries.
+-- filled by an explicit offline step (:meth:`TripleStore.refill`, which
+the shares backend's ``prepare_offline`` calls) and drained by live
+queries.
 
 Accounting honesty mirrors the encryption pool: a strict ``take`` on an
 empty store raises :class:`TripleStoreExhaustedError` rather than
@@ -24,9 +25,8 @@ online openings.
 
 Each stock (the triples, and the masks at each comparison magnitude)
 is a :class:`~repro.crypto.stockpile.Stockpile`: dealing runs outside
-its lock, and :meth:`TripleStore.start_background_refill` gives the
-watched stocks daemon refillers that top them up below a low-water
-mark while the online phase keeps draining them.
+its lock, so a refill never blocks the handler threads that share the
+store and drain it.
 """
 
 from __future__ import annotations
@@ -218,36 +218,3 @@ class TripleStore:
             telemetry.count(f"{kind}.misses", deficit)
             pairs = pairs + stock.produce(deficit)
         return [pair[0] for pair in pairs], [pair[1] for pair in pairs]
-
-    # -- background refill ---------------------------------------------------
-
-    def start_background_refill(
-        self,
-        low_water: int,
-        batch: int = 0,
-        *,
-        mask_bits: Optional[int] = None,
-        mask_low_water: int = 0,
-    ) -> None:
-        """Keep the store topped up from daemon threads.
-
-        Whenever a take drains the triple stock below ``low_water``, it
-        is dealt back up to ``batch`` (default ``2 * low_water``); with
-        ``mask_bits`` and ``mask_low_water`` the ``mask_bits`` mask
-        stock is watched the same way (refilled to
-        ``2 * mask_low_water``). Idempotent;
-        :meth:`stop_background_refill` shuts the threads down (they also
-        die with the process -- they are daemons).
-        """
-        self._triples.start_background_refill(low_water, batch)
-        if mask_bits is not None and mask_low_water > 0:
-            self._mask_stock(mask_bits).start_background_refill(
-                mask_low_water
-            )
-
-    def stop_background_refill(self, timeout: float = 5.0) -> None:
-        """Stop every refiller thread and wait for them to exit."""
-        with self._masks_lock:
-            stocks = [self._triples, *self._masks.values()]
-        for stock in stocks:
-            stock.stop_background_refill(timeout)

@@ -177,14 +177,14 @@ class ProtocolBackend(abc.ABC):
         *,
         triples: int = 0,
         comparisons: int = 0,
-        low_water: int = 0,
     ) -> None:
         """Run precomputation for upcoming queries (default: nothing).
 
         Backends with no offline phase ignore this; the shares backend
         deals ``triples`` Beaver triples and ``comparisons`` comparison
-        masks into its store and, when ``low_water`` is positive, keeps
-        both stocked from a background thread.
+        masks into its store. A query the store cannot cover deals its
+        shortfall inline, counted as ``triples.misses`` /
+        ``masks.misses``.
         """
 
     def offline_trace(self) -> Optional[ExecutionTrace]:
@@ -441,29 +441,15 @@ class SharesBackend(ProtocolBackend):
         *,
         triples: int = 0,
         comparisons: int = 0,
-        low_water: int = 0,
     ) -> None:
         store = self.store_for(ctx, magnitude_bits)
         if triples or comparisons:
             store.refill(
                 triples=triples, masks=comparisons, mask_bits=magnitude_bits
             )
-        if low_water > 0:
-            store.start_background_refill(
-                low_water,
-                mask_bits=magnitude_bits,
-                mask_low_water=low_water,
-            )
 
     def offline_trace(self) -> ExecutionTrace:
         return self._offline_trace
-
-    def close(self) -> None:
-        """Stop any background refiller threads."""
-        with self._stores_lock:
-            stores = list(self._stores.values())
-        for store in stores:
-            store.stop_background_refill()
 
     @staticmethod
     def query_requirements(

@@ -337,8 +337,9 @@ class ClassificationFleet:
         """One KIND_HEALTH round trip; ``None`` means unreachable.
 
         Any framed reply -- even ``KIND_ERROR {overloaded}`` from a
-        saturated shard -- proves the process is alive; only a refused
-        connection, EOF or timeout is a health failure.
+        saturated shard -- proves the process is alive; a refused
+        connection, EOF, timeout or a health reply that does not decode
+        under the normal wire caps is a health failure.
         """
         body = {"telemetry": True} if telemetry_too else None
         try:
@@ -347,14 +348,12 @@ class ClassificationFleet:
             ) as sock:
                 sock.settimeout(5)
                 wire.send_frame(sock, wire.KIND_HEALTH, wire.encode(body))
-                # A shard is this fleet's own process, and its telemetry
-                # snapshot grows with every span it records.
-                kind, reply = wire.recv_frame(sock, max_bytes=None)
+                kind, reply = wire.recv_frame(sock)
+            if kind != wire.KIND_HEALTH:
+                return {}  # alive, just busy shedding
+            return wire.WireCodec().decode(reply)
         except (OSError, wire.WireError):
             return None
-        if kind != wire.KIND_HEALTH:
-            return {}  # alive, just busy shedding
-        return wire.WireCodec().decode(reply, max_elements=None)
 
     def _heartbeat_loop(self) -> None:
         while not self._stopping.wait(self.heartbeat_interval):

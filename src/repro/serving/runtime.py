@@ -73,9 +73,7 @@ class ClassificationServer:
     config:
         A :class:`~repro.core.session.SessionConfig`; the serving
         runtime reads ``max_workers``, ``queue_depth``,
-        ``request_timeout_s``, ``crypto_backend`` (one engine is built
-        up front and shared by all request contexts),
-        ``protocol_backend`` (likewise built once, so a
+        ``request_timeout_s``, ``protocol_backend`` (built once, so a
         ``"shares"`` server shares one offline triple store across
         requests), ``ledger_path`` / ``privacy_budget`` (per-client
         cumulative privacy-budget enforcement; see
@@ -127,7 +125,9 @@ class ClassificationServer:
         #: Per-server shutdown secret, minted at bind time from OS
         #: entropy. 128 bits rendered as hex; compared constant-time.
         self.shutdown_token = f"{secure_rng().getrandbits(128):032x}"
-        self._engine = CryptoEngine(modexp=self.config.crypto_backend)
+        # One engine, on the process-default bignum backend, shared by
+        # every request context.
+        self._engine = CryptoEngine()
         # One protocol backend for the whole server: per-request
         # contexts share it, so a shares backend amortizes one offline
         # triple store across every query this process answers.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import repro.telemetry as telemetry
-from repro.core.session import SessionConfig
+from repro.core.session import DEFAULT_STATISTICAL_SECURITY_BITS, SessionConfig
 from repro.crypto.dgk import DgkKeyPair
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair
@@ -27,9 +27,6 @@ from repro.smc.protocol import ExecutionTrace, Op
 
 if TYPE_CHECKING:  # repro.secure imports this module at import time
     from repro.secure.backends import ProtocolBackend
-
-DEFAULT_STATISTICAL_SECURITY_BITS = 40
-
 
 @dataclass
 class TwoPartyContext:
@@ -98,11 +95,6 @@ class TwoPartyContext:
         """Homomorphic addition (ciphertext or plaintext), counted."""
         self.trace.count(Op.PAILLIER_ADD)
         return a + b
-
-    def scalar_mul(self, a: PaillierCiphertext, scalar: int) -> PaillierCiphertext:
-        """Homomorphic scalar multiplication, counted."""
-        self.trace.count(Op.PAILLIER_SCALAR_MUL)
-        return a * scalar
 
     def rerandomize(self, a: PaillierCiphertext) -> PaillierCiphertext:
         """Server-side ciphertext re-randomisation, counted."""
@@ -197,8 +189,8 @@ def make_context(
     """Build a ready-to-use session context with freshly generated keys.
 
     ``config`` (a :class:`repro.core.session.SessionConfig`, default
-    ``SessionConfig()``) sets key sizes, randomness mode, bignum backend
-    and protocol backend; ``seed`` overrides its seed. A prebuilt
+    ``SessionConfig()``) sets key sizes, randomness mode and protocol
+    backend; ``seed`` overrides its seed. A prebuilt
     ``engine`` or ``protocol_backend`` replaces the one the config
     would build -- passing them lets many per-request contexts share
     one engine and one offline triple store.
@@ -250,7 +242,7 @@ def make_context(
         client_rng=master.fork(),
         server_rng=master.fork(),
         statistical_security_bits=cfg.statistical_security_bits,
-        engine=engine or CryptoEngine(modexp=cfg.crypto_backend),
+        engine=engine or CryptoEngine(),
         protocol_backend=(
             protocol_backend
             if protocol_backend is not None

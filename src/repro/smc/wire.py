@@ -117,8 +117,8 @@ MAX_DECODE_ELEMENTS = 1 << 20
 #: is read. The largest protocol frames are batched comparison flights:
 #: a whole 15-tree, depth-8 forest query at 4096/2048-bit keys moves
 #: under 9 MB each way. A shard's ``KIND_HEALTH`` reply with telemetry
-#: grows by ~2 KB per recorded request, so the fleet frontend reads it
-#: from its own shard processes without the cap.
+#: stays far below too: its span roots are a bounded ring
+#: (:data:`repro.telemetry.registry.SPAN_ROOT_CAP`).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 # -- frame kinds -------------------------------------------------------------

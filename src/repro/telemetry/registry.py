@@ -30,8 +30,9 @@ from __future__ import annotations
 import contextvars
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 SCHEMA = "repro.telemetry/v1"
 
@@ -41,6 +42,17 @@ SCHEMA = "repro.telemetry/v1"
 #: beyond the cap only the aggregate moments keep updating. Bounded so
 #: a long-running server cannot grow a snapshot without limit.
 HISTOGRAM_SAMPLE_CAP = 4096
+
+#: Most root spans a registry keeps: a ring of the newest ones, with
+#: every root pushed out counted in ``telemetry.spans_dropped``. A served
+#: request records one root (five under the benchmark's wire spans): on
+#: a 2-vCPU host the ``serve-nb-disclosed`` server recorded 84 roots in
+#: a ``benchmarks/perf/run.py --smoke --trace`` run and 714 in a default
+#: 30 s ``--trace`` run. The largest served root, a pure-SMC naive Bayes
+#: request, decodes to 284 wire elements (3.4 KB): a full ring plus a
+#: full histogram stays near 0.3 M elements and 3.5 MB, inside a health
+#: probe's ``MAX_DECODE_ELEMENTS`` (1 M) and ``MAX_FRAME_BYTES`` (64 MiB).
+SPAN_ROOT_CAP = 1024
 
 #: Module-level fast path: all recording helpers bail on this flag
 #: before doing any work. Mutated only via :func:`configure`.
@@ -108,7 +120,7 @@ class MetricsRegistry:
         self._counters: Dict[str, float] = {}
         self._histograms: Dict[str, Dict[str, float]] = {}
         self._gauges: Dict[str, float] = {}
-        self._roots: List[SpanRecord] = []
+        self._roots: Deque[SpanRecord] = deque()
 
     # -- recording ------------------------------------------------------
 
@@ -151,8 +163,16 @@ class MetricsRegistry:
                     hist["samples"].append(value)
 
     def add_root(self, span: SpanRecord) -> None:
-        """Attach a finished top-level span to the registry."""
+        """Attach a finished top-level span to the registry.
+
+        Only the newest :data:`SPAN_ROOT_CAP` roots are kept; each older
+        root pushed out counts once in ``telemetry.spans_dropped``.
+        """
         with self._lock:
+            if len(self._roots) >= SPAN_ROOT_CAP:
+                self._roots.popleft()
+                dropped = self._counters.get("telemetry.spans_dropped", 0)
+                self._counters["telemetry.spans_dropped"] = dropped + 1
             self._roots.append(span)
 
     # -- snapshot / merge ----------------------------------------------
@@ -175,8 +195,10 @@ class MetricsRegistry:
         """Fold another registry's snapshot into this one.
 
         Counters add, histograms combine (count/sum add, min/max fold),
-        spans append as additional roots. This is how the fleet
-        frontend folds every shard process's metrics into one document.
+        spans append as additional roots (through the same bounded ring,
+        so a merged document keeps the newest :data:`SPAN_ROOT_CAP`).
+        This is how the fleet frontend folds every shard process's
+        metrics into one document.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.count(name, value)

@@ -9,7 +9,6 @@ from repro.bench.reporting import (
     format_seconds,
     format_speedup,
     update_bench_json,
-    write_bench_json,
 )
 
 
@@ -86,7 +85,8 @@ class TestBenchJson:
 
     def test_update_upgrades_legacy_single_record(self, tmp_path):
         path = str(tmp_path / "bench.json")
-        write_bench_json(path, "e23", {"speedup": 2.9})
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"bench": "e23", "metrics": {"speedup": 2.9}}, handle)
         update_bench_json(path, "e24", {"speedup": 3.5})
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.exceptions import ReproError
 from repro.core.session import (
-    CRYPTO_BACKENDS,
     PROTOCOL_BACKENDS,
     RNG_MODES,
     SessionConfig,
@@ -18,12 +17,10 @@ from repro.core.session import (
 class TestValidation:
     def test_defaults_are_valid(self):
         config = SessionConfig()
-        assert config.crypto_backend == "auto"
         assert config.rng_mode == "deterministic"
         assert config.telemetry is False
 
     @pytest.mark.parametrize("field,value", [
-        ("crypto_backend", "openssl"),
         ("protocol_backend", "garbled"),
         ("rng_mode", "lava-lamp"),
         ("paillier_bits", 0),
@@ -56,6 +53,11 @@ class TestValidation:
         with pytest.raises(TypeError):
             SessionConfig(**{field: 1})
 
+    def test_retired_crypto_backend_field_is_gone(self):
+        # The bignum kernel is the process default of repro.crypto.modexp.
+        with pytest.raises(TypeError):
+            SessionConfig(crypto_backend="python")
+
     def test_frozen(self):
         with pytest.raises(Exception):
             SessionConfig().seed = 5  # type: ignore[misc]
@@ -69,7 +71,7 @@ class TestOverrides:
         assert derived.paillier_bits == 384
         assert base.paillier_bits == 512  # original untouched
         with pytest.raises(ReproError):
-            base.with_overrides(crypto_backend="quantum")
+            base.with_overrides(rng_mode="quantum")
 
 
 class TestFromArgs:
@@ -77,17 +79,15 @@ class TestFromArgs:
         args = argparse.Namespace(
             seed=4,
             rng_mode="system", metrics="out.json",
-            crypto_backend="python",
         )
         config = SessionConfig.from_args(args)
         assert config.seed == 4
-        assert config.crypto_backend == "python"
         assert config.rng_mode == "system"
         assert config.telemetry is True
 
     def test_absent_flags_keep_defaults(self):
         config = SessionConfig.from_args(argparse.Namespace(seed=1))
-        assert config.crypto_backend == "auto"
+        assert config.rng_mode == "deterministic"
         assert config.telemetry is False
 
     def test_reads_serving_flags(self):
@@ -117,10 +117,6 @@ class TestFromArgs:
 class TestBackendTuplesStayInSync:
     # SessionConfig keeps literal copies so that repro.core.session
     # stays import-light; these tests are the drift alarm.
-
-    def test_crypto_backends(self):
-        from repro.crypto.modexp import MODEXP_BACKENDS
-        assert tuple(CRYPTO_BACKENDS) == tuple(MODEXP_BACKENDS)
 
     def test_protocol_backends(self):
         from repro.secure.backends import PROTOCOL_BACKENDS as REAL

@@ -4,6 +4,7 @@ decryption equivalence, and fused dot products."""
 import copy
 import dataclasses
 import random
+import sys
 import threading
 
 import pytest
@@ -134,25 +135,6 @@ class TestSerialParallelParity:
         assert parallel_engine.decrypt_batch(paillier_keys.private_key, cts) \
             == values
 
-    def test_scalar_mul_batch_matches_operator(
-        self, paillier_keys, serial_engine, parallel_engine
-    ):
-        half = paillier_keys.public_key.n // 2
-        values = [4, -2, 9, 1, 0, 1, 1, -1]
-        scalars = [3, -5, 0, 7, -1, -(2 ** 40), -(half - 1), half - 1]
-        cts = serial_engine.encrypt_batch(
-            paillier_keys.public_key, values, rng=fresh_rng(4)
-        )
-        reference = [ct * s for ct, s in zip(cts, scalars)]
-        for engine in (serial_engine, parallel_engine):
-            result = engine.scalar_mul_batch(cts, scalars)
-            assert [r.value for r in result] == [r.value for r in reference]
-        assert serial_engine.decrypt_batch(
-            paillier_keys.private_key, reference
-        ) == [v * s for v, s in zip(values, scalars)]
-        with pytest.raises(PaillierError, match="exceeds"):
-            serial_engine.scalar_mul_batch(cts[:1], [-half])
-
     def test_rerandomize_batch_parity_and_plaintext(
         self, paillier_keys, serial_engine, parallel_engine
     ):
@@ -197,7 +179,7 @@ class TestSerialParallelParity:
         with pytest.raises(EngineError):
             serial_engine.dot_product(cts, [1, 2])
         with pytest.raises(EngineError):
-            serial_engine.scalar_mul_batch(cts, [1, 2])
+            serial_engine.blind_batch(cts, [1, 2], [None])
 
     def test_empty_batches(self, paillier_keys, serial_engine):
         assert serial_engine.encrypt_batch(
@@ -314,13 +296,6 @@ class TestKeyConsistencyValidation:
             other_keys.public_key.encrypt(2, rng=rng),
         ]
 
-    def test_scalar_mul_batch_rejects_mixed_keys(
-        self, paillier_keys, other_keys, serial_engine
-    ):
-        mixed = self._mixed(paillier_keys, other_keys)
-        with pytest.raises(EngineError, match="different public key"):
-            serial_engine.scalar_mul_batch(mixed, [3, 4])
-
     def test_rerandomize_batch_rejects_mixed_keys(
         self, paillier_keys, other_keys, serial_engine
     ):
@@ -342,15 +317,15 @@ class TestKeyConsistencyValidation:
         cts = [paillier_keys.public_key.encrypt(i, rng=rng) for i in range(3)]
         cts.append(other_keys.public_key.encrypt(9, rng=rng))
         with pytest.raises(EngineError, match="ciphertext 3"):
-            serial_engine.scalar_mul_batch(cts, [1, 1, 1, 1])
+            serial_engine.dot_product(cts, [1, 1, 1, 1])
 
     def test_single_key_batches_still_work(
         self, paillier_keys, serial_engine
     ):
         rng = fresh_rng(781)
         cts = [paillier_keys.public_key.encrypt(v, rng=rng) for v in (5, 6)]
-        out = serial_engine.scalar_mul_batch(cts, [2, 3])
-        assert [paillier_keys.private_key.decrypt(c) for c in out] == [10, 18]
+        out = serial_engine.rerandomize_batch(cts, rng=rng)
+        assert [paillier_keys.private_key.decrypt(c) for c in out] == [5, 6]
 
 
 class TestMultiexp:
@@ -485,21 +460,6 @@ class TestPoolDraining:
         assert [c.value for c in out] != [c.value for c in cts]
         assert [paillier_keys.private_key.decrypt(c) for c in out] == [1, 2]
 
-    def test_detach_pool_restores_fresh_nonce_path(self, paillier_keys):
-        from repro.crypto.precompute import PrecomputedEncryptionPool
-        engine = CryptoEngine()
-        pool = PrecomputedEncryptionPool(
-            paillier_keys.public_key, size=4, rng=fresh_rng(806)
-        )
-        engine.attach_pool(pool)
-        assert engine.pool_for(paillier_keys.public_key) is pool
-        engine.detach_pool(paillier_keys.public_key)
-        assert engine.pool_for(paillier_keys.public_key) is None
-        engine.encrypt_batch(
-            paillier_keys.public_key, [1, 2], rng=fresh_rng(807)
-        )
-        assert pool.remaining == 4  # untouched after detach
-
     def test_no_pool_path_bit_identical_to_seed_behaviour(
         self, paillier_keys, serial_engine
     ):
@@ -624,12 +584,11 @@ class TestServerRoleKeyIsolation:
             a, b, c,
             server.rerandomize(a),
             *server.rerandomize_batch([b, c]),
-            server.scalar_mul(a, -2),
             *server.blind_batch([b, c], [5, 1], [None, 2]),
             server.add(a, b),
         ]
         assert [private.decrypt(ct) for ct in outs] == \
-            [4, -3, 6, 4, -3, 6, -8, -15, 8, 1]
+            [4, -3, 6, 4, -3, 6, -15, 8, 1]
         with pytest.raises(AssertionError, match="private key"):
             server.client_encrypt(1)
 
@@ -645,9 +604,65 @@ class TestModexpSelection:
         expected = "gmpy2" if gmpy2_available() else "python"
         assert engine.modexp_name == expected
 
-    def test_context_threads_crypto_backend_through(self):
-        ctx = make_context(config=SessionConfig(
-            seed=3, paillier_bits=TEST_PAILLIER_BITS,
-            dgk_bits=TEST_DGK_BITS, crypto_backend="python",
-        ))
-        assert ctx.engine.modexp_name == "python"
+    def test_process_default_is_the_one_backend_switch(
+        self, warfarin_split
+    ):
+        """A backend installed with ``set_default_backend`` runs every
+        modexp of a classification: the engines ``make_context`` and a
+        server build use it, and so does the module-level ``powmod`` of
+        the DGK and scalar paths."""
+        import socket
+
+        from repro.api import PipelineConfig, PrivacyAwareClassifier
+        from repro.core.serialization import (
+            deployment_from_dict,
+            deployment_to_dict,
+        )
+        from repro.crypto import modexp
+        from repro.serving import ClassificationServer
+
+        class CountingModexp(modexp.PythonModexp):
+            name = "counting"
+
+            def __init__(self):
+                self.engine_calls = 0
+                self.module_calls = 0
+
+            def powmod(self, base, exponent, modulus):
+                # The module-level powmod() is one caller; every other
+                # caller reaches this backend through an engine.
+                if sys._getframe(1).f_code is modexp.powmod.__code__:
+                    self.module_calls += 1
+                else:
+                    self.engine_calls += 1
+                return pow(base, exponent, modulus)
+
+            def wrap(self, value):  # the multi-exponentiation's entry
+                self.engine_calls += 1
+                return value
+
+        train, test = warfarin_split
+        pipeline = PrivacyAwareClassifier(PipelineConfig(
+            classifier="naive_bayes", risk_sample_rows=50,
+            paillier_bits=TEST_PAILLIER_BITS, dgk_bits=TEST_DGK_BITS,
+        )).fit(train)
+        pipeline.select_disclosure(0.1)
+        deployed = deployment_from_dict(deployment_to_dict(pipeline))
+        counting = CountingModexp()
+        original = modexp.get_default_backend()
+        modexp.set_default_backend(counting)
+        try:
+            ctx = make_context(config=SessionConfig(
+                seed=3, paillier_bits=TEST_PAILLIER_BITS,
+                dgk_bits=TEST_DGK_BITS,
+            ))
+            with socket.create_server(("127.0.0.1", 0)) as listener:
+                server = ClassificationServer(deployed, listener)
+                assert server._engine.modexp is counting
+            assert ctx.engine.modexp is counting
+            row = [int(v) for v in test.X[0]]
+            deployed.classify(ctx, row, disclosure=[])
+        finally:
+            modexp.set_default_backend(original)
+        assert counting.engine_calls > 0
+        assert counting.module_calls > 0

@@ -138,50 +138,6 @@ class TestThreadSafety:
         assert pool.total_precomputed >= 10
 
 
-class TestBackgroundRefill:
-    def test_refiller_tops_up_below_low_water(self, paillier_keys):
-        pool = PrecomputedEncryptionPool(
-            paillier_keys.public_key, size=6, rng=fresh_rng(34)
-        )
-        pool.start_background_refill(low_water=4, batch=8)
-        try:
-            for i in range(5):
-                pool.encrypt(i)
-            deadline = time.monotonic() + 10.0
-            while pool.remaining < 4 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert pool.remaining >= 4
-            assert pool.total_precomputed > 6
-        finally:
-            pool.stop_background_refill()
-
-    def test_background_refill_encryptions_stay_correct(self, paillier_keys):
-        pool = PrecomputedEncryptionPool(
-            paillier_keys.public_key, size=4, rng=fresh_rng(35)
-        )
-        pool.start_background_refill(low_water=3, batch=6)
-        try:
-            for value in (-9, 0, 9, 1234, -4321, 77, -77, 5):
-                deadline = time.monotonic() + 10.0
-                while pool.remaining == 0 and time.monotonic() < deadline:
-                    time.sleep(0.02)
-                ct = pool.encrypt(value)
-                assert paillier_keys.private_key.decrypt(ct) == value
-        finally:
-            pool.stop_background_refill()
-
-    def test_start_is_idempotent_and_stop_joins(self, paillier_keys):
-        pool = PrecomputedEncryptionPool(
-            paillier_keys.public_key, size=2, rng=fresh_rng(36)
-        )
-        pool.start_background_refill(low_water=1)
-        pool.start_background_refill(low_water=1)
-        pool.stop_background_refill()
-        pool.stop_background_refill()  # no-op on a stopped pool
-        with pytest.raises(ValueError):
-            pool.start_background_refill(low_water=0)
-
-
 class TestSpeed:
     def test_online_faster_than_full(self, paillier_keys):
         pool = PrecomputedEncryptionPool(

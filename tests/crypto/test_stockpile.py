@@ -3,14 +3,13 @@
 A cheap counting producer makes every item unique, so the tests can
 check the two invariants the adapters rely on: an item is handed out at
 most once, and ``total_produced`` always equals what was handed out
-plus what is still in stock -- under concurrent takers and a background
-refiller alike.
+plus what is still in stock -- also while handler threads drain the
+stock and another thread refills it.
 """
 
 import itertools
 import sys
 import threading
-import time
 
 import pytest
 
@@ -56,19 +55,20 @@ class TestTake:
             stock.take(-1)
         with pytest.raises(ValueError):
             stock.refill(-1)
-        with pytest.raises(ValueError):
-            stock.start_background_refill(low_water=0)
 
 
 class TestConcurrency:
     def test_takers_and_refiller_never_share_or_lose_an_item(self):
-        """Eight takers (more than the cores) race the refiller with a
-        tiny switch interval: no item is handed out twice, the
-        accounting balances, and the stock ends restocked."""
+        """Eight takers (more than the cores) race a thread calling
+        ``refill()`` with a tiny switch interval -- the shares server's
+        pattern: handler threads drain one store, falling back to
+        ``produce`` on a short take, while an offline step restocks it.
+        No item is handed out twice and the accounting balances."""
         stock = _counting_stockpile()
         stock.refill(16)
         taken, errors = [], []
         taken_lock = threading.Lock()
+        done = threading.Event()
 
         def drain():
             try:
@@ -81,24 +81,27 @@ class TestConcurrency:
             except Exception as error:  # surfaced by the main thread
                 errors.append(error)
 
+        def restock():
+            while not done.is_set():
+                stock.refill(8)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
-        stock.start_background_refill(low_water=8, batch=24)
         try:
+            refiller = threading.Thread(target=restock)
+            refiller.start()
             threads = [threading.Thread(target=drain) for _ in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert errors == []
-            assert len(taken) == 8 * 200 * 3
-            assert len(set(taken)) == len(taken)
-            deadline = time.monotonic() + 5.0
-            while stock.remaining < 8 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert stock.remaining >= 8
+            done.set()
+            refiller.join(timeout=60)
+            assert not any(t.is_alive() for t in [*threads, refiller])
         finally:
-            stock.stop_background_refill()
+            done.set()
             sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(taken) == 8 * 200 * 3
+        assert len(set(taken)) == len(taken)
         assert stock.total_produced == len(taken) + stock.remaining

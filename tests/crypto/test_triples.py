@@ -1,14 +1,11 @@
-"""The offline triple store: depletion honesty and background refill.
+"""The offline triple store: depletion honesty.
 
 The store's contract mirrors the precomputed-encryption pool: a strict
 online take must *fail loudly* on an empty stockpile (benchmarks
-separate offline from online work), a fallback take must deal inline
-and surface the miss, and the background refiller must keep a drained
-store stocked while concurrent takers hammer it.
+separate offline from online work), and a fallback take must deal
+inline and surface the miss. Concurrent takers racing a refill are
+covered once, on the shared stockpile (``test_stockpile.py``).
 """
-
-import threading
-import time
 
 import pytest
 
@@ -66,76 +63,3 @@ class TestDepletion:
             store.refill(triples=-2)
         with pytest.raises(ValueError):
             store.refill(masks=1)  # mask_bits is mandatory for masks
-
-
-class TestBackgroundRefill:
-    def test_refiller_restocks_a_drained_store(self, store):
-        store.refill(triples=10)
-        store.start_background_refill(low_water=8, batch=20)
-        try:
-            store.take_triples(9)  # drop below the low-water mark
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if store.remaining_triples >= 8:
-                    break
-                time.sleep(0.01)
-            assert store.remaining_triples >= 8
-        finally:
-            store.stop_background_refill()
-
-    def test_concurrent_drain_never_fails_and_restocks(self, store):
-        """Four threads drain with fallback while the refiller tops up:
-        every take succeeds, the stock ends above the low-water mark
-        once the burst is over, and accounting balances. The balance is
-        read after the refiller has stopped: while it runs, a batch can
-        land between the two reads."""
-        per_thread, takers = 30, 4
-        store.refill(triples=40)
-        store.start_background_refill(
-            low_water=16, batch=48, mask_bits=BITS, mask_low_water=4
-        )
-        errors = []
-
-        def drain():
-            try:
-                for _ in range(per_thread):
-                    firsts, seconds = store.take_triples(2, fallback=True)
-                    assert len(firsts) == len(seconds) == 2
-                    masks, _ = store.take_masks(1, BITS, fallback=True)
-                    assert len(masks) == 1
-            except Exception as error:  # surfaced by the main thread
-                errors.append(error)
-
-        try:
-            threads = [threading.Thread(target=drain) for _ in range(takers)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert errors == []
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if (store.remaining_triples >= 16
-                        and store.remaining_masks(BITS) >= 4):
-                    break
-                time.sleep(0.01)
-            assert store.remaining_triples >= 16
-            assert store.remaining_masks(BITS) >= 4
-        finally:
-            store.stop_background_refill()
-        consumed = takers * per_thread * 2
-        dealt, masks_dealt = store.total_dealt
-        assert dealt == consumed + store.remaining_triples
-        assert masks_dealt == takers * per_thread + store.remaining_masks(BITS)
-
-    def test_stop_is_idempotent_and_restartable(self, store):
-        store.start_background_refill(low_water=2)
-        store.stop_background_refill()
-        store.stop_background_refill()  # no-op on a stopped store
-        store.start_background_refill(low_water=2)
-        store.stop_background_refill()
-
-    def test_low_water_must_be_positive(self, store):
-        with pytest.raises(ValueError):
-            store.start_background_refill(low_water=0)

@@ -227,6 +227,56 @@ def test_fleet_telemetry_merges_shard_snapshots(deployed, row):
         fleet.shutdown()
 
 
+def test_health_probe_reads_a_full_shard_ring_under_the_caps(deployed, row):
+    """A shard whose telemetry sits at its bounds -- a ring of
+    SPAN_ROOT_CAP copies of the largest served root (a pure-SMC request)
+    and a full queue-wait histogram -- still answers the frontend's
+    telemetry probe, which reads it under the normal MAX_FRAME_BYTES and
+    MAX_DECODE_ELEMENTS."""
+    import repro.telemetry as telemetry
+    from repro.serving import ClassificationServer
+    from repro.serving.fleet import ShardHandle
+    from repro.telemetry.registry import (
+        HISTOGRAM_SAMPLE_CAP,
+        SPAN_ROOT_CAP,
+        SpanRecord,
+    )
+
+    telemetry.configure(True, reset=True)
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+    server = ClassificationServer(
+        deployed, listener, config=SessionConfig(**_BITS)
+    )
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        request_classification(
+            "127.0.0.1", port, row, seed=_BASE_SEED, disclosure=[]
+        )
+        registry = telemetry.get_registry()
+        (served,) = registry.snapshot()["spans"]
+        for _ in range(SPAN_ROOT_CAP):
+            registry.add_root(SpanRecord.from_dict(served))
+        for _ in range(HISTOGRAM_SAMPLE_CAP):
+            registry.observe("serve.queue_wait", 0.001)
+        fleet = ClassificationFleet(
+            deployed, shards=1, config=SessionConfig(**_BITS)
+        )
+        reply = fleet._probe(
+            ShardHandle("s0", None, port, ""), telemetry_too=True
+        )
+    finally:
+        server.shutdown()
+        thread.join(timeout=30)
+        telemetry.configure(False, reset=True)
+    assert not thread.is_alive()
+    assert reply is not None  # None: unreachable, or over a wire cap
+    shard = reply["telemetry"]
+    assert len(shard["spans"]) == SPAN_ROOT_CAP
+    assert shard["counters"]["telemetry.spans_dropped"] == 1
+
+
 def test_frontend_answers_oversized_frame_with_bad_request(deployed):
     """The frontend caps what a client may declare, like a shard does."""
     fleet = make_fleet(deployed, shards=1)

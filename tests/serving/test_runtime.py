@@ -367,6 +367,33 @@ def test_health_probe_can_carry_telemetry(deployed):
         telemetry.configure(False, reset=True)
 
 
+def test_span_roots_are_a_bounded_ring(deployed, rows, monkeypatch):
+    """N + k served requests leave the newest N ``serve.request`` roots
+    and count the k older ones in ``telemetry.spans_dropped``."""
+    import repro.telemetry as telemetry
+    from repro.telemetry import registry
+
+    cap, extra = 3, 2
+    monkeypatch.setattr(registry, "SPAN_ROOT_CAP", cap)
+    telemetry.configure(True, reset=True)
+    server, thread, port = start_server(deployed)
+    try:
+        ids = [
+            request_classification(
+                "127.0.0.1", port, rows[i], seed=_BASE_SEED + i
+            ).request_id
+            for i in range(cap + extra)
+        ]
+        snap = telemetry.snapshot()
+    finally:
+        stop_server(server, thread)
+        telemetry.configure(False, reset=True)
+    assert [root["name"] for root in snap["spans"]] == ["serve.request"] * cap
+    assert [root["attributes"]["request_id"] for root in snap["spans"]] \
+        == ids[extra:]
+    assert snap["counters"]["telemetry.spans_dropped"] == extra
+
+
 def test_errors_are_counted_by_cause(deployed, rows):
     """Each failed request raises serve.errors and exactly one
     serve.errors.<cause> counter, so the causes always sum to the

@@ -38,7 +38,7 @@ class TestCountedHelpers:
         a = ctx.client_encrypt(2)
         b = ctx.server_encrypt(3)
         total = ctx.add(a, b)
-        scaled = ctx.scalar_mul(total, 4)
+        (scaled,) = ctx.blind_batch([total], [4], [None])
         assert ctx.client_decrypt(scaled) == 20
         assert ctx.trace.op_count(Op.PAILLIER_ADD) == 1
         assert ctx.trace.op_count(Op.PAILLIER_SCALAR_MUL) == 1

@@ -26,7 +26,8 @@ from repro.core.serialization import deployment_from_dict, deployment_to_dict
 from repro.core.session import SessionConfig
 from repro.privacy.ledger import PrivacyLedger
 from repro.privacy.pricing import DisclosurePricer, risk_model_from_dict
-from repro.serving.budget import identity_for_seed
+from repro.serving.budget import identity_for_context
+from repro.smc.context import make_context
 from repro.smc.transport import request_classification
 
 from conftest import BENCH_DGK_BITS, BENCH_PAILLIER_BITS, bench_config
@@ -168,7 +169,9 @@ def test_e26_budget_ledger(warfarin_train_test, tmp_path):
 
     # realized cumulative risk, re-priced independently of the enforcer
     with PrivacyLedger(ledger_path) as ledger:
-        record = ledger.client(identity_for_seed(_SEED + 1, **_BITS))
+        record = ledger.client(identity_for_context(make_context(
+            config=SessionConfig(seed=_SEED + 1, **_BITS)
+        )))
         disclosed = list(record.disclosed)
         recorded_spent = record.spent
     pricer = DisclosurePricer(risk_model_from_dict(deployed.risk_model))

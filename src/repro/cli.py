@@ -459,7 +459,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             fleet.shutdown()
         if metered:
-            _finish_metrics(args)
+            # Every shard's registry, merged before the shards stopped.
+            telemetry.write_metrics(args.metrics, fleet.telemetry_at_shutdown)
         return 0
 
     from repro.serving import ClassificationServer

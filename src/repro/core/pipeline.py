@@ -76,11 +76,6 @@ class PipelineConfig:
     cost_model:
         How analytic traces are priced into seconds; defaults to the
         native-1024-bit hardware profile over a LAN.
-    adversary_model:
-        ``"naive_bayes"`` (default; factorised, enables the fast
-        incremental risk path) or ``"chow_liu"`` (tree-structured joint;
-        exact inference, better calibrated on strongly correlated
-        cohorts, evaluated per set with caching).
     risk_sample_rows:
         Number of cohort rows the risk expectation averages over
         (deterministic prefix after shuffling at fit time).
@@ -116,7 +111,6 @@ class PipelineConfig:
 
     classifier: str = "naive_bayes"
     risk_metric: RiskMetric = RiskMetric.MAX_POSTERIOR
-    adversary_model: str = "naive_bayes"
     precision_bits: int = 10
     cost_model: CostModel = field(
         default_factory=lambda: CostModel(
@@ -139,11 +133,6 @@ class PipelineConfig:
             raise ReproError(
                 f"unknown classifier {self.classifier!r}; "
                 f"expected one of {CLASSIFIER_KINDS}"
-            )
-        if self.adversary_model not in ("naive_bayes", "chow_liu"):
-            raise ReproError(
-                f"unknown adversary model {self.adversary_model!r}; "
-                f"expected 'naive_bayes' or 'chow_liu'"
             )
         if self.protocol_backend not in PROTOCOL_BACKENDS:
             raise ReproError(
@@ -270,37 +259,19 @@ class PrivacyAwareClassifier:
         background = (
             tuple(dataset.public_indices) if config.public_is_background else ()
         )
-        if config.adversary_model == "naive_bayes":
-            adversary = NaiveBayesAdversary(
-                dataset.X, dataset.domain_sizes, dataset.sensitive_indices
-            )
-            self._risk_evaluator = IncrementalRiskEvaluator(
-                adversary,
-                sample,
-                dataset.sensitive_indices,
-                metric=config.risk_metric,
-                background_columns=background,
-            )
-            risk_function = self._risk_evaluator.as_risk_function()
-        else:
-            from repro.privacy.adversary import ChowLiuAdversary
-            from repro.privacy.risk import RiskModel
-
-            adversary = ChowLiuAdversary(
-                dataset.X, dataset.domain_sizes, dataset.sensitive_indices
-            )
-            self._risk_evaluator = None
-            risk_model = RiskModel(
-                adversary=adversary,
-                evaluation_rows=sample,
-                sensitive_columns=dataset.sensitive_indices,
-                metric=config.risk_metric,
-                background_columns=background,
-            )
-            risk_function = risk_model.risk
+        adversary = NaiveBayesAdversary(
+            dataset.X, dataset.domain_sizes, dataset.sensitive_indices
+        )
+        self._risk_evaluator = IncrementalRiskEvaluator(
+            adversary,
+            sample,
+            dataset.sensitive_indices,
+            metric=config.risk_metric,
+            background_columns=background,
+        )
         # Like the cost, risk is priced once per set and fit.
         self._risk_function = functools.partial(
-            _memoized, {}, price=risk_function
+            _memoized, {}, price=self._risk_evaluator.as_risk_function()
         )
         self._solution = None
         return self
@@ -482,13 +453,9 @@ class PrivacyAwareClassifier:
 
     @property
     def risk_evaluator(self) -> IncrementalRiskEvaluator:
-        """The incremental privacy-risk evaluator (only available under
-        the ``naive_bayes`` adversary model)."""
+        """The incremental privacy-risk evaluator."""
         if self._risk_evaluator is None:
-            raise ReproError(
-                "no incremental evaluator: fit() not called, or the "
-                "pipeline uses the chow_liu adversary model"
-            )
+            raise ReproError("fit() must be called first")
         return self._risk_evaluator
 
     @property

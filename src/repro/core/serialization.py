@@ -29,6 +29,7 @@ from repro.classifiers.naive_bayes import NaiveBayesClassifier
 from repro.core.exceptions import ReproError
 from repro.core.pipeline import PrivacyAwareClassifier
 from repro.data.schema import FeatureSpec
+from repro.privacy.pricing import risk_model_to_dict
 from repro.secure.costing import ProtocolSizes
 from repro.secure.encoding import FixedPointEncoder
 from repro.secure.secure_linear import SecureLinearClassifier
@@ -268,16 +269,10 @@ def deployment_to_dict(pipeline: PrivacyAwareClassifier) -> Dict:
         "precision_bits": pipeline.config.precision_bits,
         "paillier_bits": pipeline.config.paillier_bits,
         "dgk_bits": pipeline.config.dgk_bits,
+        # The fitted pricing state, so the serving side can enforce
+        # per-client privacy budgets (repro.privacy.ledger).
+        "risk_model": risk_model_to_dict(pipeline.risk_evaluator),
     }
-    # Under the naive-Bayes adversary the fitted pricing state is
-    # serializable; ship it so the serving side can enforce per-client
-    # privacy budgets (repro.privacy.ledger). The chow_liu adversary
-    # has no incremental evaluator -- such bundles simply cannot be
-    # served with a ledger.
-    if pipeline._risk_evaluator is not None:
-        from repro.privacy.pricing import risk_model_to_dict
-
-        bundle["risk_model"] = risk_model_to_dict(pipeline._risk_evaluator)
     return bundle
 
 

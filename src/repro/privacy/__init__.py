@@ -10,13 +10,9 @@ This package provides:
 
 * :mod:`repro.privacy.distribution` -- exact empirical joint
   distributions over small column subsets (with Laplace smoothing).
-* :mod:`repro.privacy.bayesnet` -- Chow-Liu tree-structured Bayesian
-  networks with exact message-passing inference, the tractable joint
-  model for high-dimensional datasets.
-* :mod:`repro.privacy.adversary` -- three adversary instantiations:
+* :mod:`repro.privacy.adversary` -- two adversary instantiations:
   conditionally-independent (naive-Bayes-style, supports the fast
-  incremental risk computation), exact-joint (reference), and
-  Chow-Liu-tree.
+  incremental risk computation) and exact-joint (reference).
 * :mod:`repro.privacy.risk` -- risk metrics: expected max-posterior
   confidence gain (the default), mutual-information / entropy loss, and
   empirical inference accuracy.
@@ -27,11 +23,9 @@ This package provides:
 
 from repro.privacy.adversary import (
     BayesianAdversary,
-    ChowLiuAdversary,
     ExactJointAdversary,
     NaiveBayesAdversary,
 )
-from repro.privacy.bayesnet import ChowLiuTree
 from repro.privacy.distribution import EmpiricalJoint
 from repro.privacy.incremental import IncrementalRiskEvaluator
 from repro.privacy.inversion import (
@@ -55,8 +49,6 @@ from repro.privacy.risk import (
 
 __all__ = [
     "BayesianAdversary",
-    "ChowLiuAdversary",
-    "ChowLiuTree",
     "EmpiricalJoint",
     "ExactJointAdversary",
     "IncrementalRiskEvaluator",

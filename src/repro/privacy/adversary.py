@@ -1,7 +1,7 @@
 """Bayesian adversaries: posterior inference over sensitive attributes.
 
 The adversary observes the disclosed feature values of a record and
-computes a posterior over each sensitive attribute. Three instantiations
+computes a posterior over each sensitive attribute. Two instantiations
 trade fidelity against speed:
 
 * :class:`NaiveBayesAdversary` -- assumes disclosed features are
@@ -11,8 +11,6 @@ trade fidelity against speed:
   (:mod:`repro.privacy.incremental`).
 * :class:`ExactJointAdversary` -- materialises the exact smoothed joint
   over ``S + {sensitive}``; the gold standard for small ``|S|``.
-* :class:`ChowLiuAdversary` -- exact inference in a Chow-Liu tree
-  approximation of the joint; scales to many features.
 
 All adversaries share the :class:`BayesianAdversary` interface:
 ``posterior(sensitive_column, evidence)`` returning a probability
@@ -22,11 +20,10 @@ vector over the sensitive attribute's domain.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.privacy.bayesnet import ChowLiuTree
 from repro.privacy.distribution import EmpiricalJoint
 
 
@@ -198,25 +195,3 @@ class ExactJointAdversary(BayesianAdversary):
         conditioned = joint.condition(dict(evidence))
         return conditioned.table.copy()
 
-
-class ChowLiuAdversary(BayesianAdversary):
-    """Tree-structured adversary: exact inference in a Chow-Liu model."""
-
-    def __init__(
-        self,
-        data: np.ndarray,
-        domain_sizes: Sequence[int],
-        sensitive_columns: Sequence[int],
-        alpha: float = 0.5,
-        tree: Optional[ChowLiuTree] = None,
-    ) -> None:
-        super().__init__(data, domain_sizes, sensitive_columns)
-        self.tree = tree or ChowLiuTree.fit(self.data, self.domain_sizes, alpha=alpha)
-
-    def posterior(
-        self, sensitive_column: int, evidence: Dict[int, int]
-    ) -> np.ndarray:
-        self._check_sensitive(sensitive_column)
-        if sensitive_column in evidence:
-            return self._point_mass(sensitive_column, evidence[sensitive_column])
-        return self.tree.posterior(sensitive_column, dict(evidence))

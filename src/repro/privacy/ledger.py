@@ -41,8 +41,9 @@ import os
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class LedgerError(Exception):
@@ -56,36 +57,39 @@ SCHEMA_VERSION = 2
 #: ``[0, 1]``) when the operator does not configure one.
 DEFAULT_PRIVACY_BUDGET = 0.5
 
-#: Ordered, append-only schema migrations. Each entry upgrades
-#: ``user_version`` N-1 -> N inside one transaction; opening a ledger
-#: applies every pending entry, so any historical file fast-forwards to
-#: :data:`SCHEMA_VERSION`. Never edit a shipped entry -- append.
-MIGRATIONS: Dict[int, str] = {
+#: Ordered, append-only schema migrations. Each entry's statements
+#: upgrade ``user_version`` N-1 -> N; opening a ledger runs every pending
+#: entry, one statement at a time, inside a single ``BEGIN IMMEDIATE``
+#: transaction (``executescript`` would commit it early), so any
+#: historical file fast-forwards to :data:`SCHEMA_VERSION` and two
+#: processes opening one fresh file never both create the tables. Never
+#: edit a shipped entry -- append.
+MIGRATIONS: Dict[int, Tuple[str, ...]] = {
     # v1: the core ledger -- one row per client, one row per
     # (client, feature) disclosure. The disclosure primary key IS the
     # no-double-charge rule, durably.
-    1: """
-        CREATE TABLE clients (
+    1: (
+        """CREATE TABLE clients (
             client_id  TEXT PRIMARY KEY,
             budget     REAL NOT NULL,
             spent      REAL NOT NULL DEFAULT 0.0,
             created_at TEXT NOT NULL,
             updated_at TEXT NOT NULL
-        );
-        CREATE TABLE disclosures (
+        )""",
+        """CREATE TABLE disclosures (
             client_id  TEXT    NOT NULL,
             feature    INTEGER NOT NULL,
             request_id TEXT    NOT NULL,
             created_at TEXT    NOT NULL,
             PRIMARY KEY (client_id, feature)
-        );
-    """,
+        )""",
+    ),
     # v2: the per-request charge journal (audit trail behind
     # ``repro budget inspect``) plus the hot-path index. Older ledgers
     # migrate in place; their charge history simply starts at the
     # upgrade.
-    2: """
-        CREATE TABLE charges (
+    2: (
+        """CREATE TABLE charges (
             id          INTEGER PRIMARY KEY AUTOINCREMENT,
             client_id   TEXT NOT NULL,
             request_id  TEXT NOT NULL,
@@ -94,11 +98,15 @@ MIGRATIONS: Dict[int, str] = {
             spent_after REAL NOT NULL,
             mode        TEXT NOT NULL,
             created_at  TEXT NOT NULL
-        );
-        CREATE INDEX idx_charges_client ON charges (client_id);
-        CREATE INDEX idx_disclosures_client ON disclosures (client_id);
-    """,
+        )""",
+        "CREATE INDEX idx_charges_client ON charges (client_id)",
+        "CREATE INDEX idx_disclosures_client ON disclosures (client_id)",
+    ),
 }
+
+#: Seconds a connection waits for another process's write lock on the
+#: file before giving up with ``database is locked``.
+_BUSY_TIMEOUT_S = 30.0
 
 
 def _utcnow() -> str:
@@ -174,10 +182,13 @@ class PrivacyLedger:
     budget ``rho``. The schema is versioned (``PRAGMA user_version``)
     and migrates forward automatically on open.
 
-    Thread-safe: one connection guarded by a lock, so the concurrent
-    serving runtime's handler threads can charge through a shared
-    instance. Cross-process sharing goes through the fleet frontend
-    (one ledger, one writer) rather than shared file handles.
+    Safe for several writers: one connection per instance, guarded by
+    a lock for the handler threads that share it, and every write runs
+    in a ``BEGIN IMMEDIATE`` transaction (:meth:`transaction`), which
+    sqlite serialises across processes. Fleet shards each open the
+    same file, and ``repro budget reset`` may write it while they
+    serve; a caller that reads, decides and charges wraps all three in
+    one :meth:`transaction`, so no two writers spend the same headroom.
 
     Example::
 
@@ -215,13 +226,36 @@ class PrivacyLedger:
         directory = os.path.dirname(os.path.abspath(path))
         if directory and not os.path.isdir(directory):
             raise LedgerError(f"ledger directory does not exist: {directory}")
-        self._lock = threading.Lock()
-        self._conn = sqlite3.connect(path, check_same_thread=False)
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._lock = threading.RLock()  # reentrant: transactions nest
+        self._conn = sqlite3.connect(
+            path,
+            timeout=_BUSY_TIMEOUT_S,
+            isolation_level=None,  # transactions are explicit
+            check_same_thread=False,
+        )
+        self._enable_wal()
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._migrate(target_version or SCHEMA_VERSION)
 
     # -- schema ----------------------------------------------------------
+
+    def _enable_wal(self) -> None:
+        """Switch the file to write-ahead logging (a no-op once it is).
+
+        The switch upgrades a read lock to a write lock, and sqlite
+        refuses that at once -- without waiting out the busy timeout --
+        while another connection holds the write lock (a concurrent
+        first open migrating the schema), so the wait happens here.
+        """
+        deadline = time.monotonic() + _BUSY_TIMEOUT_S
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
 
     @property
     def schema_version(self) -> int:
@@ -237,10 +271,10 @@ class PrivacyLedger:
                 f"cannot migrate to unknown schema version {target} "
                 f"(this build knows up to {SCHEMA_VERSION})"
             )
-        with self._lock:
-            current = int(
-                self._conn.execute("PRAGMA user_version").fetchone()[0]
-            )
+        # The version is read under the write lock: another process may
+        # have migrated the file since this one opened it.
+        with self.transaction():
+            current = self.schema_version
             if current > SCHEMA_VERSION:
                 raise LedgerError(
                     f"ledger {self.path!r} was written by newer code "
@@ -248,11 +282,32 @@ class PrivacyLedger:
                     f"v{SCHEMA_VERSION})"
                 )
             for version in range(current + 1, target + 1):
-                with self._conn:  # one transaction per migration step
-                    self._conn.executescript(MIGRATIONS[version])
-                    self._conn.execute(f"PRAGMA user_version = {version}")
+                for statement in MIGRATIONS[version]:
+                    self._conn.execute(statement)
+                self._conn.execute(f"PRAGMA user_version = {version}")
 
     # -- write path ------------------------------------------------------
+
+    @contextmanager
+    def transaction(self) -> Iterator["PrivacyLedger"]:
+        """Hold the ledger's write lock: ``BEGIN IMMEDIATE ... COMMIT``.
+
+        Every write method runs in one, and calls made inside an outer
+        transaction join it, so a read -> decide -> write sequence is
+        atomic against this instance's other threads and against every
+        other process writing the file. Rolls back on any exception.
+        """
+        with self._lock:
+            if self._conn.in_transaction:
+                yield self
+                return
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield self
+            except BaseException:
+                self._conn.execute("ROLLBACK")
+                raise
+            self._conn.execute("COMMIT")
 
     def ensure_client(
         self, client_id: str, budget: Optional[float] = None
@@ -260,7 +315,7 @@ class PrivacyLedger:
         """The client's record, creating it (with ``budget`` or the
         ledger default) on first sight."""
         now = _utcnow()
-        with self._lock, self._conn:
+        with self.transaction():
             self._conn.execute(
                 "INSERT OR IGNORE INTO clients "
                 "(client_id, budget, spent, created_at, updated_at) "
@@ -293,9 +348,9 @@ class PrivacyLedger:
         """
         if delta < -1e-9:
             raise LedgerError(f"negative charge delta {delta}")
-        self.ensure_client(client_id)
         now = _utcnow()
-        with self._lock, self._conn:
+        with self.transaction():
+            self.ensure_client(client_id)
             for feature in features:
                 self._conn.execute(
                     "INSERT OR IGNORE INTO disclosures "
@@ -328,7 +383,7 @@ class PrivacyLedger:
         exposure is void too (key rotation, data-subject deletion) --
         see the runbook in ``docs/PRIVACY.md``.
         """
-        with self._lock, self._conn:
+        with self.transaction():
             if client_id is None:
                 removed = self._conn.execute(
                     "SELECT COUNT(*) FROM clients"

@@ -12,7 +12,7 @@ and :mod:`repro.serving.runtime` / :mod:`repro.serving.fleet` for the
 design invariants.
 """
 
-from repro.serving.fleet import ClassificationFleet, ShardHandle, serve_fleet
+from repro.serving.fleet import ClassificationFleet, ShardHandle
 from repro.serving.runtime import ClassificationServer
 from repro.serving.session import BadRequest, RequestSession
 
@@ -22,5 +22,4 @@ __all__ = [
     "ClassificationServer",
     "RequestSession",
     "ShardHandle",
-    "serve_fleet",
 ]

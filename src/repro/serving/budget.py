@@ -2,14 +2,14 @@
 
 Glue between the durable ledger (:mod:`repro.privacy.ledger`), the
 disclosure pricer (:mod:`repro.privacy.pricing`) and the servers
-(:class:`~repro.serving.runtime.ClassificationServer`,
-:class:`~repro.serving.fleet.ClassificationFleet`). One
-:class:`BudgetEnforcer` per serving process (the fleet keeps it on the
-*frontend* so all shards share one ledger) admits each request:
+(:class:`~repro.serving.runtime.ClassificationServer`, which every
+fleet shard runs too). One :class:`BudgetEnforcer` per serving process
+admits each request after the session keys exist; the shards of a fleet
+each hold one, all open on the same ledger file:
 
 1. identify the client from the session keyring fingerprint
-   (:func:`repro.smc.wire.keyring_fingerprint` -- stable because key
-   material derives deterministically from the client's seed);
+   (:func:`identity_for_context` -- stable because key material
+   derives deterministically from the client's seed);
 2. price the requested disclosure set on top of the client's recorded
    history (features already disclosed to this client are free -- the
    no-double-charge rule);
@@ -18,8 +18,9 @@ disclosure pricer (:mod:`repro.privacy.pricing`) and the servers
    otherwise nothing -- the request still runs, as pure-SMC
    classification (both ``paillier`` and ``shares`` backends accept an
    empty disclosure set);
-4. charge the ledger atomically and emit ``budget.*`` telemetry under
-   a ``budget.charge`` span.
+4. charge the ledger and emit ``budget.*`` telemetry under a
+   ``budget.charge`` span. Steps 2-4 run in one ledger transaction, so
+   no other thread or process charges the client in between.
 
 The enforcement invariant -- a client's cumulative realized risk never
 exceeds their budget ``rho`` -- holds by construction: a feature is
@@ -30,9 +31,7 @@ served. See ``docs/PRIVACY.md`` for the operator view.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import repro.telemetry as telemetry
@@ -99,9 +98,10 @@ class BudgetEnforcer:
 
     Owns one :class:`~repro.privacy.ledger.PrivacyLedger` and one
     :class:`~repro.privacy.pricing.DisclosurePricer` (rebuilt from the
-    deployment bundle's ``risk_model`` section). ``admit`` serialises
-    pricing + charge under one lock, so concurrent handler threads see
-    a consistent cumulative history per client.
+    deployment bundle's ``risk_model`` section). ``admit`` reads,
+    prices and charges inside one ledger transaction, so concurrent
+    handler threads -- and other processes on the same ledger file --
+    see a consistent cumulative history per client.
 
     Servers build one via :meth:`from_config`; standalone use::
 
@@ -127,7 +127,6 @@ class BudgetEnforcer:
                 else default_budget
             ),
         )
-        self._lock = threading.Lock()
 
     @classmethod
     def from_config(cls, deployed, config) -> Optional["BudgetEnforcer"]:
@@ -145,8 +144,8 @@ class BudgetEnforcer:
         if risk_model is None:
             raise ReproError(
                 "budget enforcement requires a deployment bundle with a "
-                "risk_model section (re-export it with a naive_bayes "
-                "adversary pipeline); this bundle has none"
+                "risk_model section (re-export it with save_deployment); "
+                "this bundle has none"
             )
         return cls(
             risk_model,
@@ -165,7 +164,7 @@ class BudgetEnforcer:
         with telemetry.span(
             "budget.charge", request_id=request_id
         ) as charge_span:
-            with self._lock:
+            with self._ledger.transaction():
                 record = self._ledger.ensure_client(identity)
                 requested = [int(f) for f in requested]
                 if not set(requested) - set(record.disclosed):
@@ -235,35 +234,4 @@ def identity_for_context(ctx) -> str:
     codec = wire.codec_for_context(ctx)
     return wire.keyring_fingerprint(wire.keyring_payload(
         paillier=codec.paillier, dgk=codec.dgk
-    ))
-
-
-@lru_cache(maxsize=4096)
-def identity_for_seed(
-    seed: int,
-    paillier_bits: int,
-    dgk_bits: int,
-    dgk_plaintext_bits: int = 16,
-) -> str:
-    """The keyring fingerprint a deterministic client with ``seed``
-    will present, without standing up a context.
-
-    Replicates :func:`repro.smc.context.make_context`'s key derivation
-    (one master stream seeds Paillier then DGK generation), so the
-    fleet frontend can attribute a request to a client *before* any
-    shard derives the session keys. Cached: the first request from a
-    new client pays one key generation, every later request is a dict
-    hit.
-    """
-    from repro.crypto.dgk import DgkKeyPair
-    from repro.crypto.paillier import PaillierKeyPair
-    from repro.crypto.rand import fresh_rng
-
-    master = fresh_rng(seed)
-    paillier = PaillierKeyPair.generate(key_bits=paillier_bits, rng=master)
-    dgk = DgkKeyPair.generate(
-        key_bits=dgk_bits, plaintext_bits=dgk_plaintext_bits, rng=master
-    )
-    return wire.keyring_fingerprint(wire.keyring_payload(
-        paillier=paillier.public_key, dgk=dgk.public_key
     ))

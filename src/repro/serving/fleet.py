@@ -25,13 +25,13 @@ Frontend responsibilities, in routing order:
    overloaded shard still answers its accept loop); a refused
    connection or EOF marks the shard unhealthy until a later probe
    succeeds -- and optionally restarts the process if it died.
-4. **Budget enforcement.** With ``config.ledger_path`` set, the
-   frontend owns the fleet's single privacy-budget ledger
-   (:mod:`repro.serving.budget`): each ``KIND_REQUEST`` is attributed
-   to a client (keyring fingerprint derived -- once, cached -- from its
-   seed), its disclosure set priced, degraded and charged *before*
-   relay, and the frame rewritten with the granted set. Shards run
-   with ``ledger_path=None``, so a request is never double-charged.
+4. **Budget enforcement stays on the shards.** Every shard gets the
+   frontend's ``SessionConfig`` unchanged, ``ledger_path`` included,
+   and charges the shared ledger file exactly as a single server does
+   (:mod:`repro.serving.budget`): after it has admitted the request and
+   derived the session keys. The frontend reads only the routing seed
+   and relays frames unchanged, so a request a shard sheds is never
+   charged, and the one that serves it charges once.
 5. **Graceful drain.** :meth:`ClassificationFleet.drain_shard` stops
    routing to one shard, asks it to stop with an *authorized*
    ``KIND_SHUTDOWN`` (the token minted by the shard at bind time and
@@ -42,7 +42,9 @@ Frontend responsibilities, in routing order:
 Shard telemetry is pulled through the same health frames
 (``{"telemetry": true}`` probes) and merged at the frontend with the
 registry's picklable snapshot/merge machinery, so ``--metrics`` output
-covers the whole fleet. Surface: ``repro serve --shards N`` or
+covers the whole fleet: with ``config.telemetry`` on, :meth:`shutdown`
+keeps the merged document in ``telemetry_at_shutdown`` before it stops
+the shards. Surface: ``repro serve --shards N`` or
 ``SessionConfig(shards=N)``; measured by ``benchmarks/bench_e24_fleet``.
 """
 
@@ -59,8 +61,6 @@ import repro.telemetry as telemetry
 from repro.core.exceptions import ReproError
 from repro.core.session import SessionConfig
 from repro.crypto.rand import secure_rng
-from repro.privacy.risk import RiskError
-from repro.serving.budget import BudgetEnforcer, identity_for_seed
 from repro.smc import wire
 from repro.telemetry import MetricsRegistry
 
@@ -182,14 +182,6 @@ class ClassificationFleet:
         self.heartbeat_interval = float(heartbeat_interval)
         self.restart_dead = bool(restart_dead)
         self._bundle = deployed_to_dict(deployed)
-        # Budget enforcement is a *frontend* concern: one ledger for the
-        # whole fleet, charged before a request is relayed. Shards are
-        # spawned with ledger_path stripped so a fleet never
-        # double-charges a request (frontend and shard each pricing it).
-        self._budget = BudgetEnforcer.from_config(deployed, self.config)
-        self._shard_config = self.config.with_overrides(ledger_path=None)
-        self._default_disclosure = [int(i) for i in deployed.disclosure]
-        self._key_bits = (deployed.paillier_bits, deployed.dgk_bits)
         #: Fleet-level shutdown secret: a ``KIND_SHUTDOWN`` frame to the
         #: *frontend* carrying it stops the whole fleet (the CLI path).
         self.shutdown_token = f"{secure_rng().getrandbits(128):032x}"
@@ -200,7 +192,9 @@ class ClassificationFleet:
         self._stopping = threading.Event()
         self._threads: List[threading.Thread] = []
         self._lock = threading.Lock()  # guards shard spawn/replace
-        self._inflight: List[int] = [0] * self.num_shards
+        #: The whole fleet's merged metrics as :meth:`shutdown` found
+        #: them, before it stopped the shards (``config.telemetry`` only).
+        self.telemetry_at_shutdown: Optional[Dict[str, Any]] = None
 
     # -- lifecycle ------------------------------------------------------
 
@@ -228,13 +222,19 @@ class ClassificationFleet:
         parent, child = multiprocessing.Pipe()
         process = multiprocessing.Process(
             target=_shard_main,
-            args=(child, self._bundle, self._shard_config, name),
+            args=(child, self._bundle, self.config, name),
             daemon=True,
         )
         process.start()
         child.close()
         try:
             port, token = parent.recv()
+        except EOFError:  # e.g. a ledger configured, no risk_model
+            process.join()
+            raise ReproError(
+                f"shard {name} exited during startup (exit code "
+                f"{process.exitcode}); its error is on stderr"
+            ) from None
         finally:
             parent.close()
         return ShardHandle(name, process, port, token)
@@ -245,7 +245,14 @@ class ClassificationFleet:
         return self._stopping.wait(timeout)
 
     def shutdown(self, timeout: float = 30.0) -> None:
-        """Stop routing, stop every shard gracefully, join the threads."""
+        """Stop routing, stop every shard gracefully, join the threads.
+
+        With ``config.telemetry`` on, the first call merges every
+        shard's metrics into :attr:`telemetry_at_shutdown` first: once
+        the shards stop, their registries are gone.
+        """
+        if self.config.telemetry and not self._stopping.is_set():
+            self.telemetry_at_shutdown = self.telemetry_snapshot()
         self._stopping.set()
         if self.listener is not None:
             try:
@@ -263,8 +270,6 @@ class ClassificationFleet:
                 shard.process.join(5)
         for thread in self._threads:
             thread.join(timeout=5)
-        if self._budget is not None:
-            self._budget.close()
 
     def __enter__(self) -> "ClassificationFleet":
         return self.start()
@@ -429,44 +434,7 @@ class ClassificationFleet:
         if kind != wire.KIND_REQUEST:
             return
         telemetry.count("fleet.requests")
-        decision = None
-        if self._budget is not None:
-            try:
-                body, decision = self._enforce_budget(body)
-            except (ReproError, RiskError) as error:
-                telemetry.count("fleet.errors")
-                self._client_error(client, "bad-request", str(error), "")
-                return
-        self._relay_session(client, kind, body, decision)
-
-    def _enforce_budget(self, body: bytes):
-        """Charge one request's disclosure and rewrite its frame.
-
-        Decodes the ``KIND_REQUEST`` payload, attributes it to a client
-        (the keyring fingerprint its seed deterministically implies --
-        cached, so only a client's *first* request pays a key
-        derivation), admits the requested disclosure set against the
-        shared ledger, and re-encodes the frame with the granted set.
-        Shards then serve exactly what the budget allows without ever
-        seeing the ledger.
-        """
-        try:
-            payload = wire.WireCodec().decode(body)
-        except wire.WireError:
-            return body, None  # let the shard reject the malformed frame
-        if not isinstance(payload, dict):
-            return body, None
-        seed = int(payload.get("seed", 0))
-        requested = payload.get("disclosure")
-        if requested is None:
-            requested = self._default_disclosure
-        identity = identity_for_seed(seed, *self._key_bits)
-        decision = self._budget.admit(
-            identity, [int(i) for i in requested], f"fleet-{seed}"
-        )
-        payload = dict(payload)
-        payload["disclosure"] = list(decision.granted)
-        return wire.encode(payload), decision
+        self._relay_session(client, kind, body)
 
     def _frontend_shutdown_frame(self, client: socket.socket, body) -> None:
         """KIND_SHUTDOWN at the frontend: fleet token stops everything."""
@@ -515,11 +483,7 @@ class ClassificationFleet:
         return [(home + i) % len(self.shards) for i in range(len(self.shards))]
 
     def _relay_session(
-        self,
-        client: socket.socket,
-        kind: int,
-        body: bytes,
-        decision=None,
+        self, client: socket.socket, kind: int, body: bytes
     ) -> None:
         """Find a shard that accepts the request, then splice frames."""
         all_shed = False
@@ -551,8 +515,7 @@ class ClassificationFleet:
                 continue  # shed-aware failover: try the next shard
             telemetry.count("fleet.routed")
             with upstream:
-                self._splice(client, upstream, shard,
-                             first_kind, first_body, index, decision)
+                self._splice(client, upstream, shard, first_kind, first_body)
             return
         if all_shed:
             telemetry.count("fleet.shed")
@@ -573,8 +536,6 @@ class ClassificationFleet:
         shard: ShardHandle,
         first_kind: int,
         first_body: bytes,
-        index: int,
-        decision=None,
     ) -> None:
         """Relay the session's frames between client and shard.
 
@@ -585,8 +546,6 @@ class ClassificationFleet:
         marked unhealthy. The client->shard leg is a plain pump on a
         helper thread.
         """
-        with self._lock:
-            self._inflight[index] += 1
         pump = threading.Thread(
             target=_pump_frames, args=(client, upstream), daemon=True
         )
@@ -595,12 +554,6 @@ class ClassificationFleet:
         try:
             kind, body = first_kind, first_body
             while True:
-                if kind == wire.KIND_RESULT and decision is not None:
-                    # Shards know nothing of the ledger; the frontend
-                    # stamps the budget outcome into the result so
-                    # clients see what was actually disclosed (same
-                    # shape as single-server budget results).
-                    body = _stamp_budget(body, decision)
                 try:
                     wire.send_frame(client, kind, body)
                 except OSError:
@@ -622,8 +575,6 @@ class ClassificationFleet:
                     )
                     return
         finally:
-            with self._lock:
-                self._inflight[index] -= 1
             if terminal:
                 telemetry.count("fleet.completed")
             try:
@@ -641,19 +592,6 @@ class ClassificationFleet:
             wire.send_frame(client, wire.KIND_ERROR, body)
         except OSError:
             pass  # client already gone
-
-
-def _stamp_budget(body: bytes, decision) -> bytes:
-    """Attach the frontend's budget decision to a ``KIND_RESULT`` body."""
-    try:
-        payload = wire.WireCodec().decode(body)
-    except wire.WireError:
-        return body  # not ours to rewrite
-    if not isinstance(payload, dict):
-        return body
-    payload = dict(payload)
-    payload["budget"] = decision.to_dict()
-    return wire.encode(payload)
 
 
 def _pump_frames(source: socket.socket, sink: socket.socket) -> None:
@@ -675,15 +613,3 @@ def _error_code(body: bytes) -> str:
         return str(payload.get("code", ""))
     return ""
 
-
-def serve_fleet(
-    deployed,
-    shards: int,
-    config: Optional[SessionConfig] = None,
-) -> ClassificationFleet:
-    """Start a fleet and return it (the ``repro serve --shards`` path).
-
-    Convenience constructor-and-start; the caller owns the lifecycle
-    (``fleet.shutdown()`` or a fleet-token ``KIND_SHUTDOWN`` frame).
-    """
-    return ClassificationFleet(deployed, shards=shards, config=config).start()

@@ -319,6 +319,7 @@ class ClassificationServer:
                 request_id,
                 wire.WireCodec().decode(body),
                 default_disclosure=self.deployed.disclosure,
+                n_features=len(self.deployed.features),
             )
         except (BadRequest, wire.WireError) as error:
             _count_error("bad_request")

@@ -10,10 +10,11 @@ admission time, so a handler thread cannot observe -- let alone mutate
 -- another request's state through the shared
 :class:`~repro.core.serialization.DeployedClassifier`.
 
-Validation happens here too: a malformed request raises
-:class:`BadRequest` *before* any key material is derived, and the
-runtime answers it with a ``KIND_ERROR`` frame instead of a stack
-trace.
+Validation happens here too: a malformed request -- including one
+that asks to disclose a feature the deployed schema does not have --
+raises :class:`BadRequest` *before* any key material is derived or any
+disclosure priced, and the runtime answers it with a ``KIND_ERROR``
+frame instead of a stack trace.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class RequestSession:
             "req-000001",
             {"row": [1, 2, 3], "seed": 7, "disclosure": [0, 2]},
             default_disclosure=[0, 1, 2],
+            n_features=3,
         )
         assert session.disclosure == (0, 2)
     """
@@ -76,13 +78,16 @@ class RequestSession:
         request_id: str,
         payload: Any,
         default_disclosure: Sequence[int],
+        n_features: int,
     ) -> "RequestSession":
         """Validate one decoded ``KIND_REQUEST`` body into a session.
 
         ``default_disclosure`` (the bundle's shipped policy) is copied,
         never aliased, so per-request overrides can coexist with it on
-        concurrent threads. Raises :class:`BadRequest` on any
-        structural problem.
+        concurrent threads. ``n_features`` is the deployed schema's
+        width: a disclosure override naming an index outside
+        ``range(n_features)`` is rejected. Raises :class:`BadRequest` on
+        any structural problem.
         """
         if not isinstance(payload, dict):
             raise BadRequest("request body must be a mapping")
@@ -100,6 +105,12 @@ class RequestSession:
             effective = _int_tuple(default_disclosure, "bundle disclosure")
         elif isinstance(disclosure, (list, tuple)):
             effective = _int_tuple(disclosure, "'disclosure'")
+            for index in effective:
+                if not 0 <= index < n_features:
+                    raise BadRequest(
+                        f"'disclosure' index {index} is outside the "
+                        f"deployed schema's {n_features} features"
+                    )
         else:
             raise BadRequest("'disclosure' must be a list of indices or null")
         return cls(

@@ -195,6 +195,78 @@ class TestClassifyMetrics:
         assert not telemetry.enabled()
 
 
+class TestServeFleetMetrics:
+    def test_fleet_metrics_document_covers_every_shard(
+        self, warfarin_split, tmp_path, capsys
+    ):
+        """``serve --shards 2 --ledger ... --metrics ...`` stopped by its
+        fleet token writes the shards' merged registries: every served
+        request and every budget charge lives on a shard."""
+        import json
+        import socket
+        import threading
+        import time
+
+        import repro.telemetry as telemetry
+        from repro.api import PipelineConfig, PrivacyAwareClassifier
+        from repro.core.serialization import save_deployment
+        from repro.smc import wire
+        from repro.smc.transport import request_classification
+
+        n_requests = 3
+        train, test = warfarin_split
+        pipeline = PrivacyAwareClassifier(PipelineConfig(
+            classifier="naive_bayes", risk_sample_rows=100,
+            paillier_bits=384, dgk_bits=192,
+        )).fit(train)
+        pipeline.select_disclosure(0.1)
+        bundle = str(tmp_path / "bundle.json")
+        save_deployment(bundle, pipeline)
+        metrics = tmp_path / "fleet-metrics.json"
+        outcome = {}
+
+        def serve():
+            outcome["code"] = main([
+                "serve", "--bundle", bundle, "--shards", "2",
+                "--ledger", str(tmp_path / "fleet.db"),
+                "--metrics", str(metrics), "--format", "json",
+            ])
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            out = ""
+            deadline = time.monotonic() + 60
+            while "shutdown_token" not in out:
+                assert thread.is_alive() and time.monotonic() < deadline
+                time.sleep(0.1)
+                out += capsys.readouterr().out
+            banner = json.loads(out)
+            row = [int(v) for v in test.X[0]]
+            for seed in range(n_requests):
+                request_classification(
+                    "127.0.0.1", banner["port"], row, seed=seed
+                )
+            with socket.create_connection(
+                ("127.0.0.1", banner["port"]), timeout=10
+            ) as sock:
+                wire.send_frame(sock, wire.KIND_SHUTDOWN, wire.encode(
+                    wire.shutdown_payload(banner["shutdown_token"])
+                ))
+                wire.recv_frame(sock)  # the "stopping" ack
+            thread.join(timeout=60)
+        finally:
+            telemetry.configure(False, reset=True)
+        assert not thread.is_alive()
+        assert outcome["code"] == 0
+        document = json.loads(metrics.read_text())
+        assert telemetry.validate_metrics(document) == []
+        counters = document["counters"]
+        assert counters["fleet.routed"] == n_requests
+        assert counters["serve.requests"] == n_requests
+        assert counters["budget.requests"] == n_requests
+
+
 class TestBudgetCommand:
     @pytest.fixture()
     def ledger_path(self, tmp_path):

@@ -159,26 +159,9 @@ class TestClassification:
 
 
 class TestAdversaryModels:
-    def test_chow_liu_pipeline_runs(self, warfarin_split):
-        train, _ = warfarin_split
-        pac = PrivacyAwareClassifier(
-            _config(adversary_model="chow_liu", risk_sample_rows=80)
-        ).fit(train)
-        solution = pac.select_disclosure(0.05)
-        assert solution.risk <= 0.05 + 1e-9
-        assert pac.speedup() >= 1.0
-
-    def test_chow_liu_has_no_incremental_evaluator(self, warfarin_split):
-        train, _ = warfarin_split
-        pac = PrivacyAwareClassifier(
-            _config(adversary_model="chow_liu", risk_sample_rows=80)
-        ).fit(train)
-        with pytest.raises(ReproError, match="chow_liu"):
-            _ = pac.risk_evaluator
-
-    def test_unknown_adversary_rejected(self):
-        with pytest.raises(ReproError):
-            PipelineConfig(adversary_model="oracle")
+    def test_retired_adversary_model_field_is_gone(self):
+        with pytest.raises(TypeError):
+            PipelineConfig(adversary_model="naive_bayes")
 
 
 class TestRiskMetricVariants:

@@ -22,7 +22,8 @@ from repro.core.serialization import deployment_from_dict, deployment_to_dict
 from repro.core.session import SessionConfig
 from repro.privacy.ledger import PrivacyLedger
 from repro.serving import ClassificationServer
-from repro.serving.budget import identity_for_seed
+from repro.serving.budget import identity_for_context
+from repro.smc.context import make_context
 from repro.smc.transport import request_classification
 
 N_IDENTITIES = 3
@@ -108,7 +109,9 @@ def test_three_identities_deplete_degrade_and_keep_serving(
     all_modes = []
     for i in range(N_IDENTITIES):
         assert len(decisions[i]) == REQUESTS_PER_IDENTITY
-        identity = identity_for_seed(_BASE_SEED + i, **_BITS)
+        identity = identity_for_context(make_context(
+            config=SessionConfig(seed=_BASE_SEED + i, **_BITS)
+        ))
         for decision in decisions[i]:
             assert decision["identity"] == identity
             assert decision["spent_after"] <= _BUDGET + 1e-9

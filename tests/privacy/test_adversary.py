@@ -6,7 +6,6 @@ import pytest
 from repro.data.warfarin import RACES
 from repro.privacy.adversary import (
     AdversaryError,
-    ChowLiuAdversary,
     ExactJointAdversary,
     NaiveBayesAdversary,
 )
@@ -18,7 +17,6 @@ def warfarin_adversaries(warfarin):
     return {
         "nb": NaiveBayesAdversary(warfarin.X, warfarin.domain_sizes, sens),
         "exact": ExactJointAdversary(warfarin.X, warfarin.domain_sizes, sens),
-        "chowliu": ChowLiuAdversary(warfarin.X, warfarin.domain_sizes, sens),
     }
 
 

@@ -4,10 +4,11 @@ The ledger is the serving runtime's memory of what each client has
 already been shown. These tests pin its contract without any serving
 machinery: durability across re-open, the no-double-charge rule at
 the storage layer, monotone spend, the v1 -> v2 forward migration,
-and the failure modes (unknown clients, invalid budgets, newer-than-
+several processes opening one file at once, and the failure modes (unknown clients, invalid budgets, newer-than-
 known schema files).
 """
 
+import multiprocessing
 import sqlite3
 
 import pytest
@@ -193,3 +194,36 @@ class TestMigrations:
     def test_unknown_target_version_refused(self, ledger_path):
         with pytest.raises(LedgerError):
             PrivacyLedger(ledger_path, target_version=SCHEMA_VERSION + 5)
+
+
+def _open_and_report(path, barrier, results):
+    try:
+        barrier.wait(timeout=60)
+        with PrivacyLedger(path) as ledger:
+            results.put(ledger.schema_version)
+    except Exception as error:  # noqa: BLE001 - reported to the parent
+        results.put(repr(error))
+
+
+class TestSeveralWriters:
+    def test_concurrent_first_opens_all_reach_current_schema(self, tmp_path):
+        """Four processes open one fresh file at the same instant: the
+        migration runs once, under the write lock, and every open
+        succeeds."""
+        ctx = multiprocessing.get_context("fork")
+        openers = 4
+        for trial in range(20):
+            path = str(tmp_path / f"fresh-{trial}.db")
+            barrier = ctx.Barrier(openers)
+            results = ctx.Queue()
+            procs = [
+                ctx.Process(target=_open_and_report,
+                            args=(path, barrier, results), daemon=True)
+                for _ in range(openers)
+            ]
+            for proc in procs:
+                proc.start()
+            outcomes = [results.get(timeout=120) for _ in procs]
+            for proc in procs:
+                proc.join(timeout=60)
+            assert outcomes == [SCHEMA_VERSION] * openers, (trial, outcomes)

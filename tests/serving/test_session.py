@@ -11,7 +11,8 @@ GOOD = {"row": [1, 2, 3], "seed": 7, "disclosure": [0, 2]}
 
 def test_from_payload_round_trip():
     session = RequestSession.from_payload(
-        "req-000001", dict(GOOD), default_disclosure=[0, 1, 2]
+        "req-000001", dict(GOOD), default_disclosure=[0, 1, 2],
+        n_features=3,
     )
     assert session.request_id == "req-000001"
     assert session.row == (1, 2, 3)
@@ -23,7 +24,8 @@ def test_from_payload_round_trip():
 def test_missing_disclosure_copies_the_default():
     default = [0, 1]
     session = RequestSession.from_payload(
-        "req-000002", {"row": [5], "seed": 1}, default_disclosure=default
+        "req-000002", {"row": [5], "seed": 1}, default_disclosure=default,
+        n_features=1,
     )
     assert session.disclosure == (0, 1)
     # The default list was copied, not aliased: mutating it later cannot
@@ -35,14 +37,14 @@ def test_missing_disclosure_copies_the_default():
 def test_explicit_null_disclosure_also_copies_the_default():
     session = RequestSession.from_payload(
         "req-000003", {"row": [5], "seed": 1, "disclosure": None},
-        default_disclosure=(3,),
+        default_disclosure=(3,), n_features=4,
     )
     assert session.disclosure == (3,)
 
 
 def test_session_is_frozen():
     session = RequestSession.from_payload(
-        "req-000004", dict(GOOD), default_disclosure=[]
+        "req-000004", dict(GOOD), default_disclosure=[], n_features=3
     )
     with pytest.raises(dataclasses.FrozenInstanceError):
         session.disclosure = (9,)
@@ -59,7 +61,11 @@ def test_session_is_frozen():
     {"row": [1, "y"], "seed": 3},                  # non-integer row entry
     {"row": [1], "seed": 3, "disclosure": "ab"},   # disclosure not a list
     {"row": [1], "seed": 3, "disclosure": [0, "z"]},
+    {"row": [1], "seed": 3, "disclosure": [0, 1]},  # index past the schema
+    {"row": [1], "seed": 3, "disclosure": [-1]},    # negative index
 ])
 def test_malformed_payloads_raise_bad_request(payload):
     with pytest.raises(BadRequest):
-        RequestSession.from_payload("req-0", payload, default_disclosure=[])
+        RequestSession.from_payload(
+            "req-0", payload, default_disclosure=[], n_features=1
+        )

@@ -35,7 +35,7 @@ from repro.analysis.framework import (
     iter_python_files,
     run_checks,
 )
-from repro.analysis.checkers import ALL_CHECKERS, checker_by_rule
+from repro.analysis.checkers import ALL_CHECKERS
 
 __all__ = [
     "ALL_CHECKERS",
@@ -43,7 +43,6 @@ __all__ = [
     "Finding",
     "ModuleInfo",
     "Severity",
-    "checker_by_rule",
     "iter_python_files",
     "run_checks",
 ]

@@ -7,7 +7,7 @@ a checker means adding a module here and instantiating it in the list
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.framework import Checker
 from repro.analysis.checkers.rng_hygiene import RngHygieneChecker
@@ -35,12 +35,4 @@ ALL_CHECKERS: List[Checker] = [
 ]
 
 
-def checker_by_rule(rule: str) -> Optional[Checker]:
-    """Look a checker up by its rule id (``None`` when unknown)."""
-    for checker in ALL_CHECKERS:
-        if checker.rule == rule:
-            return checker
-    return None
-
-
-__all__ = ["ALL_CHECKERS", "checker_by_rule"]
+__all__ = ["ALL_CHECKERS"]

@@ -149,11 +149,6 @@ def command_help_text(command: str) -> str:
     raise RuntimeError("repro CLI has no subcommands")  # pragma: no cover
 
 
-def serve_help_text() -> str:
-    """The ``python -m repro serve --help`` text, captured in-process."""
-    return command_help_text("serve")
-
-
 def check_cli_flag_drift(
     doc_path: str,
     help_text: Optional[str] = None,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 
@@ -93,13 +93,3 @@ class Finding:
             "chain": list(self.chain),
             "fingerprint": self.fingerprint(),
         }
-
-
-@dataclass
-class FindingCollector:
-    """Mutable accumulator checkers append into (keeps checker code terse)."""
-
-    findings: list = field(default_factory=list)
-
-    def add(self, finding: Finding) -> None:
-        self.findings.append(finding)

@@ -9,13 +9,11 @@ evaluation section in text form.
 from repro.bench.reporting import (
     Table,
     format_seconds,
-    format_speedup,
     update_bench_json,
 )
 
 __all__ = [
     "Table",
     "format_seconds",
-    "format_speedup",
     "update_bench_json",
 ]

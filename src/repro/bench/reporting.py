@@ -86,11 +86,6 @@ def format_seconds(seconds: float) -> str:
     return f"{seconds:.2f}s"
 
 
-def format_speedup(ratio: float) -> str:
-    """``123.4x`` style."""
-    return f"{ratio:.1f}x"
-
-
 def update_bench_json(
     path: str,
     name: str,

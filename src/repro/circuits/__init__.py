@@ -8,7 +8,7 @@ generic alternative is Yao's garbled circuits. This package provides:
   with free-XOR accounting and a plaintext evaluator for functional
   verification;
 * :mod:`repro.circuits.arithmetic` -- adders, subtractors, comparators,
-  multiplexers and shift-add multipliers built from gates;
+  multiplexers and an argmax built from gates;
 * :mod:`repro.circuits.classifiers` -- circuit compilers for the three
   classifier families (with optional disclosure folding: disclosed
   features become constants, shrinking the circuit exactly as

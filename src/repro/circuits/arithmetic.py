@@ -3,7 +3,7 @@
 All values are LSB-first wire vectors in two's complement (where
 signedness matters). Gate budgets follow the standard free-XOR
 constructions: a full adder costs one AND, an n-bit comparator n ANDs,
-an n-bit mux n ANDs, an n x m shift-add multiplier ~n*m ANDs.
+an n-bit mux n ANDs.
 """
 
 from __future__ import annotations
@@ -124,47 +124,6 @@ def mux_many(
             for i in range(0, len(level), 2)
         ]
     return list(level[0])
-
-
-def multiply(
-    circuit: Circuit, a: Sequence[int], b: Sequence[int], width: int = 0
-) -> List[int]:
-    """Unsigned shift-add multiplication truncated to ``width`` bits
-    (default ``len(a) + len(b)``); ~len(a)*len(b) AND gates."""
-    width = width or (len(a) + len(b))
-    accumulator = circuit.constant_bits(0, width)
-    for shift, bit_b in enumerate(b):
-        if shift >= width:
-            break
-        partial = [circuit.gate_and(bit_a, bit_b) for bit_a in a]
-        shifted = (
-            [Circuit.CONST_ZERO] * shift + list(partial)
-        )[:width]
-        accumulator = add(circuit, accumulator, shifted, width=width)
-    return accumulator
-
-
-def multiply_by_constant(
-    circuit: Circuit, a: Sequence[int], constant: int, width: int
-) -> List[int]:
-    """``a * constant`` for a *public* constant: adds only at set bits,
-    so the AND cost is ``popcount(constant)`` adders instead of a full
-    multiplier. Negative constants go through two's complement."""
-    if constant == 0:
-        return circuit.constant_bits(0, width)
-    negative = constant < 0
-    magnitude = -constant if negative else constant
-    accumulator = circuit.constant_bits(0, width)
-    shift = 0
-    while magnitude:
-        if magnitude & 1:
-            shifted = ([Circuit.CONST_ZERO] * shift + list(a))[:width]
-            accumulator = add(circuit, accumulator, shifted, width=width)
-        magnitude >>= 1
-        shift += 1
-    if negative:
-        accumulator = twos_complement_negate(circuit, accumulator)
-    return accumulator
 
 
 def argmax(

@@ -151,11 +151,6 @@ class Circuit:
         """Number of AND gates (what garbling pays for)."""
         return sum(1 for g in self._gates if g.kind is GateKind.AND)
 
-    @property
-    def xor_count(self) -> int:
-        """Number of XOR gates (free to garble, still wires to track)."""
-        return sum(1 for g in self._gates if g.kind is GateKind.XOR)
-
     def input_count(self, owner: Owner) -> int:
         """Number of input bits supplied by ``owner``."""
         return sum(1 for o in self._inputs.values() if o is owner)

@@ -11,21 +11,16 @@ for all of them (the offline environment has no scikit-learn):
 * :class:`~repro.classifiers.decision_tree.DecisionTreeClassifier` --
   CART with Gini impurity and ordinal threshold splits.
 
-All trainers consume integer-coded feature matrices produced by
-:mod:`repro.data` / :mod:`repro.classifiers.discretize`, which keeps the
-plain and secure evaluation paths bit-compatible.
+All trainers consume the integer-coded feature matrices produced by
+:mod:`repro.data`, which keeps the plain and secure evaluation paths
+bit-compatible.
 """
 
 from repro.classifiers.base import Classifier
 from repro.classifiers.decision_tree import DecisionTreeClassifier, TreeNode
-from repro.classifiers.discretize import Discretizer
 from repro.classifiers.forest import RandomForestClassifier
 from repro.classifiers.linear import LogisticRegressionClassifier
-from repro.classifiers.metrics import (
-    accuracy,
-    confusion_matrix,
-    macro_f1,
-)
+from repro.classifiers.metrics import accuracy
 from repro.classifiers.naive_bayes import NaiveBayesClassifier
 from repro.classifiers.regression import (
     RidgeRegression,
@@ -36,15 +31,12 @@ from repro.classifiers.regression import (
 __all__ = [
     "Classifier",
     "DecisionTreeClassifier",
-    "Discretizer",
     "LogisticRegressionClassifier",
     "NaiveBayesClassifier",
     "RandomForestClassifier",
     "RidgeRegression",
     "TreeNode",
     "accuracy",
-    "confusion_matrix",
-    "macro_f1",
     "mean_absolute_error",
     "r2_score",
 ]

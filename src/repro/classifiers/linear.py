@@ -122,12 +122,6 @@ class LogisticRegressionClassifier(Classifier):
         scores = features @ self.weights.T + self.biases
         return self._classes[np.argmax(scores, axis=1)]
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Softmax class probabilities, ``(n_samples, n_classes)``."""
-        features = np.asarray(features, dtype=float)
-        self._check_fitted()
-        return _softmax(features @ self.weights.T + self.biases)
-
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise numerically stable softmax."""

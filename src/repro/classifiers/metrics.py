@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -27,40 +27,3 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Fraction of exact label matches."""
     y_true, y_pred = _validate(y_true, y_pred)
     return float((y_true == y_pred).mean())
-
-
-def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
-    """Square confusion matrix over the union of observed labels.
-
-    Rows are true labels, columns predictions, both in sorted label
-    order.
-    """
-    y_true, y_pred = _validate(y_true, y_pred)
-    labels = np.unique(np.concatenate([y_true, y_pred]))
-    index: Dict[int, int] = {int(label): i for i, label in enumerate(labels)}
-    matrix = np.zeros((len(labels), len(labels)), dtype=int)
-    for t, p in zip(y_true, y_pred):
-        matrix[index[int(t)], index[int(p)]] += 1
-    return matrix
-
-
-def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Unweighted mean of per-class F1 scores."""
-    matrix = confusion_matrix(y_true, y_pred)
-    f1_scores = []
-    for class_pos in range(matrix.shape[0]):
-        true_positive = matrix[class_pos, class_pos]
-        predicted = matrix[:, class_pos].sum()
-        actual = matrix[class_pos, :].sum()
-        precision = true_positive / predicted if predicted else 0.0
-        recall = true_positive / actual if actual else 0.0
-        if precision + recall == 0.0:
-            f1_scores.append(0.0)
-        else:
-            f1_scores.append(2 * precision * recall / (precision + recall))
-    return float(np.mean(f1_scores))
-
-
-def error_rate(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """``1 - accuracy``."""
-    return 1.0 - accuracy(y_true, y_pred)

@@ -128,15 +128,3 @@ class NaiveBayesClassifier(Classifier):
         """Argmax over joint log scores."""
         scores = self.joint_log_scores(row)
         return int(self._classes[int(np.argmax(scores))])
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Normalised posteriors, ``(n_samples, n_classes)``."""
-        features = np.asarray(features)
-        self._check_fitted()
-        out = np.zeros((len(features), len(self._classes)))
-        for i, row in enumerate(features):
-            scores = self.joint_log_scores(row)
-            scores -= scores.max()
-            probabilities = np.exp(scores)
-            out[i] = probabilities / probabilities.sum()
-        return out

@@ -49,6 +49,7 @@ from repro.api import (
     PrivacyAwareClassifier,
     SessionConfig,
     TradeoffAnalyzer,
+    make_context,
 )
 from repro.bench import Table
 from repro.cliutil import add_format_argument, add_metrics_argument, emit
@@ -280,14 +281,10 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 def _fitted_pipeline(args: argparse.Namespace) -> tuple:
     dataset = DATASETS[args.dataset](seed=args.seed)
     train, test = train_test_split(dataset, seed=args.seed)
-    session = SessionConfig.from_args(
-        args, paillier_bits=384, dgk_bits=192, seed=args.seed
-    )
     pipeline = PrivacyAwareClassifier(
         PipelineConfig(
             classifier=args.classifier, paillier_bits=384, dgk_bits=192,
-            seed=args.seed,
-            session=session,
+            seed=args.seed, protocol_backend=args.backend or "paillier",
         )
     ).fit(train)
     return pipeline, train, test
@@ -334,7 +331,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         f"{', '.join(names) or '(nothing)'}",
         f"modeled speedup over pure SMC: {pipeline.speedup():.1f}x",
     ]
-    ctx = pipeline.make_context(seed=args.seed + 1)
+    session = pipeline.config.session_config().with_overrides(
+        seed=args.seed + 1, rng_mode=args.rng_mode or "deterministic"
+    )
+    ctx = make_context(config=session,
+                       protocol_backend=pipeline.protocol_backend())
     transport = InProcessTransport(wire.codec_for_context(ctx))
     lines.append("transport: inproc (canonical codec round-trip)")
     ctx.channel.transport = transport

@@ -79,10 +79,6 @@ class PipelineConfig:
     risk_sample_rows:
         Number of cohort rows the risk expectation averages over
         (deterministic prefix after shuffling at fit time).
-    public_is_background:
-        Treat schema-``public`` features as adversary background
-        knowledge: disclosing them is free, and the optimizer gets them
-        for free as ``free_features``.
     paillier_bits / dgk_bits / dgk_plaintext_bits:
         Key sizes for the *live* protocol context created by
         :meth:`PrivacyAwareClassifier.make_context`.
@@ -95,12 +91,6 @@ class PipelineConfig:
         offline triple store amortises across queries.
     seed:
         Master seed for sampling and key generation.
-    session:
-        Optional :class:`repro.core.session.SessionConfig` governing the
-        live crypto session wholesale. When given it takes precedence
-        over the per-parameter ``paillier_bits`` / ``dgk_bits`` /
-        ``seed`` fields above for context creation
-        (those remain in force for the analytic cost model's sizes).
 
     Example::
 
@@ -118,7 +108,6 @@ class PipelineConfig:
         )
     )
     risk_sample_rows: int = 300
-    public_is_background: bool = True
     paillier_bits: int = 512
     dgk_bits: int = 256
     dgk_plaintext_bits: int = 16
@@ -126,7 +115,6 @@ class PipelineConfig:
     tree_max_depth: int = 6
     linear_iterations: int = 300
     seed: int = 0
-    session: Optional[SessionConfig] = None
 
     def __post_init__(self) -> None:
         if self.classifier not in CLASSIFIER_KINDS:
@@ -139,32 +127,17 @@ class PipelineConfig:
                 f"unknown protocol backend {self.protocol_backend!r}; "
                 f"expected one of {PROTOCOL_BACKENDS}"
             )
-        if (
-            self.effective_protocol_backend() != "paillier"
-            and self.classifier != "linear"
-        ):
+        if self.protocol_backend != "paillier" and self.classifier != "linear":
             raise ReproError(
-                f"protocol_backend "
-                f"{self.effective_protocol_backend()!r} supports "
+                f"protocol_backend {self.protocol_backend!r} supports "
                 f"classifier='linear' only; {self.classifier!r} runs on "
                 f"the Paillier protocol stack"
             )
 
-    def effective_protocol_backend(self) -> str:
-        """The protocol backend live sessions will actually use (the
-        explicit ``session`` config wins over the pipeline field)."""
-        if self.session is not None:
-            return self.session.protocol_backend
-        return self.protocol_backend
-
     def session_config(self) -> SessionConfig:
-        """The session configuration for live crypto contexts.
-
-        The explicit ``session`` field wins; otherwise one is assembled
-        from the pipeline's per-parameter key-size/backend/seed fields.
-        """
-        if self.session is not None:
-            return self.session
+        """The session configuration for live crypto contexts, built
+        from the pipeline's key-size/backend/seed fields (the same ones
+        the analytic cost model prices)."""
         return SessionConfig(
             seed=self.seed,
             paillier_bits=self.paillier_bits,
@@ -256,9 +229,6 @@ class PrivacyAwareClassifier:
         rng = np.random.default_rng(config.seed)
         order = rng.permutation(dataset.n_samples)
         sample = dataset.X[order[: config.risk_sample_rows]]
-        background = (
-            tuple(dataset.public_indices) if config.public_is_background else ()
-        )
         adversary = NaiveBayesAdversary(
             dataset.X, dataset.domain_sizes, dataset.sensitive_indices
         )
@@ -267,7 +237,7 @@ class PrivacyAwareClassifier:
             sample,
             dataset.sensitive_indices,
             metric=config.risk_metric,
-            background_columns=background,
+            background_columns=tuple(dataset.public_indices),
         )
         # Like the cost, risk is priced once per set and fit.
         self._risk_function = functools.partial(
@@ -281,9 +251,10 @@ class PrivacyAwareClassifier:
     def build_problem(self, risk_budget: float) -> DisclosureProblem:
         """The optimization instance for a given privacy budget."""
         dataset = self._require_fitted()
-        background = set(
-            dataset.public_indices if self.config.public_is_background else ()
-        )
+        # Schema-public features are the adversary's background
+        # knowledge: disclosing them is free, so the optimizer gets
+        # them as free_features.
+        background = set(dataset.public_indices)
         # Every non-background feature is a candidate -- including
         # sensitive attributes, whose disclosure the risk model prices
         # at maximal loss (so only near-1 budgets ever select them).
@@ -363,7 +334,7 @@ class PrivacyAwareClassifier:
         """
         if self._protocol_backend is None:
             self._protocol_backend = make_protocol_backend(
-                self.config.effective_protocol_backend()
+                self.config.protocol_backend
             )
         return self._protocol_backend
 

@@ -230,27 +230,6 @@ class DeployedClassifier:
         )
         return self.secure_model.classify(ctx, np.asarray(row), effective)
 
-    def serve(
-        self,
-        listener,
-        max_connections: Optional[int] = None,
-        config=None,
-    ) -> None:
-        """Serve classification queries over an already-bound socket.
-
-        Every protocol message of each query crosses the socket to the
-        connecting client process; see
-        :func:`repro.smc.transport.serve_deployment` for the session
-        protocol and ``config`` (a
-        :class:`repro.core.session.SessionConfig`) for the concurrency
-        knobs.
-        """
-        from repro.smc.transport import serve_deployment
-
-        serve_deployment(
-            self, listener, max_connections=max_connections, config=config
-        )
-
 
 def deployment_to_dict(pipeline: PrivacyAwareClassifier) -> Dict:
     """The JSON-ready bundle for a fitted, disclosure-selected pipeline."""

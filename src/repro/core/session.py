@@ -156,32 +156,3 @@ class SessionConfig:
     def with_overrides(self, **overrides) -> "SessionConfig":
         """A copy with the given fields replaced (validation re-runs)."""
         return replace(self, **overrides)
-
-    @classmethod
-    def from_args(cls, args, **extra) -> "SessionConfig":
-        """Build a config from a parsed CLI namespace.
-
-        Reads whichever of ``--seed``, ``--backend``, ``--rng-mode``,
-        ``--metrics``, ``--queue-depth``, ``--request-timeout``,
-        ``--shards``, ``--ledger`` and ``--privacy-budget`` the
-        subcommand defined; anything absent keeps its default.
-        ``extra`` overrides both.
-        """
-        values = {}
-        for field_name, arg_name in (
-            ("seed", "seed"),
-            ("protocol_backend", "backend"),
-            ("rng_mode", "rng_mode"),
-            ("queue_depth", "queue_depth"),
-            ("request_timeout_s", "request_timeout"),
-            ("shards", "shards"),
-            ("ledger_path", "ledger"),
-            ("privacy_budget", "privacy_budget"),
-        ):
-            value = getattr(args, arg_name, None)
-            if value is not None:
-                values[field_name] = value
-        if getattr(args, "metrics", None) is not None:
-            values["telemetry"] = True
-        values.update(extra)
-        return cls(**values)

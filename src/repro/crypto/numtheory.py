@@ -114,19 +114,6 @@ def generate_prime(
             return candidate
 
 
-def generate_distinct_primes(
-    bits: int, count: int, rng: Optional[DeterministicRandom] = None, condition=None
-) -> Tuple[int, ...]:
-    """Generate ``count`` distinct primes of the given bit length."""
-    rng = rng or default_rng()
-    primes: list = []
-    while len(primes) < count:
-        p = generate_prime(bits, rng=rng, condition=condition)
-        if p not in primes:
-            primes.append(p)
-    return tuple(primes)
-
-
 def next_prime(n: int) -> int:
     """Return the smallest prime strictly greater than ``n``."""
     candidate = n + 1
@@ -151,19 +138,6 @@ def modinv(a: int, modulus: int) -> int:
         raise ValueError(
             f"{a} has no inverse modulo {modulus} (gcd != 1)"
         ) from exc
-
-
-def egcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Extended Euclid: return ``(g, x, y)`` with ``a*x + b*y == g``."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def lcm(a: int, b: int) -> int:

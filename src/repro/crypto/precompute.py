@@ -9,9 +9,8 @@ magnitude faster.
 
 :class:`PrecomputedEncryptionPool` implements that split. The client
 fills a pool while idle and drains it during live queries; the pool
-refuses to silently fall back when empty so callers account the
-offline work honestly (use ``refill`` or ``encrypt_fallback``
-explicitly).
+refuses to silently fall back when empty, so callers account the
+offline work honestly by calling ``refill``.
 
 The refill itself -- the offline phase's whole cost -- runs one of
 three strategies (see ``docs/PERFORMANCE.md`` for the accounting):
@@ -223,8 +222,8 @@ class PrecomputedEncryptionPool:
         """Online phase: two modular multiplications per encryption.
 
         Raises :class:`PoolExhaustedError` when no factor is left --
-        the caller decides whether to refill (more offline work) or to
-        pay the full exponentiation via :meth:`encrypt_fallback`.
+        the caller refills (more offline work) or pays the full
+        exponentiation through the public key itself.
         """
         taken = self._stock.take(1)
         if not taken:
@@ -232,16 +231,10 @@ class PrecomputedEncryptionPool:
             raise PoolExhaustedError(
                 f"precomputed encryption pool exhausted: 0 of "
                 f"{self.total_precomputed} precomputed factors remain; "
-                f"call refill() for more offline work or "
-                f"encrypt_fallback() to pay the full exponentiation"
+                f"call refill() for more offline work"
             )
         n = self.public_key.n
         n_squared = self.public_key.n_squared
         plaintext = self.public_key.encode_signed(value)
         cipher = ((1 + plaintext * n) % n_squared) * taken[0] % n_squared
         return PaillierCiphertext(public_key=self.public_key, value=cipher)
-
-    def encrypt_fallback(self, value: int) -> PaillierCiphertext:
-        """Full-cost encryption when the pool is dry (explicit opt-in)."""
-        telemetry.count("precompute.fallbacks")
-        return self.public_key.encrypt(value, rng=self._rng)

@@ -90,16 +90,6 @@ class TripleStore:
         return self._dealer.modulus
 
     @property
-    def dealer(self) -> TrustedDealer:
-        """The dealer this store refills from."""
-        return self._dealer
-
-    @property
-    def kappa(self) -> int:
-        """Statistical-security parameter of the dealt masks."""
-        return self._kappa
-
-    @property
     def remaining_triples(self) -> int:
         """Beaver multiplications the store can still serve."""
         return self._triples.remaining

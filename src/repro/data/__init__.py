@@ -1,4 +1,4 @@
-"""Data substrate: schemas, generators and splits.
+"""Data substrate: schemas, generators and the train/test split.
 
 The paper evaluates on a pharmacogenomic cohort (the IWPC warfarin
 dataset targeted by the Fredrikson et al. model-inversion attack) plus
@@ -25,9 +25,8 @@ the attribute is *sensitive* -- an inference target -- or already
 *public*).
 """
 
-from repro.data.loaders import load_dataset_csv, save_dataset_csv
 from repro.data.schema import Dataset, FeatureSpec
-from repro.data.splits import k_fold_indices, train_test_split
+from repro.data.splits import train_test_split
 from repro.data.synthetic import generate_bayesnet_dataset
 from repro.data.uci_like import generate_adult_like, generate_cancer_like
 from repro.data.warfarin import generate_warfarin, generate_warfarin_with_dose
@@ -40,8 +39,5 @@ __all__ = [
     "generate_cancer_like",
     "generate_warfarin",
     "generate_warfarin_with_dose",
-    "k_fold_indices",
-    "load_dataset_csv",
-    "save_dataset_csv",
     "train_test_split",
 ]

@@ -1,8 +1,8 @@
-"""Deterministic train/test and cross-validation splits."""
+"""Deterministic train/test split."""
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -28,19 +28,3 @@ def train_test_split(
     train_idx = order[n_test:]
     return dataset.subset(train_idx, "/train"), dataset.subset(test_idx, "/test")
 
-
-def k_fold_indices(
-    n_samples: int, n_folds: int = 5, seed: int = 0
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(train_indices, test_indices)`` per fold."""
-    if n_folds < 2:
-        raise SplitError(f"need at least 2 folds, got {n_folds}")
-    if n_folds > n_samples:
-        raise SplitError(f"{n_folds} folds for only {n_samples} samples")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n_samples)
-    folds: List[np.ndarray] = np.array_split(order, n_folds)
-    for i in range(n_folds):
-        test = folds[i]
-        train = np.concatenate([folds[j] for j in range(n_folds) if j != i])
-        yield train, test

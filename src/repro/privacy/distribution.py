@@ -2,14 +2,13 @@
 
 An :class:`EmpiricalJoint` is a dense probability tensor over a handful
 of categorical columns, estimated from data with Laplace smoothing. It
-is the reference model for the Bayesian adversary (exact but
-exponential in the number of columns) and the building block for
-pairwise statistics (mutual information for Chow-Liu learning).
+is the reference model for the exact Bayesian adversary (exponential
+in the number of columns; it validates the factorised adversaries).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -84,29 +83,6 @@ class EmpiricalJoint:
         """Axis lengths of the probability tensor."""
         return self.table.shape
 
-    def axis_of(self, column_index: int) -> int:
-        """Tensor axis corresponding to a dataset column."""
-        try:
-            return self.column_indices.index(column_index)
-        except ValueError:
-            raise DistributionError(
-                f"column {column_index} not part of this joint "
-                f"(columns: {self.column_indices})"
-            ) from None
-
-    def marginal(self, keep_columns: Sequence[int]) -> "EmpiricalJoint":
-        """Marginalise down to ``keep_columns`` (dataset column ids)."""
-        keep_axes = [self.axis_of(c) for c in keep_columns]
-        drop_axes = tuple(
-            axis for axis in range(self.table.ndim) if axis not in keep_axes
-        )
-        reduced = self.table.sum(axis=drop_axes) if drop_axes else self.table.copy()
-        # Reorder axes to match the requested column order.
-        kept_in_tensor_order = [c for c in self.column_indices if c in set(keep_columns)]
-        permutation = [kept_in_tensor_order.index(c) for c in keep_columns]
-        reduced = np.transpose(reduced, permutation)
-        return EmpiricalJoint(reduced, keep_columns)
-
     def condition(self, evidence: Dict[int, int]) -> "EmpiricalJoint":
         """Condition on ``{column: value}`` evidence; remaining columns
         keep their order."""
@@ -129,53 +105,3 @@ class EmpiricalJoint:
                 f"evidence {evidence} has zero probability (increase smoothing)"
             )
         return EmpiricalJoint(table / total, remaining)
-
-    def probability(self, assignment: Dict[int, int]) -> float:
-        """Probability of a full assignment ``{column: value}``."""
-        if set(assignment) != set(self.column_indices):
-            raise DistributionError(
-                "assignment must cover exactly the joint's columns"
-            )
-        index = tuple(assignment[c] for c in self.column_indices)
-        return float(self.table[index])
-
-    def entropy(self) -> float:
-        """Shannon entropy in bits."""
-        flat = self.table.reshape(-1)
-        nonzero = flat[flat > 0]
-        return float(-(nonzero * np.log2(nonzero)).sum())
-
-    def mutual_information(self, column_a: int, column_b: int) -> float:
-        """Mutual information (bits) between two columns of this joint."""
-        pair = self.marginal([column_a, column_b]).table
-        pa = pair.sum(axis=1, keepdims=True)
-        pb = pair.sum(axis=0, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(pair > 0, pair / (pa * pb), 1.0)
-            terms = np.where(pair > 0, pair * np.log2(ratio), 0.0)
-        return float(max(0.0, terms.sum()))
-
-
-def pairwise_mutual_information(
-    data: np.ndarray, domain_sizes: Sequence[int], alpha: float = 0.5
-) -> np.ndarray:
-    """Symmetric matrix of pairwise mutual information between columns.
-
-    Used by Chow-Liu structure learning; cost is quadratic in the
-    number of columns and linear in the data size.
-    """
-    data = np.asarray(data)
-    n_columns = data.shape[1]
-    if n_columns != len(domain_sizes):
-        raise DistributionError(
-            f"{n_columns} data columns vs {len(domain_sizes)} domains"
-        )
-    matrix = np.zeros((n_columns, n_columns))
-    for a in range(n_columns):
-        for b in range(a + 1, n_columns):
-            joint = EmpiricalJoint.from_data(
-                data, [a, b], [domain_sizes[a], domain_sizes[b]], alpha=alpha
-            )
-            value = joint.mutual_information(a, b)
-            matrix[a, b] = matrix[b, a] = value
-    return matrix

@@ -132,10 +132,6 @@ class RiskModel:
         ]
         return float(np.mean(losses))
 
-    def confidence(self, sensitive_column: int, disclosure_set: Iterable[int]) -> float:
-        """Raw (unnormalised) adversary score for one sensitive column."""
-        return self._confidence(sensitive_column, self._validated(disclosure_set))
-
     def baseline(self, sensitive_column: int) -> float:
         """Adversary score with nothing disclosed (the prior)."""
         return self._baseline[sensitive_column]

@@ -100,24 +100,6 @@ def _add_blind_and_split(trace: ExecutionTrace, sizes: ProtocolSizes) -> None:
     trace.rounds += 1
 
 
-def add_compare_encrypted(
-    trace: ExecutionTrace, bits: int, sizes: ProtocolSizes
-) -> None:
-    """Costs of :func:`repro.smc.comparison.compare_encrypted`."""
-    _add_blind_and_split(trace, sizes)
-    add_dgk_compare(trace, bits, sizes)
-    trace.count(Op.PAILLIER_ENCRYPT, 2)           # d_high, borrow share
-    trace.bytes_client_to_server += (
-        FRAME_OVERHEAD + LIST_OVERHEAD + 2 * sizes.paillier_ct_wire_bytes
-    )
-    trace.messages += 1
-    trace.rounds += 1
-    # Borrow reconstruction: linear flip with probability 1/2, then the
-    # two fixed subtractions.
-    trace.count(Op.PAILLIER_SCALAR_MUL, 1)        # expectation rounded up
-    trace.count(Op.PAILLIER_ADD, 3)
-
-
 def add_compare_encrypted_client_learns(
     trace: ExecutionTrace, bits: int, sizes: ProtocolSizes
 ) -> None:

@@ -10,8 +10,9 @@ admission time, so a handler thread cannot observe -- let alone mutate
 -- another request's state through the shared
 :class:`~repro.core.serialization.DeployedClassifier`.
 
-Validation happens here too: a malformed request -- including one
-that asks to disclose a feature the deployed schema does not have --
+Validation happens here too: a malformed request -- including a row
+of the wrong width, or one that asks to disclose a feature the
+deployed schema does not have --
 raises :class:`BadRequest` *before* any key material is derived or any
 disclosure priced, and the runtime answers it with a ``KIND_ERROR``
 frame instead of a stack trace.
@@ -20,7 +21,7 @@ frame instead of a stack trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 
 class BadRequest(Exception):
@@ -85,9 +86,9 @@ class RequestSession:
         ``default_disclosure`` (the bundle's shipped policy) is copied,
         never aliased, so per-request overrides can coexist with it on
         concurrent threads. ``n_features`` is the deployed schema's
-        width: a disclosure override naming an index outside
-        ``range(n_features)`` is rejected. Raises :class:`BadRequest` on
-        any structural problem.
+        width: a row of any other length, or a disclosure override
+        naming an index outside ``range(n_features)``, is rejected.
+        Raises :class:`BadRequest` on any structural problem.
         """
         if not isinstance(payload, dict):
             raise BadRequest("request body must be a mapping")
@@ -96,6 +97,12 @@ class RequestSession:
         row = payload["row"]
         if not isinstance(row, (list, tuple)) or not row:
             raise BadRequest("'row' must be a non-empty list of integers")
+        values = _int_tuple(row, "'row'")
+        if len(values) != n_features:
+            raise BadRequest(
+                f"'row' has {len(values)} values; the deployed schema has "
+                f"{n_features} features"
+            )
         try:
             seed = int(payload["seed"])
         except (TypeError, ValueError) as error:
@@ -115,16 +122,7 @@ class RequestSession:
             raise BadRequest("'disclosure' must be a list of indices or null")
         return cls(
             request_id=request_id,
-            row=_int_tuple(row, "'row'"),
+            row=values,
             seed=seed,
             disclosure=effective,
         )
-
-    def to_request_payload(self) -> Dict[str, Any]:
-        """The wire-ready ``KIND_REQUEST`` body for this session
-        (used by tests to round-trip admission validation)."""
-        return {
-            "row": list(self.row),
-            "seed": self.seed,
-            "disclosure": list(self.disclosure),
-        }

@@ -144,17 +144,6 @@ class CostModel:
         return self.price(trace).total_seconds
 
 
-def traffic_scale_for(trace_key_bits: int, profile_key_bits: int) -> float:
-    """Byte-rescaling factor between two Paillier key sizes.
-
-    Ciphertext sizes are linear in the modulus size, and ciphertexts
-    dominate traffic, so a linear rescale is accurate.
-    """
-    if trace_key_bits <= 0 or profile_key_bits <= 0:
-        raise ValueError("key sizes must be positive")
-    return profile_key_bits / trace_key_bits
-
-
 def calibrate_hardware_profile(
     paillier_bits: int = 512,
     dgk_bits: int = 256,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import time
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -175,14 +174,6 @@ class ExecutionTrace:
         self.rounds += other.rounds
         self.wall_seconds += other.wall_seconds
 
-    def timed(self) -> "_TraceTimer":
-        """Context manager adding elapsed wall time to this trace::
-
-            with trace.timed():
-                run_protocol(...)
-        """
-        return _TraceTimer(self)
-
     def op_count(self, op: Op) -> int:
         """Number of recorded occurrences of ``op``."""
         return self.ops.get(op, 0)
@@ -203,19 +194,3 @@ class ExecutionTrace:
 
     def __iter__(self) -> Iterator:
         return iter(self.summary().items())
-
-
-class _TraceTimer:
-    """Context manager recording wall time into a trace."""
-
-    def __init__(self, trace: ExecutionTrace) -> None:
-        self._trace = trace
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "_TraceTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._start is not None:
-            self._trace.wall_seconds += time.perf_counter() - self._start

@@ -645,12 +645,6 @@ def pack_frame(kind: int, body: bytes) -> bytes:
     return bytes((kind,)) + _U32.pack(len(body)) + body
 
 
-def frame_size(payload: Any) -> int:
-    """Total frame bytes for ``payload``: what the channel charges and
-    what one leg of the socket actually carries."""
-    return FRAME_OVERHEAD + encoded_size(payload)
-
-
 def send_frame(sock: socket.socket, kind: int, body: bytes) -> int:
     """Write one frame; returns the number of bytes put on the wire."""
     frame = pack_frame(kind, body)

@@ -27,7 +27,6 @@ from repro.analysis import (
     Finding,
     ModuleInfo,
     Severity,
-    checker_by_rule,
     run_checks,
 )
 from repro.analysis.baseline import (
@@ -40,6 +39,12 @@ from repro.analysis.cli import main as lint_main
 from repro.analysis.framework import check_module, module_name_for
 
 REPO = Path(__file__).resolve().parents[2]
+
+
+def checker_by_rule(rule):
+    (checker,) = [c for c in ALL_CHECKERS if c.rule == rule]
+    return checker
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: rule id -> (fixture file, module name to lint it under,

@@ -111,33 +111,6 @@ class TestMux:
             ar.mux_many(c, sel, [])
 
 
-class TestMultiply:
-    @given(st.integers(0, 15), st.integers(0, 15))
-    @settings(max_examples=40)
-    def test_matches_product(self, x, y):
-        c, a, b = _two_operand(4, lambda c, a, b: ar.multiply(c, a, b))
-        asg = {**assign_value(c, a, x), **assign_value(c, b, y)}
-        assert c.evaluate_int(asg) == x * y
-
-    @given(st.integers(0, 15), st.integers(-10, 10))
-    @settings(max_examples=40)
-    def test_constant_multiply(self, x, k):
-        c = Circuit()
-        a = c.input_bits(Owner.CLIENT, 4)
-        c.mark_outputs(ar.multiply_by_constant(c, a, k, 10))
-        assert c.evaluate_int(assign_value(c, a, x)) == (k * x) % 1024
-
-    def test_constant_multiply_is_cheaper_than_generic(self):
-        generic = Circuit()
-        a = generic.input_bits(Owner.CLIENT, 8)
-        b = generic.input_bits(Owner.CLIENT, 8)
-        ar.multiply(generic, a, b)
-        constant = Circuit()
-        a2 = constant.input_bits(Owner.CLIENT, 8)
-        ar.multiply_by_constant(constant, a2, 3, 16)
-        assert constant.and_count < generic.and_count
-
-
 class TestArgmax:
     def test_unique_maxima(self):
         c = Circuit()

@@ -2,7 +2,17 @@
 
 import pytest
 
-from repro.circuits.builder import Circuit, CircuitError, Owner, assign_value
+from repro.circuits.builder import (
+    Circuit,
+    CircuitError,
+    GateKind,
+    Owner,
+    assign_value,
+)
+
+
+def _xor_count(circuit: Circuit) -> int:
+    return sum(1 for g in circuit._gates if g.kind is GateKind.XOR)
 
 
 class TestGates:
@@ -52,7 +62,7 @@ class TestConstantFolding:
         a = c.input_bit(Owner.CLIENT)
         assert c.gate_xor(a, Circuit.CONST_ZERO) == a
         assert c.gate_xor(a, a) == Circuit.CONST_ZERO
-        assert c.xor_count == 0
+        assert _xor_count(c) == 0
 
     def test_xor_with_one_becomes_not(self):
         c = Circuit()
@@ -72,7 +82,7 @@ class TestAccounting:
         c.gate_and(a, s)
         c.gate_xor(a, b)
         assert c.and_count == 2
-        assert c.xor_count == 1
+        assert _xor_count(c) == 1
         assert c.input_count(Owner.CLIENT) == 2
         assert c.input_count(Owner.SERVER) == 1
 

@@ -36,13 +36,6 @@ class TestBinary:
             scores = model.decision_scores(row)
             assert model.predict_one(row) == model.classes[int(np.argmax(scores))]
 
-    def test_probabilities_normalised(self):
-        X, y = _separable_binary()
-        model = LogisticRegressionClassifier(iterations=100).fit(X, y)
-        probs = model.predict_proba(X[:10])
-        assert np.allclose(probs.sum(axis=1), 1.0)
-        assert (probs >= 0).all()
-
 
 class TestMulticlass:
     def test_learns_three_clusters(self):

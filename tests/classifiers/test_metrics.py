@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.classifiers.metrics import (
-    MetricsError,
-    accuracy,
-    confusion_matrix,
-    error_rate,
-    macro_f1,
-)
+from repro.classifiers.metrics import MetricsError, accuracy
 
 
 class TestAccuracy:
@@ -22,10 +16,6 @@ class TestAccuracy:
     def test_partial(self):
         assert accuracy(np.array([1, 0, 1, 0]), np.array([1, 0, 0, 1])) == 0.5
 
-    def test_error_rate_complement(self):
-        y, p = np.array([1, 0, 1]), np.array([1, 1, 1])
-        assert accuracy(y, p) + error_rate(y, p) == pytest.approx(1.0)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(MetricsError):
             accuracy(np.array([1]), np.array([1, 2]))
@@ -34,36 +24,3 @@ class TestAccuracy:
         with pytest.raises(MetricsError):
             accuracy(np.array([]), np.array([]))
 
-
-class TestConfusionMatrix:
-    def test_values(self):
-        matrix = confusion_matrix(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]))
-        assert matrix.tolist() == [[1, 1], [0, 2]]
-
-    def test_includes_prediction_only_labels(self):
-        matrix = confusion_matrix(np.array([0, 0]), np.array([0, 5]))
-        assert matrix.shape == (2, 2)
-        assert matrix[0, 1] == 1
-
-    def test_diagonal_sums_to_correct(self):
-        y = np.array([0, 1, 2, 1, 0])
-        p = np.array([0, 1, 1, 1, 2])
-        matrix = confusion_matrix(y, p)
-        assert matrix.trace() == int((y == p).sum())
-
-
-class TestMacroF1:
-    def test_perfect(self):
-        assert macro_f1(np.array([0, 1, 0, 1]), np.array([0, 1, 0, 1])) == 1.0
-
-    def test_degenerate_prediction(self):
-        # Predicting everything as one class scores poorly per macro-F1.
-        score = macro_f1(np.array([0, 0, 1, 1]), np.array([0, 0, 0, 0]))
-        assert 0.0 < score < 0.5
-
-    def test_known_value(self):
-        # One class fully correct, one fully missed.
-        y = np.array([0, 0, 1, 1])
-        p = np.array([0, 0, 0, 0])
-        # class 0: precision 0.5, recall 1 -> F1 = 2/3; class 1: F1 = 0.
-        assert macro_f1(y, p) == pytest.approx((2 / 3) / 2)

@@ -44,12 +44,6 @@ class TestFitPredict:
         model = NaiveBayesClassifier().fit(X, y)
         assert model.domain_sizes == [4, 4, 4, 4]
 
-    def test_proba_normalised(self):
-        X, y = _discrete_data()
-        model = NaiveBayesClassifier().fit(X, y)
-        probs = model.predict_proba(X[:20])
-        assert np.allclose(probs.sum(axis=1), 1.0)
-
     def test_joint_log_scores_match_manual(self):
         X = np.array([[0], [0], [1], [1]])
         y = np.array([0, 0, 1, 1])

@@ -7,7 +7,6 @@ import pytest
 from repro.bench.reporting import (
     Table,
     format_seconds,
-    format_speedup,
     update_bench_json,
 )
 
@@ -64,9 +63,6 @@ class TestFormatters:
         assert format_seconds(5e-7) == "0.5us"
         assert format_seconds(2e-3) == "2.0ms"
         assert format_seconds(1.25) == "1.25s"
-
-    def test_format_speedup(self):
-        assert format_speedup(123.456) == "123.5x"
 
 
 class TestBenchJson:

@@ -1,7 +1,6 @@
 """Tests for :class:`repro.core.session.SessionConfig` and the
 ``make_context(config=...)`` interface."""
 
-import argparse
 import warnings
 
 import pytest
@@ -72,46 +71,6 @@ class TestOverrides:
         assert base.paillier_bits == 512  # original untouched
         with pytest.raises(ReproError):
             base.with_overrides(rng_mode="quantum")
-
-
-class TestFromArgs:
-    def test_reads_cli_namespace(self):
-        args = argparse.Namespace(
-            seed=4,
-            rng_mode="system", metrics="out.json",
-        )
-        config = SessionConfig.from_args(args)
-        assert config.seed == 4
-        assert config.rng_mode == "system"
-        assert config.telemetry is True
-
-    def test_absent_flags_keep_defaults(self):
-        config = SessionConfig.from_args(argparse.Namespace(seed=1))
-        assert config.rng_mode == "deterministic"
-        assert config.telemetry is False
-
-    def test_reads_serving_flags(self):
-        args = argparse.Namespace(seed=0, queue_depth=2,
-                                  request_timeout=1.5)
-        config = SessionConfig.from_args(args)
-        assert config.queue_depth == 2
-        assert config.request_timeout_s == 1.5
-        # The serve command sets the handler-pool size (max_workers)
-        # from --workers explicitly; from_args leaves it alone.
-        assert config.max_workers == 4
-
-    def test_reads_budget_flags(self):
-        args = argparse.Namespace(seed=0, ledger="budget.db",
-                                  privacy_budget=0.2)
-        config = SessionConfig.from_args(args)
-        assert config.ledger_path == "budget.db"
-        assert config.privacy_budget == 0.2
-
-    def test_extra_overrides_win(self):
-        args = argparse.Namespace(seed=1)
-        config = SessionConfig.from_args(args, paillier_bits=384, seed=8)
-        assert config.paillier_bits == 384
-        assert config.seed == 8
 
 
 class TestBackendTuplesStayInSync:

@@ -57,12 +57,6 @@ class TestGeneratePrime:
         with pytest.raises(ValueError):
             nt.generate_prime(2)
 
-    def test_distinct_primes(self):
-        primes = nt.generate_distinct_primes(24, 5, rng=fresh_rng(4))
-        assert len(set(primes)) == 5
-        assert all(nt.is_probable_prime(p) for p in primes)
-
-
 class TestNextPrime:
     def test_known_values(self):
         assert nt.next_prime(1) == 2
@@ -90,18 +84,6 @@ class TestModularArithmetic:
     def test_modinv_property(self, a, m):
         if math.gcd(a, m) == 1:
             assert (a * nt.modinv(a, m)) % m == 1
-
-    def test_egcd_identity(self):
-        g, x, y = nt.egcd(240, 46)
-        assert g == math.gcd(240, 46)
-        assert 240 * x + 46 * y == g
-
-    @given(st.integers(1, 10**6), st.integers(1, 10**6))
-    @settings(max_examples=100)
-    def test_egcd_property(self, a, b):
-        g, x, y = nt.egcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
 
     def test_lcm(self):
         assert nt.lcm(4, 6) == 12

@@ -60,13 +60,6 @@ class TestPoolManagement:
         with pytest.raises(ValueError):
             pool.refill(-1)
 
-    def test_fallback_always_works(self, paillier_keys):
-        pool = PrecomputedEncryptionPool(
-            paillier_keys.public_key, rng=fresh_rng(7)
-        )
-        ct = pool.encrypt_fallback(99)
-        assert paillier_keys.private_key.decrypt(ct) == 99
-
 
 class TestThreadSafety:
     def test_exhaustion_message_includes_pool_size(self, paillier_keys):

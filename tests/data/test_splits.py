@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.splits import SplitError, k_fold_indices, train_test_split
+from repro.data.splits import SplitError, train_test_split
 
 
 class TestTrainTestSplit:
@@ -28,22 +28,3 @@ class TestTrainTestSplit:
         with pytest.raises(SplitError):
             train_test_split(warfarin, test_fraction=1.0)
 
-
-class TestKFold:
-    def test_covers_everything_once(self):
-        seen = np.zeros(100, dtype=int)
-        for train, test in k_fold_indices(100, n_folds=5, seed=0):
-            seen[test] += 1
-            assert len(set(train) & set(test)) == 0
-            assert len(train) + len(test) == 100
-        assert (seen == 1).all()
-
-    def test_fold_count(self):
-        folds = list(k_fold_indices(50, n_folds=5))
-        assert len(folds) == 5
-
-    def test_bad_params_rejected(self):
-        with pytest.raises(SplitError):
-            list(k_fold_indices(10, n_folds=1))
-        with pytest.raises(SplitError):
-            list(k_fold_indices(3, n_folds=5))

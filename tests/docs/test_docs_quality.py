@@ -17,7 +17,6 @@ from repro.analysis.docs import (
     github_slug,
     heading_slugs,
     main,
-    serve_help_text,
 )
 
 REPO_ROOT = os.path.abspath(
@@ -91,7 +90,7 @@ def test_check_cli_flag_drift_synthetic(tmp_path):
 
 
 def test_serve_help_text_names_the_runtime_flags():
-    text = serve_help_text()
+    text = command_help_text("serve")
     for flag in ("--workers", "--queue-depth", "--request-timeout",
                  "--shards", "--bundle", "--ledger", "--privacy-budget"):
         assert flag in text

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.privacy.distribution import (
-    DistributionError,
-    EmpiricalJoint,
-    pairwise_mutual_information,
-)
+from repro.privacy.distribution import DistributionError, EmpiricalJoint
 
 
 def _xy_data(n=2000, seed=0):
@@ -46,18 +42,6 @@ class TestFromData:
 
 
 class TestMarginalCondition:
-    def test_marginal_sums_rows(self):
-        joint = EmpiricalJoint.from_data(_xy_data(), [0, 1], [2, 2])
-        marginal = joint.marginal([0])
-        assert marginal.table.shape == (2,)
-        assert marginal.table.sum() == pytest.approx(1.0)
-
-    def test_marginal_reorders_axes(self):
-        joint = EmpiricalJoint.from_data(_xy_data(), [0, 2], [2, 3])
-        flipped = joint.marginal([2, 0])
-        assert flipped.table.shape == (3, 2)
-        assert np.allclose(flipped.table, joint.table.T)
-
     def test_condition_shifts_belief(self):
         joint = EmpiricalJoint.from_data(_xy_data(), [0, 1], [2, 2])
         conditioned = joint.condition({0: 1})
@@ -73,40 +57,6 @@ class TestMarginalCondition:
         joint = EmpiricalJoint.from_data(_xy_data(), [0, 1], [2, 2])
         with pytest.raises(DistributionError):
             joint.condition({5: 0})
-
-    def test_probability_full_assignment(self):
-        joint = EmpiricalJoint.from_data(_xy_data(), [0, 1], [2, 2])
-        total = sum(
-            joint.probability({0: a, 1: b}) for a in range(2) for b in range(2)
-        )
-        assert total == pytest.approx(1.0)
-
-
-class TestInformation:
-    def test_entropy_of_uniform(self):
-        table = np.full((2, 2), 0.25)
-        joint = EmpiricalJoint(table, [0, 1])
-        assert joint.entropy() == pytest.approx(2.0)
-
-    def test_mutual_information_positive_for_dependence(self):
-        joint = EmpiricalJoint.from_data(_xy_data(), [0, 1], [2, 2])
-        assert joint.mutual_information(0, 1) > 0.3
-
-    def test_mutual_information_near_zero_for_independence(self):
-        joint = EmpiricalJoint.from_data(_xy_data(), [0, 2], [2, 3])
-        assert joint.mutual_information(0, 2) < 0.01
-
-    def test_pairwise_matrix(self):
-        data = _xy_data()
-        matrix = pairwise_mutual_information(data, [2, 2, 3])
-        assert matrix.shape == (3, 3)
-        assert matrix[0, 1] == matrix[1, 0]
-        assert matrix[0, 1] > matrix[0, 2]
-
-    def test_pairwise_shape_mismatch_rejected(self):
-        with pytest.raises(DistributionError):
-            pairwise_mutual_information(_xy_data(), [2, 2])
-
 
 class TestConstruction:
     def test_rank_mismatch_rejected(self):

@@ -248,4 +248,4 @@ class TestPipelineIntegration:
 
         config = PipelineConfig(classifier="linear",
                                 protocol_backend="shares")
-        assert config.effective_protocol_backend() == "shares"
+        assert config.session_config().protocol_backend == "shares"

@@ -6,7 +6,6 @@ from repro.secure.costing import (
     FRAME_OVERHEAD,
     LIST_OVERHEAD,
     ProtocolSizes,
-    add_compare_encrypted,
     add_compare_encrypted_batch,
     add_compare_encrypted_client_learns,
     add_dgk_compare,
@@ -46,18 +45,6 @@ class TestDgkCompare:
 
 
 class TestCompareEncrypted:
-    def test_rounds(self):
-        trace = _fresh()
-        add_compare_encrypted(trace, 8, SIZES)
-        assert trace.rounds == 4
-
-    def test_client_learns_variant_cheaper_upload(self):
-        server_gets, client_gets = _fresh(), _fresh()
-        add_compare_encrypted(server_gets, 8, SIZES)
-        add_compare_encrypted_client_learns(client_gets, 8, SIZES)
-        assert client_gets.bytes_client_to_server < \
-            server_gets.bytes_client_to_server
-
     def test_sign_test_wraps_client_learns(self):
         sign, bare = _fresh(), _fresh()
         add_sign_test(sign, 8, SIZES)
@@ -88,7 +75,7 @@ class TestBatchedCompare:
         batched, sequential = _fresh(), _fresh()
         add_compare_encrypted_batch(batched, 10, 8, SIZES)
         for _ in range(10):
-            add_compare_encrypted(sequential, 8, SIZES)
+            add_compare_encrypted_batch(sequential, 1, 8, SIZES)
         assert batched.rounds < sequential.rounds
         # Operation totals stay comparable (same work, fewer messages).
         assert batched.op_count(Op.DGK_ZERO_TEST) == \

@@ -64,6 +64,22 @@ def stop_server(server, thread):
     assert not thread.is_alive()
 
 
+def crash_next_classify(monkeypatch, server):
+    """Make the server's next classification raise mid-protocol (with
+    a path in its text, which sanitization must not leak); later
+    requests classify normally."""
+    real = server.deployed.classify
+    pending = [True]
+
+    def classify(*args, **kwargs):
+        if pending:
+            pending.clear()
+            raise RuntimeError("injected crash in /srv/model")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(server.deployed, "classify", classify)
+
+
 def replay_label(deployed, row, seed, disclosure=None):
     """Deterministic in-process replay of one served query."""
     ctx = make_context(config=SessionConfig(seed=seed, **_BITS))
@@ -116,14 +132,16 @@ def test_concurrent_requests_no_disclosure_bleed(deployed, rows):
     assert deployed.disclosure == shipped  # never mutated
 
 
-def test_crashing_request_leaves_server_serving(deployed, rows):
-    """A row of the wrong arity crashes the handler mid-protocol; the
+def test_crashing_request_leaves_server_serving(deployed, rows,
+                                               monkeypatch):
+    """A classifier that raises crashes the handler mid-protocol; the
     client gets a sanitized KIND_ERROR and the next request succeeds."""
     server, thread, port = start_server(deployed, max_workers=2)
+    crash_next_classify(monkeypatch, server)
     try:
         with pytest.raises(ServerError) as excinfo:
             request_classification(
-                "127.0.0.1", port, rows[0][:2], seed=_BASE_SEED
+                "127.0.0.1", port, rows[0], seed=_BASE_SEED
             )
         assert excinfo.value.code == "internal"
         # Sanitized: class name only, never the exception's own text.
@@ -394,7 +412,7 @@ def test_span_roots_are_a_bounded_ring(deployed, rows, monkeypatch):
     assert snap["counters"]["telemetry.spans_dropped"] == extra
 
 
-def test_errors_are_counted_by_cause(deployed, rows):
+def test_errors_are_counted_by_cause(deployed, rows, monkeypatch):
     """Each failed request raises serve.errors and exactly one
     serve.errors.<cause> counter, so the causes always sum to the
     total."""
@@ -404,6 +422,7 @@ def test_errors_are_counted_by_cause(deployed, rows):
     server, thread, port = start_server(
         deployed, max_workers=2, request_timeout_s=0.5
     )
+    crash_next_classify(monkeypatch, server)
     try:
         with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
             s.sendall(bytes((wire.KIND_REQUEST,)) + b"\xff\xff\xff\xff")
@@ -412,7 +431,7 @@ def test_errors_are_counted_by_cause(deployed, rows):
             request_classification("127.0.0.1", port, [], seed=_BASE_SEED)
         with pytest.raises(ServerError, match="internal"):
             request_classification(
-                "127.0.0.1", port, rows[0][:2], seed=_BASE_SEED
+                "127.0.0.1", port, rows[0], seed=_BASE_SEED
             )
         with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
             request = {"row": rows[0], "seed": _BASE_SEED}

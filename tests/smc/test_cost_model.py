@@ -7,7 +7,6 @@ from repro.smc.cost_model import (
     NATIVE_2048,
     CostModel,
     calibrate_hardware_profile,
-    traffic_scale_for,
 )
 from repro.smc.network import NetworkProfile
 from repro.smc.protocol import ExecutionTrace, Op
@@ -63,15 +62,6 @@ class TestCostModel:
             hardware=NATIVE_1024, network=NetworkProfile.WAN, traffic_scale=4.0
         )
         assert scaled.price(trace).network_seconds > base.price(trace).network_seconds
-
-
-class TestTrafficScale:
-    def test_ratio(self):
-        assert traffic_scale_for(512, 2048) == pytest.approx(4.0)
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            traffic_scale_for(0, 2048)
 
 
 class TestCalibration:

@@ -1,7 +1,5 @@
 """Tests for execution traces."""
 
-import time
-
 import pytest
 
 from repro.smc.protocol import ExecutionTrace, Op
@@ -34,12 +32,6 @@ class TestExecutionTrace:
         assert a.op_count(Op.DGK_ENCRYPT) == 1
         assert a.total_bytes == 30
         assert a.rounds == 3
-
-    def test_timed_context(self):
-        trace = ExecutionTrace()
-        with trace.timed():
-            time.sleep(0.01)
-        assert trace.wall_seconds >= 0.005
 
     def test_summary_keys(self):
         trace = ExecutionTrace()

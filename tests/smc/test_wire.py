@@ -218,7 +218,7 @@ class TestFraming:
         assert frame[0] == wire.KIND_MSG
         assert int.from_bytes(frame[1:5], "big") == len(body)
         assert frame[5:] == body
-        assert len(frame) == wire.frame_size([1, 2])
+        assert len(frame) == wire.FRAME_OVERHEAD + wire.encoded_size([1, 2])
 
     def test_oversized_frame_refused_before_its_body(self):
         """A declared length above the cap raises at once: the peer

@@ -5,7 +5,8 @@ moves the bytes. This package turns the reviewer folklore of SMC
 implementations -- "never let a decrypted value touch the channel
 unencrypted", "every wire tag needs a decoder", "Paillier nonces never
 come from a Mersenne Twister" -- into AST-level checkers that run in CI
-(``python -m repro lint``).
+(``python -m repro lint``). The lint parses every file serially,
+checks the whole program, and fails on any finding.
 
 Public API
 ----------
@@ -15,12 +16,9 @@ Public API
     The registered checker instances, one per rule.
 :class:`Finding` / :class:`Severity`
     The finding record and its severity scale.
-:mod:`repro.analysis.baseline`
-    Committed-baseline handling so pre-existing findings do not block
-    CI while new ones do.
 
-Each rule can be locally suppressed with a pragma comment on the
-flagged line (or the line above it)::
+The only exemption is a pragma comment on the flagged line (or the
+line above it), which suppresses one rule there::
 
     risky_call()  # repro: allow[rule-id] -- one-line justification
 

@@ -1,17 +1,16 @@
 """Project-wide call graph for the whole-program analysis phase.
 
 :class:`Program` indexes every function and class of a parsed module
-set, resolves call sites to their likely targets, and derives the three
+set, resolves call sites to their likely targets, and derives the two
 facts the interprocedural checkers consume:
 
 * **call edges** (and their reverse) between qualified function names,
   which `lock-discipline` walks to find code reachable from thread and
-  executor entry points, and ``repro lint --graph`` dumps;
+  executor entry points, and whose reverse the taint fixpoint follows
+  to re-analyse callers;
 * **thread roots** -- functions handed to ``threading.Thread(target=...)``
   or an executor's ``submit``/``map``: the places where a second thread
-  of control enters the program;
-* **module dependencies** (and their reverse), which ``--changed`` mode
-  uses to re-lint the reverse call-graph dependents of edited files.
+  of control enters the program.
 
 Resolution is deliberately name-based and conservative. Python has no
 static types to lean on, so a call ``obj.refill()`` resolves to *every*
@@ -20,9 +19,10 @@ project function named ``refill`` (capped -- a name with more than
 falls back to its generic worst-case call handling). Three cases are
 precise: bare names defined or imported in the same module,
 ``self.method(...)`` inside a class, and fully-dotted paths that start
-at an imported module. The over-approximation errs toward *more*
-reachability, which is the safe direction for a checker that asks "can
-a thread get here".
+at an imported module. A name that denotes a class resolves to that
+class's own ``__init__``: ``Cls(...)`` and ``mod.Cls(...)`` run it.
+The over-approximation errs toward *more* reachability, which is the
+safe direction for a checker that asks "can a thread get here".
 """
 
 from __future__ import annotations
@@ -66,11 +66,13 @@ class FunctionInfo:
         """Map a call-site positional index onto this function's params.
 
         Accounts for the implicit ``self`` of bound-method calls
-        (``obj.m(a)`` binds ``a`` to param 1). Returns ``None`` when the
-        position falls outside the declared parameters (``*args``).
+        (``obj.m(a)`` binds ``a`` to param 1) and of constructor calls
+        (``Cls(a)`` binds ``a`` to ``__init__``'s param 1). Returns
+        ``None`` when the position falls outside the declared
+        parameters (``*args``).
         """
-        offset = 1 if (
-            self.is_method and isinstance(call.func, ast.Attribute)
+        offset = 1 if self.is_method and (
+            isinstance(call.func, ast.Attribute) or self.name == "__init__"
         ) else 0
         index = arg_position + offset
         return index if index < len(self.params) else None
@@ -138,8 +140,6 @@ class Program:
         self.edges: Dict[str, Set[str]] = {}
         self.redges: Dict[str, Set[str]] = {}
         self.thread_roots: Set[str] = set()
-        self.module_edges: Dict[str, Set[str]] = {}
-        self.module_redges: Dict[str, Set[str]] = {}
         self._taint_cache: dict = {}
 
     # -- construction ----------------------------------------------------
@@ -221,27 +221,6 @@ class Program:
             self.edges[info.qualname] = callees
             for callee in callees:
                 self.redges.setdefault(callee, set()).add(info.qualname)
-                if self.functions[callee].module != info.module:
-                    self.module_edges.setdefault(
-                        info.module, set()
-                    ).add(self.functions[callee].module)
-        for mod, imports in self.imports.items():
-            for target in imports.values():
-                target_mod = self._module_of_dotted(target)
-                if target_mod and target_mod != mod:
-                    self.module_edges.setdefault(mod, set()).add(target_mod)
-        for mod, deps in self.module_edges.items():
-            for dep in deps:
-                self.module_redges.setdefault(dep, set()).add(mod)
-
-    def _module_of_dotted(self, dotted: str) -> Optional[str]:
-        """The longest known module prefix of a dotted import target."""
-        parts = dotted.split(".")
-        for end in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:end])
-            if candidate in self.modules:
-                return candidate
-        return None
 
     def _calls_in(self, info: FunctionInfo) -> Iterable[ast.Call]:
         """Call nodes in ``info``'s body, excluding nested defs (they
@@ -272,12 +251,11 @@ class Program:
         ``target=self._worker`` style reference) to qualnames."""
         imports = self.imports.get(caller.module, {})
         if isinstance(node, ast.Name):
-            local = f"{caller.module}.{node.id}"
-            if local in self.functions:
-                return [local]
-            imported = imports.get(node.id)
-            if imported and imported in self.functions:
-                return [imported]
+            for candidate in (f"{caller.module}.{node.id}",
+                              imports.get(node.id)):
+                target = self._callable(candidate)
+                if target:
+                    return [target]
             return []
         if isinstance(node, ast.Attribute):
             # self.method() -> the enclosing class's method.
@@ -297,13 +275,23 @@ class Program:
                     f"{expanded}.{rest}" if expanded and rest else None,
                     expanded if expanded and not rest else None,
                 ):
-                    if candidate and candidate in self.functions:
-                        return [candidate]
+                    target = self._callable(candidate)
+                    if target:
+                        return [target]
             # Bare-name fallback: every project function with this name.
             candidates = self.by_name.get(node.attr, [])
             if 0 < len(candidates) <= MAX_CANDIDATES:
                 return list(candidates)
         return []
+
+    def _callable(self, dotted: Optional[str]) -> Optional[str]:
+        """The function a dotted name calls: itself, or for a class its
+        own ``__init__`` (constructing ``Cls(...)`` runs that body)."""
+        if dotted in self.functions:
+            return dotted
+        cls = self.classes.get(dotted)
+        init = cls.methods.get("__init__") if cls is not None else None
+        return init.qualname if init is not None else None
 
     def _note_thread_root(
         self, call: ast.Call, caller: FunctionInfo
@@ -363,45 +351,3 @@ class Program:
                     parents[callee] = current
                     queue.append(callee)
         return []
-
-    def dependent_modules(self, changed: Iterable[str]) -> Set[str]:
-        """``changed`` plus every module that (transitively) calls or
-        imports into one of them -- the ``--changed`` re-lint set."""
-        result: Set[str] = set()
-        stack = [mod for mod in changed if mod in self.modules]
-        while stack:
-            current = stack.pop()
-            if current in result:
-                continue
-            result.add(current)
-            stack.extend(self.module_redges.get(current, ()))
-        return result
-
-    def module_of_path(self) -> Dict[str, str]:
-        """Resolved source path -> module name, for ``--changed``."""
-        import os
-
-        return {
-            os.path.realpath(mod.path): name
-            for name, mod in self.modules.items()
-            if mod.path != "<memory>"
-        }
-
-    def to_dict(self) -> dict:
-        """JSON document behind ``repro lint --graph``."""
-        return {
-            "functions": {
-                qualname: {
-                    "module": info.module,
-                    "path": info.path,
-                    "line": info.line,
-                    "calls": sorted(self.edges.get(qualname, ())),
-                }
-                for qualname, info in sorted(self.functions.items())
-            },
-            "thread_roots": sorted(self.thread_roots),
-            "module_dependencies": {
-                mod: sorted(deps)
-                for mod, deps in sorted(self.module_edges.items())
-            },
-        }

@@ -1,30 +1,22 @@
 """``python -m repro lint``: the CLI face of the invariant linter.
 
-Exit codes: 0 when every finding is baselined (or there are none),
-1 when new findings exist or the baseline is stale (lists debt that no
-longer reproduces -- re-freeze with ``--update-baseline``), 2 on usage
-errors (missing baseline file, unknown rule, bad git ref).
+One mode: parse every file under the given paths, check the whole
+program, and report every finding. ``# repro: allow[rule]`` pragmas are
+the only exemption.
+
+Exit codes: 0 when there are no findings, 1 when there are any, 2 on
+usage errors (unknown ``--rule``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
-from typing import List, Optional, Set
+from typing import List, Optional
 
-from repro.analysis import ALL_CHECKERS, run_checks  # noqa: F401 - re-export
-from repro.analysis.baseline import (
-    BaselineError,
-    load_baseline,
-    save_baseline,
-    split_by_baseline,
-)
-from repro.analysis.callgraph import Program
+from repro.analysis import ALL_CHECKERS, run_checks
 from repro.analysis.findings import Finding
-from repro.analysis.framework import check_program, parse_modules
 from repro.cliutil import add_format_argument
 
 EXIT_CLEAN = 0
@@ -39,38 +31,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="JSON baseline of known findings; anything beyond it fails",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="freeze the current findings into --baseline (or the "
-             "default .repro-lint-baseline.json) and exit 0",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="re-freeze the baseline in place after paying down or "
-             "accepting debt (same as --write-baseline; exists so the "
-             "workflow never involves hand-editing JSON)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="parse/summarize across N processes "
-             "(default: os.cpu_count())",
-    )
-    parser.add_argument(
         "--rule", action="append", default=None, metavar="RULE",
         dest="rules",
         help="run only this rule (repeatable); see --list-rules",
-    )
-    parser.add_argument(
-        "--graph", action="store_true",
-        help="dump the whole-program call graph as JSON and exit",
-    )
-    parser.add_argument(
-        "--changed", default=None, metavar="GITREF",
-        help="lint only files changed vs. GITREF plus their reverse "
-             "call-graph dependents (the pre-commit fast path)",
     )
     add_format_argument(parser)
     parser.add_argument(
@@ -86,31 +49,15 @@ def _print_rules() -> None:
               f"{checker.description}")
 
 
-def _report_text(fresh: List[Finding], known_count: int,
-                 stale: dict) -> None:
-    for finding in fresh:
+def _report_text(findings: List[Finding]) -> None:
+    for finding in findings:
         print(finding.render())
-    if stale:
-        print(
-            f"stale baseline: {sum(stale.values())} baselined finding(s) "
-            f"no longer reproduce -- re-freeze with --update-baseline",
-            file=sys.stderr,
-        )
-    summary = f"{len(fresh)} new finding(s)"
-    if known_count:
-        summary += f", {known_count} baselined"
-    print(summary, file=sys.stderr)
+    print(f"{len(findings)} finding(s)", file=sys.stderr)
 
 
-def _report_json(fresh: List[Finding], known: List[Finding],
-                 stale: dict) -> None:
+def _report_json(findings: List[Finding]) -> None:
     print(json.dumps(
-        {
-            "new": [f.to_dict() for f in fresh],
-            "baselined": [f.to_dict() for f in known],
-            "stale_baseline_fingerprints": stale,
-        },
-        indent=2,
+        {"findings": [f.to_dict() for f in findings]}, indent=2,
     ))
 
 
@@ -125,97 +72,23 @@ def _select_checkers(rules: Optional[List[str]]):
     return [known[rule] for rule in dict.fromkeys(rules)], None
 
 
-def _git_changed_files(ref: str) -> Optional[Set[str]]:
-    """Real paths of files changed vs. ``ref`` (``None`` on git error)."""
-    try:
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", "-z", ref, "--"],
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return {
-        os.path.realpath(name)
-        for name in proc.stdout.split("\0")
-        if name
-    }
-
-
 def run_lint(args: argparse.Namespace) -> int:
     """Execute the lint command; returns the process exit code."""
     if args.list_rules:
         _print_rules()
         return EXIT_CLEAN
 
-    checkers, error = _select_checkers(getattr(args, "rules", None))
+    checkers, error = _select_checkers(args.rules)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
 
-    jobs = getattr(args, "jobs", None)
-    modules, parse_errors = parse_modules(args.paths, jobs=jobs)
-    program = Program.build(modules)
-
-    if getattr(args, "graph", False):
-        print(json.dumps(program.to_dict(), indent=2))
-        return EXIT_CLEAN
-
-    only_modules: Optional[Set[str]] = None
-    changed_ref = getattr(args, "changed", None)
-    if changed_ref is not None:
-        changed_files = _git_changed_files(changed_ref)
-        if changed_files is None:
-            print(f"error: cannot diff against git ref {changed_ref!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        path_map = program.module_of_path()
-        changed_modules = {
-            path_map[path] for path in changed_files if path in path_map
-        }
-        only_modules = program.dependent_modules(changed_modules)
-        parse_errors = [
-            finding for finding in parse_errors
-            if os.path.realpath(finding.path) in changed_files
-        ]
-        print(
-            f"--changed {changed_ref}: {len(changed_modules)} changed "
-            f"module(s), {len(only_modules)} after reverse-dependency "
-            f"expansion",
-            file=sys.stderr,
-        )
-
-    findings = list(parse_errors)
-    findings.extend(
-        check_program(modules, program, checkers,
-                      only_modules=only_modules)
-    )
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-
-    if args.write_baseline or getattr(args, "update_baseline", False):
-        from repro.analysis.baseline import DEFAULT_BASELINE
-
-        target = args.baseline or DEFAULT_BASELINE
-        save_baseline(target, findings)
-        print(f"wrote {len(findings)} finding(s) to {target}",
-              file=sys.stderr)
-        return EXIT_CLEAN
-
-    known: List[Finding] = []
-    fresh = findings
-    stale: dict = {}
-    if args.baseline is not None:
-        try:
-            allowed = load_baseline(args.baseline)
-        except BaselineError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_USAGE
-        known, fresh, stale = split_by_baseline(findings, allowed)
-
+    findings = run_checks(args.paths, checkers)
     if args.format == "json":
-        _report_json(fresh, known, stale)
+        _report_json(findings)
     else:
-        _report_text(fresh, len(known), stale)
-    return EXIT_FINDINGS if fresh or stale else EXIT_CLEAN
+        _report_text(findings)
+    return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -14,7 +13,7 @@ class Severity(enum.Enum):
     ``ERROR`` findings are invariant violations that can leak private
     data or corrupt a protocol run; ``WARNING`` findings are hygiene
     problems that make such violations easy to introduce. Both fail the
-    lint gate unless baselined or suppressed -- the severity is a
+    lint gate unless suppressed by a pragma -- the severity is a
     reading aid, not a bypass.
     """
 
@@ -36,14 +35,14 @@ class Finding:
     path:
         Path of the offending file as given to the linter.
     module:
-        Dotted module name (stable across checkouts; used for
-        fingerprints so baselines survive repository moves).
+        Dotted module name (stable across checkouts; the scoped rules
+        key off it).
     line:
         1-based source line of the violation.
     message:
         Human-readable description of what is wrong and why it matters.
     snippet:
-        The stripped source line, for fingerprinting and display.
+        The stripped source line, for display.
     chain:
         For interprocedural findings, the qualified-name call chain
         from the flagged site to the sink (or from a thread entry point
@@ -58,20 +57,6 @@ class Finding:
     message: str
     snippet: str = ""
     chain: Tuple[str, ...] = ()
-
-    def fingerprint(self) -> str:
-        """Location-tolerant identity of this finding.
-
-        Derived from the module, rule and offending source text rather
-        than the line number, so unrelated edits above a baselined
-        finding do not resurrect it. Interprocedural findings also hash
-        their call chain (qualnames, no line numbers): the same send
-        reached through a different path is different debt.
-        """
-        basis = f"{self.module}::{self.rule}::{self.snippet}"
-        if self.chain:
-            basis += "::" + "->".join(self.chain)
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
         """One-line human-readable form (``path:line: [rule] message``)."""
@@ -91,5 +76,4 @@ class Finding:
             "message": self.message,
             "snippet": self.snippet,
             "chain": list(self.chain),
-            "fingerprint": self.fingerprint(),
         }

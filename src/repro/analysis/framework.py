@@ -142,8 +142,8 @@ def _repo_root_for(directory: str) -> Optional[str]:
 def repo_relative(path: Path) -> Path:
     """``path`` relative to its repository root when one is found.
 
-    This is what keeps module names -- and therefore baseline
-    fingerprints -- identical between a local checkout and CI: an
+    This is what keeps module names -- and therefore rule scopes and
+    reported findings -- identical between a local checkout and CI: an
     absolute path like ``/home/ci/build/tests/analysis/x.py`` and a
     relative ``tests/analysis/x.py`` both normalize to the same
     repo-relative form. Paths outside any repository pass through
@@ -275,119 +275,50 @@ def check_module(
     return results
 
 
-def _parse_error_finding(path: Path, error: Exception) -> Finding:
-    return Finding(
-        rule="parse-error",
-        severity=Severity.ERROR,
-        path=str(path),
-        module=module_name_for(path),
-        line=getattr(error, "lineno", None) or 1,
-        message=f"cannot parse file: {error}",
-    )
-
-
-def _parse_one(raw: str):
-    """Process-pool worker: parse one file into a picklable result."""
-    path = Path(raw)
-    try:
-        return ("ok", ModuleInfo.from_path(path))
-    except (SyntaxError, UnicodeDecodeError, OSError) as error:
-        return ("err", _parse_error_finding(path, error))
-
-
-#: Below this many files a process pool costs more than it saves.
-_PARALLEL_THRESHOLD = 16
-
-
 def parse_modules(
-    paths: Iterable[str], jobs: Optional[int] = None
+    paths: Iterable[str],
 ) -> Tuple[List[ModuleInfo], List[Finding]]:
     """Phase one: parse every python file under ``paths``.
 
     Returns the parsed modules plus ``parse-error`` findings for
     unparseable files (a syntax error cannot silently shrink the lint
-    surface). ``jobs`` > 1 fans parsing out over a process pool --
-    parse results (AST included) are picklable -- falling back to
-    serial parsing when the pool cannot start.
+    surface).
     """
-    files = list(iter_python_files(paths))
-    if jobs is None:
-        import os
-
-        jobs = os.cpu_count() or 1
     modules: List[ModuleInfo] = []
     errors: List[Finding] = []
-    if jobs > 1 and len(files) >= _PARALLEL_THRESHOLD:
+    for path in iter_python_files(paths):
         try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(
-                    pool.map(_parse_one, [str(f) for f in files],
-                             chunksize=8)
-                )
-        except (OSError, ImportError, RuntimeError):
-            outcomes = None  # pool unavailable (sandbox): parse serially
-        if outcomes is not None:
-            for path, outcome in zip(files, outcomes):
-                if outcome[0] == "ok":
-                    mod = outcome[1]
-                    mod.path = str(path)  # keep the as-given path
-                    modules.append(mod)
-                else:
-                    errors.append(outcome[1])
-            return modules, errors
-    for path in files:
-        outcome = _parse_one(str(path))
-        if outcome[0] == "ok":
-            modules.append(outcome[1])
-        else:
-            errors.append(outcome[1])
+            modules.append(ModuleInfo.from_path(path))
+        except (SyntaxError, UnicodeDecodeError, OSError) as error:
+            errors.append(Finding(
+                rule="parse-error",
+                severity=Severity.ERROR,
+                path=str(path),
+                module=module_name_for(path),
+                line=getattr(error, "lineno", None) or 1,
+                message=f"cannot parse file: {error}",
+            ))
     return modules, errors
-
-
-def check_program(
-    modules: Sequence[ModuleInfo],
-    program,
-    checkers: Optional[Sequence[Checker]] = None,
-    respect_pragmas: bool = True,
-    only_modules: Optional[Set[str]] = None,
-) -> List[Finding]:
-    """Phase two: run the checkers over already-parsed modules.
-
-    ``only_modules`` restricts which modules *report* findings (the
-    ``--changed`` fast path); the program -- and therefore summaries
-    and reachability -- always covers the full parsed set.
-    """
-    results: List[Finding] = []
-    for mod in modules:
-        if only_modules is not None and mod.module not in only_modules:
-            continue
-        results.extend(
-            check_module(mod, checkers, respect_pragmas, program=program)
-        )
-    return results
 
 
 def run_checks(
     paths: Iterable[str],
     checkers: Optional[Sequence[Checker]] = None,
     respect_pragmas: bool = True,
-    jobs: int = 1,
 ) -> List[Finding]:
     """Lint every python file under ``paths``; the library entry point.
 
-    Runs the two phases back to back: parse (optionally parallel) and
-    build the whole-program index, then check each module against it.
+    Runs the two phases back to back: parse and build the whole-program
+    index, then check each module against it.
     """
     from repro.analysis.callgraph import Program
 
-    modules, results = parse_modules(paths, jobs=jobs)
+    modules, results = parse_modules(paths)
     program = Program.build(modules)
-    results = list(results)
-    results.extend(
-        check_program(modules, program, checkers, respect_pragmas)
-    )
+    for mod in modules:
+        results.extend(
+            check_module(mod, checkers, respect_pragmas, program=program)
+        )
     results.sort(key=lambda f: (f.path, f.line, f.rule))
     return results
 

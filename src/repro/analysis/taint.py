@@ -26,7 +26,8 @@ directions:
   summaries changed -- terminates at the least fixpoint.
 
 A call that resolves (see :mod:`repro.analysis.callgraph`) is modelled
-by its targets' summaries; a call that does not falls back to the
+by its targets' summaries, and a constructor call's result also carries
+its arguments' labels; a call that does not resolve falls back to the
 original conservative rule: any tainted argument taints the result.
 With resolution disabled entirely (``interprocedural=False``) the engine
 reproduces the historical intra-function ``channel-leak`` behaviour,
@@ -333,6 +334,9 @@ class _FunctionTaint:
             if summary.sanitizer:
                 continue
             result |= self._apply_summary(call, target, summary)
+            if self.engine.program.functions[target].name == "__init__":
+                # A constructed object holds what it was built from.
+                result.update(*arg_labels)
         return result
 
     def _apply_summary(

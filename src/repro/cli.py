@@ -373,12 +373,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "messages": ctx.trace.messages,
         "ops": live_ops,
     }
-    measured = transport.stats.total_bytes
-    payload["measured_bytes"] = measured
-    if measured != ctx.trace.total_bytes:
-        lines.append(f"WARNING: transport measured {measured} bytes; "
-                     f"accounting disagrees")
-        mismatches += 1
     if metered:
         telemetry_bytes = telemetry.wire_bytes_total(telemetry.snapshot())
         payload["telemetry_wire_bytes"] = telemetry_bytes

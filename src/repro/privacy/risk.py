@@ -132,10 +132,6 @@ class RiskModel:
         ]
         return float(np.mean(losses))
 
-    def baseline(self, sensitive_column: int) -> float:
-        """Adversary score with nothing disclosed (the prior)."""
-        return self._baseline[sensitive_column]
-
     # -- internals --------------------------------------------------------
 
     def _validated(self, disclosure_set: Iterable[int]) -> Tuple[int, ...]:

@@ -393,13 +393,6 @@ class ClassificationServer:
                 "label": int(label),
                 "request_id": session.request_id,
                 "trace": ctx.trace.summary(),
-                "measured": {
-                    "frames": transport.stats.frames,
-                    "bytes_client_to_server":
-                        transport.stats.bytes_client_to_server,
-                    "bytes_server_to_client":
-                        transport.stats.bytes_server_to_client,
-                },
             }
             if decision is not None:
                 # Tell the client what the budget actually granted --

@@ -146,7 +146,6 @@ class ExecutionTrace:
     bytes_server_to_client: int = 0
     messages: int = 0
     rounds: int = 0
-    wall_seconds: float = 0.0
     label: str = ""
 
     def count(self, op: Op, times: int = 1) -> None:
@@ -172,7 +171,6 @@ class ExecutionTrace:
         self.bytes_server_to_client += other.bytes_server_to_client
         self.messages += other.messages
         self.rounds += other.rounds
-        self.wall_seconds += other.wall_seconds
 
     def op_count(self, op: Op) -> int:
         """Number of recorded occurrences of ``op``."""
@@ -186,7 +184,6 @@ class ExecutionTrace:
             "bytes_server_to_client": float(self.bytes_server_to_client),
             "messages": float(self.messages),
             "rounds": float(self.rounds),
-            "wall_seconds": self.wall_seconds,
         }
         for op, count in sorted(self.ops.items(), key=lambda kv: kv[0].value):
             result[f"op_{op.value}"] = float(count)

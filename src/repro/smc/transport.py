@@ -62,7 +62,8 @@ class ServerError(TransportError):
 
     The server reported a request-level failure instead of a result.
     ``code`` is machine-readable and stable for retry policy:
-    ``"overloaded"`` (shed at admission -- retry with backoff),
+    ``"overloaded"`` (shed at admission; :func:`request_classification`
+    does not retry it -- a caller may back off and send again),
     ``"bad-request"`` (malformed payload -- do not retry),
     ``"deadline"`` (the request exceeded the server's per-request
     timeout) and ``"internal"`` (a handler fault; the server itself
@@ -100,9 +101,11 @@ class TransportConfig:
     retries:
         Additional connect attempts after the first.
     backoff_seconds:
-        Initial retry delay window; doubles per retry. Each retry
-        actually sleeps a uniform *full jitter* draw from
-        ``[0, window]`` so shed clients do not re-dial in lockstep.
+        Initial retry delay window; doubles per retry. Each connect
+        retry actually sleeps a uniform *full jitter* draw from
+        ``[0, window]`` so clients that failed to connect at the same
+        moment do not re-dial in lockstep. Only connects are retried:
+        a shed request raises :class:`ServerError` (``"overloaded"``).
     """
 
     connect_timeout: float = 5.0
@@ -120,35 +123,14 @@ _BACKOFF_RNG = secure_rng()
 def _backoff_sleep(delay: float) -> None:
     """Sleep a *full-jitter* backoff: uniform in ``[0, delay]``.
 
-    A shed burst disconnects every client at the same instant; without
-    jitter they all re-dial in lockstep after exactly ``delay`` seconds
-    and hammer the frontend again (thundering herd). Full jitter spreads
-    the redials across the whole window while the caller keeps doubling
-    ``delay``, so the attempt budget and the worst-case wait both stand.
+    Called between failed connect attempts. Clients refused at the same
+    instant (a server restarting, a full listen backlog) would, without
+    jitter, all re-dial in lockstep after exactly ``delay`` seconds.
+    Full jitter spreads the redials across the whole window while the
+    caller keeps doubling ``delay``, so the attempt budget and the
+    worst-case wait both stand.
     """
     time.sleep(_BACKOFF_RNG.uniform(0.0, delay))
-
-
-@dataclass
-class TransportStats:
-    """Per-direction frame accounting measured by a transport endpoint."""
-
-    frames: int = 0
-    bytes_client_to_server: int = 0
-    bytes_server_to_client: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        """Measured frame bytes across both directions."""
-        return self.bytes_client_to_server + self.bytes_server_to_client
-
-    def record(self, direction: Direction, frame_bytes: int) -> None:
-        """Attribute one measured frame to its logical direction."""
-        self.frames += 1
-        if direction is Direction.CLIENT_TO_SERVER:
-            self.bytes_client_to_server += frame_bytes
-        else:
-            self.bytes_server_to_client += frame_bytes
 
 
 class InProcessTransport:
@@ -162,14 +144,12 @@ class InProcessTransport:
 
     def __init__(self, codec: wire.WireCodec) -> None:
         self.codec = codec
-        self.stats = TransportStats()
         self.last_frame_bytes = 0
 
     def exchange(self, direction: Direction, payload: Any) -> Any:
         """Encode, "ship" (in-process), decode and return the payload."""
         body = wire.encode(payload)
         self.last_frame_bytes = wire.FRAME_OVERHEAD + len(body)
-        self.stats.record(direction, self.last_frame_bytes)
         return self.codec.decode(body)
 
     def close(self) -> None:
@@ -199,7 +179,6 @@ class TcpTransport:
     ) -> None:
         self.codec = codec
         self.io_timeout = io_timeout
-        self.stats = TransportStats()
         self.last_frame_bytes = 0
         self._sock: Optional[socket.socket] = sock
         sock.settimeout(io_timeout)
@@ -243,7 +222,6 @@ class TcpTransport:
                 "frame; codec is not canonical"
             )
         self.last_frame_bytes = wire.FRAME_OVERHEAD + len(body)
-        self.stats.record(direction, self.last_frame_bytes)
         return self.codec.decode(reply)
 
     def close(self) -> None:
@@ -324,7 +302,7 @@ class ClassificationResult:
     """What the client process gets back from one served query.
 
     ``label`` is the classification; ``server_trace`` the server's full
-    execution-trace summary (bytes, rounds, messages, wall time);
+    execution-trace summary (bytes, rounds, messages, op counts);
     ``client_stats`` the client's own independently measured frame and
     byte counts, which must agree with the server's accounting
     byte-for-byte; ``request_id`` the server-assigned id, matching the

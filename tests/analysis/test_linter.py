@@ -29,12 +29,6 @@ from repro.analysis import (
     Severity,
     run_checks,
 )
-from repro.analysis.baseline import (
-    BaselineError,
-    load_baseline,
-    save_baseline,
-    split_by_baseline,
-)
 from repro.analysis.cli import main as lint_main
 from repro.analysis.framework import check_module, module_name_for
 
@@ -185,24 +179,6 @@ class TestSuppressionPragma:
 
 
 class TestFindings:
-    def test_fingerprint_ignores_line_number(self):
-        base = dict(rule="rng-hygiene", severity=Severity.ERROR,
-                    path="a.py", module="repro.crypto.a",
-                    message="m", snippet="import random")
-        moved = Finding(line=5, **base)
-        assert Finding(line=1, **base).fingerprint() == moved.fingerprint()
-
-    def test_fingerprint_distinguishes_rule_and_module(self):
-        base = dict(severity=Severity.ERROR, path="a.py", line=1,
-                    message="m", snippet="import random")
-        one = Finding(rule="rng-hygiene", module="repro.crypto.a", **base)
-        other_rule = Finding(rule="channel-leak", module="repro.crypto.a",
-                             **base)
-        other_mod = Finding(rule="rng-hygiene", module="repro.crypto.b",
-                            **base)
-        assert len({one.fingerprint(), other_rule.fingerprint(),
-                    other_mod.fingerprint()}) == 3
-
     def test_render_and_to_dict(self):
         finding = Finding(rule="wire-tags", severity=Severity.ERROR,
                           path="src/repro/smc/wire.py",
@@ -214,7 +190,6 @@ class TestFindings:
         as_dict = finding.to_dict()
         assert as_dict["rule"] == "wire-tags"
         assert as_dict["line"] == 12
-        assert as_dict["fingerprint"] == finding.fingerprint()
 
 
 class TestRunChecks:
@@ -259,58 +234,6 @@ class TestRunChecks:
         assert keys == sorted(keys)
 
 
-class TestBaseline:
-    def findings_for(self, tmp_path: Path, body: str) -> list:
-        src = tmp_path / "src" / "repro" / "smc"
-        src.mkdir(parents=True, exist_ok=True)
-        (src / "debt.py").write_text(body, encoding="utf-8")
-        return run_checks([str(tmp_path / "src")])
-
-    def test_roundtrip_and_split(self, tmp_path):
-        findings = self.findings_for(tmp_path, "import random\n")
-        baseline = tmp_path / "baseline.json"
-        save_baseline(str(baseline), findings)
-        allowed = load_baseline(str(baseline))
-        known, fresh, stale = split_by_baseline(findings, allowed)
-        assert len(known) == len(findings) and not fresh and not stale
-
-    def test_new_finding_is_fresh(self, tmp_path):
-        old = self.findings_for(tmp_path, "import random\n")
-        baseline = tmp_path / "baseline.json"
-        save_baseline(str(baseline), old)
-        new = self.findings_for(
-            tmp_path, "import random\nimport numpy.random\n"
-        )
-        known, fresh, stale = split_by_baseline(
-            new, load_baseline(str(baseline))
-        )
-        assert len(known) == 1 and len(fresh) == 1 and not stale
-        assert "numpy.random" in fresh[0].message
-
-    def test_fixed_finding_is_stale(self, tmp_path):
-        old = self.findings_for(
-            tmp_path, "import random\nimport numpy.random\n"
-        )
-        baseline = tmp_path / "baseline.json"
-        save_baseline(str(baseline), old)
-        new = self.findings_for(tmp_path, "import random\n")
-        known, fresh, stale = split_by_baseline(
-            new, load_baseline(str(baseline))
-        )
-        assert len(known) == 1 and not fresh
-        assert sum(stale.values()) == 1
-
-    def test_missing_baseline_raises(self, tmp_path):
-        with pytest.raises(BaselineError):
-            load_baseline(str(tmp_path / "absent.json"))
-
-    def test_bad_version_raises(self, tmp_path):
-        target = tmp_path / "v9.json"
-        target.write_text(json.dumps({"version": 9, "findings": {}}))
-        with pytest.raises(BaselineError):
-            load_baseline(str(target))
-
-
 def install_fixture(tmp_path: Path, rule: str) -> Path:
     """Copy a fixture under ``tmp/src/...`` so the CLI lints it in scope."""
     filename, _, package = FIXTURE_MODULES[rule]
@@ -327,9 +250,7 @@ class TestCli:
     @pytest.mark.parametrize("rule", MANDATED_RULES + ["mutable-default"])
     def test_seeded_violation_fails_the_gate(self, rule, tmp_path, capsys):
         src = install_fixture(tmp_path, rule)
-        empty = tmp_path / "baseline.json"
-        save_baseline(str(empty), [])
-        code = lint_main([str(src), "--baseline", str(empty)])
+        code = lint_main([str(src)])
         out = capsys.readouterr().out
         assert code == 1
         assert f"[{rule}]" in out
@@ -342,39 +263,12 @@ class TestCli:
         )
         assert lint_main([str(tmp_path / "src")]) == 0
 
-    def test_write_baseline_then_pass(self, tmp_path, capsys):
-        src = install_fixture(tmp_path, "rng-hygiene")
-        baseline = tmp_path / "baseline.json"
-        assert lint_main(
-            [str(src), "--baseline", str(baseline), "--write-baseline"]
-        ) == 0
-        assert lint_main([str(src), "--baseline", str(baseline)]) == 0
-
-    def test_stale_baseline_fails(self, tmp_path, capsys):
-        src = install_fixture(tmp_path, "rng-hygiene")
-        baseline = tmp_path / "baseline.json"
-        assert lint_main(
-            [str(src), "--baseline", str(baseline), "--write-baseline"]
-        ) == 0
-        fixture = FIXTURE_MODULES["rng-hygiene"][0]
-        (src / "repro" / "crypto" / fixture).write_text(
-            "VALUE = 1\n", encoding="utf-8"
-        )
-        code = lint_main([str(src), "--baseline", str(baseline)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "stale baseline" in err
-
-    def test_missing_baseline_is_usage_error(self, tmp_path, capsys):
-        assert lint_main(
-            [str(tmp_path), "--baseline", str(tmp_path / "nope.json")]
-        ) == 2
-
     def test_json_format(self, tmp_path, capsys):
         src = install_fixture(tmp_path, "exception-hygiene")
         assert lint_main([str(src), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert {f["rule"] for f in payload["new"]} == {"exception-hygiene"}
+        assert {f["rule"] for f in payload["findings"]} \
+            == {"exception-hygiene"}
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0

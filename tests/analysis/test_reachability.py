@@ -56,8 +56,6 @@ KEPT = {
         "observes the offline mask stock in the depletion tests",
     "repro.data.schema.Dataset.feature_names":
         "checks generated schemas in the data tests",
-    "repro.analysis.framework.run_checks":
-        "the linter's one-call library entry point the analysis tests use",
     "repro.privacy.adversary.ExactJointAdversary":
         "the exact reference adversary the factorised ones are checked "
         "against",
@@ -176,7 +174,7 @@ def _unreachable_src_defs() -> Set[str]:
         str(path) for path in sorted((REPO / "benchmarks").rglob("*.py"))
         if not path.name.startswith("test_")
     ]
-    modules, errors = parse_modules(paths, jobs=1)
+    modules, errors = parse_modules(paths)
     assert not errors
     program = Program.build(modules)
 

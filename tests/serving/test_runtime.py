@@ -125,10 +125,7 @@ def test_concurrent_requests_no_disclosure_bleed(deployed, rows):
             deployed, rows[i], _BASE_SEED + i, disclosure=override
         )
         assert results[i].label == expected
-        served = dict(results[i].server_trace)
-        replayed = ctx.trace.summary()
-        served.pop("wall_seconds"), replayed.pop("wall_seconds")
-        assert served == replayed
+        assert results[i].server_trace == ctx.trace.summary()
     assert deployed.disclosure == shipped  # never mutated
 
 

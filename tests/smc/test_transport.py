@@ -53,9 +53,7 @@ def _run_protocols(ctx):
     results.append(
         secure_argmax(ctx, [ctx.server_encrypt(v) for v in (5, 9, 3)], 5)
     )
-    summary = {k: v for k, v in ctx.trace.summary().items()
-               if k != "wall_seconds"}
-    return results, summary
+    return results, ctx.trace.summary()
 
 
 class _Mirror(threading.Thread):
@@ -109,15 +107,12 @@ class TestParity:
         assert inproc_summary == bare_summary
         assert tcp_summary == bare_summary
 
-        # Both endpoints measured exactly the accounted bytes.
+        # The far end measured exactly the accounted bytes (the near
+        # end's Channel checks every frame against the trace as it goes).
         trace = tcp_ctx.trace
-        assert tcp.stats.bytes_client_to_server == trace.bytes_client_to_server
-        assert tcp.stats.bytes_server_to_client == trace.bytes_server_to_client
-        assert tcp.stats.frames == trace.messages
         assert mirror.stats["frames"] == trace.messages
         assert mirror.stats["bytes_received"] == trace.total_bytes
         assert mirror.stats["bytes_sent"] == trace.total_bytes
-        assert inproc.stats.total_bytes == trace.total_bytes
 
     def test_channel_asserts_frame_size(self):
         ctx = _fresh_ctx()
@@ -174,8 +169,7 @@ class TestFaultInjection:
         assert time.monotonic() - started < 10.0
         peer.join(timeout=10)
         assert received == [wire.KIND_MSG] * 4
-        assert ctx.trace.messages == tcp.stats.frames == 3
-        assert ctx.trace.total_bytes == tcp.stats.total_bytes
+        assert ctx.trace.messages == 3
         with pytest.raises(TransportError, match="closed"):
             tcp.exchange(Direction.CLIENT_TO_SERVER, 1)
 

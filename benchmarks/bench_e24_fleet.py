@@ -27,6 +27,7 @@ import os
 import threading
 import time
 
+import repro.telemetry as telemetry
 from repro.bench import Table, update_bench_json
 from repro.core.serialization import deployment_from_dict, deployment_to_dict
 from repro.core.session import SessionConfig
@@ -61,10 +62,11 @@ def _deployed(warfarin_train_test):
 def _run_fleet_round(deployed, rows, shards):
     """100 crypto-bound clients against an N-shard fleet."""
     config = SessionConfig(
-        max_workers=4, queue_depth=N_CLIENTS, telemetry=True,
+        max_workers=4, queue_depth=N_CLIENTS, shards=shards,
         paillier_bits=BENCH_PAILLIER_BITS, dgk_bits=BENCH_DGK_BITS,
     )
-    fleet = ClassificationFleet(deployed, shards=shards, config=config)
+    telemetry.configure(True, reset=True)  # the shards inherit the switch
+    fleet = ClassificationFleet(deployed, config=config)
     fleet.start()
     labels = {}
     failures = []
@@ -89,6 +91,7 @@ def _run_fleet_round(deployed, rows, shards):
     elapsed = time.perf_counter() - start
     snapshot = fleet.telemetry_snapshot()
     fleet.shutdown()
+    telemetry.configure(False, reset=True)
     assert not failures, failures
     assert sorted(labels) == list(range(N_CLIENTS))
     waits = histogram_quantiles(snapshot, "serve.queue_wait", [0.5, 0.99])

@@ -10,9 +10,9 @@ One import gives everything a user of the library needs::
 The facade re-exports the pipeline, the session configuration, the
 trade-off analyzer, live-session construction, the protocol backend
 interface (:class:`ProtocolBackend` and its ``paillier`` / ``shares``
-implementations) and the telemetry entry points eagerly; the deployment *serving* surface (``serve_deployment``,
-``ClassificationServer``, ``request_classification``, ``ServerError``,
-...) is re-exported lazily via PEP 562 so
+implementations) and the telemetry entry points eagerly; the deployment
+*serving* surface (``ClassificationServer``, ``request_classification``,
+``ServerError``, ...) is re-exported lazily via PEP 562 so
 that ``import repro.api`` never drags in the TCP transport stack --
 scripts that only train and classify in-process stay light, and the
 facade import itself cannot open sockets or spawn process pools
@@ -67,9 +67,7 @@ __all__ = [
     "TwoPartyContext",
     "make_context",
     "request_classification",
-    "serve_deployment",
     "span",
-    "start_deployment_server",
     "telemetry",
 ]
 
@@ -84,10 +82,6 @@ _LAZY_EXPORTS = {
     "ServerError": ("repro.smc.transport", "ServerError"),
     "request_classification": (
         "repro.smc.transport", "request_classification"
-    ),
-    "serve_deployment": ("repro.smc.transport", "serve_deployment"),
-    "start_deployment_server": (
-        "repro.smc.transport", "start_deployment_server"
     ),
 }
 

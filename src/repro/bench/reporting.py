@@ -99,9 +99,8 @@ def update_bench_json(
     absolute numbers. The existing document is read, records are keyed
     by their ``bench`` name under a ``"benches"`` map, only this
     bench's entry is replaced, and the others are left alone (e23 and
-    e24 both land in ``BENCH_serving.json``). A legacy single-record
-    file is upgraded in place (its old record becomes one entry).
-    Returns the record written for ``name``.
+    e24 both land in ``BENCH_serving.json``). Returns the record written
+    for ``name``.
     """
     import os
 
@@ -123,8 +122,6 @@ def update_bench_json(
             existing.get("benches"), dict
         ):
             benches = existing["benches"]
-        elif isinstance(existing, dict) and "bench" in existing:
-            benches = {str(existing["bench"]): existing}  # legacy upgrade
     except (OSError, ValueError):
         pass  # absent or unreadable: start a fresh document
     benches[name] = record

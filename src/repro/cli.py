@@ -118,18 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=0,
                        help="bind port (default: ephemeral, printed)")
-    serve.add_argument("--max-connections", type=int, default=None,
-                       help="stop after this many connections "
-                            "(default: serve forever)")
     serve.add_argument("--workers", type=int, default=4,
                        help="request handler threads (default 4)")
     serve.add_argument("--queue-depth", type=int, default=16,
                        help="admitted requests that may wait for a free "
                             "worker before new connections are shed with "
                             "an 'overloaded' error (default 16)")
-    serve.add_argument("--request-timeout", type=float, default=None,
-                       help="per-request wall-clock deadline in seconds "
-                            "(default: the transport io timeout)")
+    serve.add_argument("--request-timeout", type=float, default=30.0,
+                       help="per-request deadline in seconds, enforced on "
+                            "every socket operation of a request "
+                            "(default 30)")
     serve.add_argument("--shards", type=int, default=1,
                        help="shard processes behind a routing frontend; "
                             "each shard runs its own crypto engine and "
@@ -418,7 +416,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         request_timeout_s=args.request_timeout,
         protocol_backend=args.backend or "paillier",
         shards=args.shards,
-        telemetry=bool(metered),
         ledger_path=args.ledger,
         privacy_budget=args.privacy_budget,
     )
@@ -465,10 +462,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     listener.bind((args.host, args.port))
     listener.listen(max(4, args.workers + args.queue_depth))
     host, port = listener.getsockname()
-    server = ClassificationServer(
-        deployed, listener, config=config,
-        max_connections=args.max_connections,
-    )
+    server = ClassificationServer(deployed, listener, config=config)
     emit(
         args.format,
         text=(

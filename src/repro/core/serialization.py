@@ -255,31 +255,6 @@ def deployment_to_dict(pipeline: PrivacyAwareClassifier) -> Dict:
     return bundle
 
 
-def deployed_to_dict(deployed: DeployedClassifier) -> Dict:
-    """Re-bundle an already-built :class:`DeployedClassifier`.
-
-    The same wire format as :func:`deployment_to_dict` (minus the
-    optional ``disclosure_risk``, which the online half does not
-    carry). The serving fleet ships bundles to shard processes in this
-    form so each shard rebuilds a private model.
-    """
-    if deployed.kind not in _TO_DICT:
-        raise ReproError(f"cannot serialise classifier kind {deployed.kind!r}")
-    bundle = {
-        "format_version": FORMAT_VERSION,
-        "classifier": deployed.kind,
-        "model": _TO_DICT[deployed.kind](deployed.plain_model),
-        "features": [feature_spec_to_dict(s) for s in deployed.features],
-        "disclosure": [int(i) for i in deployed.disclosure],
-        "precision_bits": deployed.precision_bits,
-        "paillier_bits": deployed.paillier_bits,
-        "dgk_bits": deployed.dgk_bits,
-    }
-    if deployed.risk_model is not None:
-        bundle["risk_model"] = deployed.risk_model
-    return bundle
-
-
 def deployment_from_dict(payload: Dict) -> DeployedClassifier:
     """Rebuild the online classifier from a bundle dict."""
     version = payload.get("format_version")

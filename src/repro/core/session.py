@@ -1,14 +1,14 @@
 """Session configuration: one object for a whole two-party session.
 
-Key sizes, the protocol backend, socket timeouts, randomness mode,
-serving policy and the telemetry switch live in one validated
-dataclass, :class:`SessionConfig`, accepted everywhere a session is
-built (:func:`repro.smc.context.make_context`,
+Key sizes, the protocol backend, randomness mode and serving policy
+live in one validated dataclass, :class:`SessionConfig`, accepted
+everywhere a session is built (:func:`repro.smc.context.make_context`,
 :class:`repro.core.pipeline.PipelineConfig`, the CLI and the serving
 runtime). The bignum kernel is not a session setting: every engine
 runs on the process default of :mod:`repro.crypto.modexp`
 (``REPRO_CRYPTO_BACKEND`` or
-:func:`~repro.crypto.modexp.set_default_backend`).
+:func:`~repro.crypto.modexp.set_default_backend`). Neither is
+telemetry: :func:`repro.telemetry.configure` is the one switch.
 
 This module is deliberately light: it imports no sockets, no process
 pools, no numpy -- the :mod:`repro.api` facade re-exports it without
@@ -53,25 +53,17 @@ class SessionConfig:
         ``"shares"`` (additive secret sharing over precomputed Beaver
         triples; ring arithmetic online, triple dealing offline). The
         CLI surfaces this as ``--backend``.
-    connect_timeout / io_timeout:
-        Socket timeouts in seconds: one connect attempt (the fleet
-        frontend dialing a shard) and one blocking send/receive on a
-        served connection.
     rng_mode:
         ``"deterministic"`` (seeded, reproducible transcripts) or
         ``"system"`` (OS entropy; suitable for real key material, not
         reproducible).
-    telemetry:
-        Whether spans/counters should be recorded for this session.
-        The CLI flips this on for ``--metrics``; library users call
-        :func:`repro.telemetry.configure` themselves.
     max_workers / queue_depth / request_timeout_s:
         Serving-runtime policy (:class:`repro.serving
         .ClassificationServer`): the request handler pool size, how
         many admitted requests may wait for a free worker before new
         connections are shed with an ``overloaded`` error, and the
-        per-request wall-clock deadline in seconds (``None`` = fall
-        back to ``io_timeout``).
+        per-request deadline in seconds, enforced as the timeout of
+        every blocking socket operation of a served connection.
     ledger_path / privacy_budget:
         Cumulative privacy-budget enforcement for served deployments
         (:mod:`repro.privacy.ledger`). ``ledger_path`` is the sqlite
@@ -89,7 +81,9 @@ class SessionConfig:
         shard gets its own process, crypto engine and telemetry
         registry, so online capacity scales with cores instead of
         stalling on the GIL. ``max_workers`` / ``queue_depth`` apply
-        *per shard*.
+        *per shard*, and the frontend holds at most
+        ``shards * (max_workers + queue_depth)`` client connections at
+        once.
 
     Example::
 
@@ -104,13 +98,10 @@ class SessionConfig:
     dgk_plaintext_bits: int = 16
     statistical_security_bits: int = DEFAULT_STATISTICAL_SECURITY_BITS
     protocol_backend: str = "paillier"
-    connect_timeout: float = 5.0
-    io_timeout: float = 30.0
     rng_mode: str = "deterministic"
-    telemetry: bool = False
     max_workers: int = 4
     queue_depth: int = 16
-    request_timeout_s: Optional[float] = None
+    request_timeout_s: float = 30.0
     shards: int = 1
     ledger_path: Optional[str] = None
     privacy_budget: Optional[float] = None
@@ -138,7 +129,7 @@ class SessionConfig:
             raise ReproError(
                 f"queue_depth must be non-negative, got {self.queue_depth}"
             )
-        if self.request_timeout_s is not None and self.request_timeout_s <= 0:
+        if self.request_timeout_s <= 0:
             raise ReproError(
                 f"request_timeout_s must be positive, "
                 f"got {self.request_timeout_s}"

@@ -198,7 +198,7 @@ class BudgetEnforcer:
                     request_id=request_id,
                     mode=mode,
                 )
-                known_clients = len(self._ledger.clients())
+                known_clients = self._ledger.client_count()
             charge_span.set("client", identity)
             charge_span.set("mode", mode)
             charge_span.set("delta", plan.delta)

@@ -12,27 +12,33 @@ is the offline/online split the paper's serving story depends on.
 
 Frontend responsibilities, in routing order:
 
-1. **Sticky routing.** The first client frame is the ``KIND_REQUEST``
+1. **Bounded admission.** The frontend holds at most
+   ``shards * (max_workers + queue_depth)`` client connections at once
+   -- what the shards behind it can admit -- and answers any connection
+   beyond that ``KIND_ERROR {code: "overloaded"}`` at once, counted in
+   ``fleet.shed``, so idle connections cannot grow relay threads
+   without limit.
+2. **Sticky routing.** The first client frame is the ``KIND_REQUEST``
    handshake; its ``seed`` keys the session, and ``seed % n`` picks the
    home shard, so a session always lands on the same shard while the
    fleet is healthy.
-2. **Shed-aware failover.** A shard answering the relayed request with
+3. **Shed-aware failover.** A shard answering the relayed request with
    ``KIND_ERROR {code: "overloaded"}`` (or refusing the connection)
    makes the frontend try the next healthy shard; only when *every*
    shard sheds does the client see ``overloaded``.
-3. **Health tracking.** A heartbeat thread probes each shard with
+4. **Health tracking.** A heartbeat thread probes each shard with
    ``KIND_HEALTH`` frames. Any framed reply counts as alive (an
    overloaded shard still answers its accept loop); a refused
    connection or EOF marks the shard unhealthy until a later probe
    succeeds -- and optionally restarts the process if it died.
-4. **Budget enforcement stays on the shards.** Every shard gets the
+5. **Budget enforcement stays on the shards.** Every shard gets the
    frontend's ``SessionConfig`` unchanged, ``ledger_path`` included,
    and charges the shared ledger file exactly as a single server does
    (:mod:`repro.serving.budget`): after it has admitted the request and
    derived the session keys. The frontend reads only the routing seed
    and relays frames unchanged, so a request a shard sheds is never
    charged, and the one that serves it charges once.
-5. **Graceful drain.** :meth:`ClassificationFleet.drain_shard` stops
+6. **Graceful drain.** :meth:`ClassificationFleet.drain_shard` stops
    routing to one shard, asks it to stop with an *authorized*
    ``KIND_SHUTDOWN`` (the token minted by the shard at bind time and
    reported to the frontend over the spawn pipe), waits for its
@@ -42,15 +48,16 @@ Frontend responsibilities, in routing order:
 Shard telemetry is pulled through the same health frames
 (``{"telemetry": true}`` probes) and merged at the frontend with the
 registry's picklable snapshot/merge machinery, so ``--metrics`` output
-covers the whole fleet: with ``config.telemetry`` on, :meth:`shutdown`
-keeps the merged document in ``telemetry_at_shutdown`` before it stops
-the shards. Surface: ``repro serve --shards N`` or
-``SessionConfig(shards=N)``; measured by ``benchmarks/bench_e24_fleet``.
+covers the whole fleet. Each shard records telemetry exactly when the
+frontend's process did at spawn time (:func:`repro.telemetry.enabled`);
+with it on, :meth:`shutdown` keeps the merged document in
+``telemetry_at_shutdown`` before it stops the shards. Surface:
+``repro serve --shards N`` or ``SessionConfig(shards=N)``; measured by
+``benchmarks/bench_e24_fleet``.
 """
 
 from __future__ import annotations
 
-import hmac
 import multiprocessing
 import socket
 import threading
@@ -61,10 +68,21 @@ import repro.telemetry as telemetry
 from repro.core.exceptions import ReproError
 from repro.core.session import SessionConfig
 from repro.crypto.rand import secure_rng
+from repro.serving.runtime import (
+    ClassificationServer,
+    reject_first_frame,
+    send_error,
+    shed,
+    token_matches,
+)
 from repro.smc import wire
 from repro.telemetry import MetricsRegistry
 
 _LOCALHOST = "127.0.0.1"
+
+#: Seconds the frontend allows for one connect to a shard (a localhost
+#: dial: a shard that takes longer is treated as unreachable).
+_CONNECT_TIMEOUT_S = 5.0
 
 #: Frames that end the server->client leg of a relayed session.
 _TERMINAL_KINDS = (wire.KIND_RESULT, wire.KIND_ERROR)
@@ -72,22 +90,20 @@ _TERMINAL_KINDS = (wire.KIND_RESULT, wire.KIND_ERROR)
 
 def _shard_main(
     ready,
-    bundle: Dict[str, Any],
+    deployed,
     config: SessionConfig,
     shard_name: str,
+    telemetry_on: bool,
 ) -> None:
     """Child-process entry point: one ClassificationServer shard.
 
-    The deployment ships as its plain-dict form (start-method agnostic)
-    and is rebuilt here, so every shard owns a private model/engine.
+    The ``DeployedClassifier`` reaches the child as the process's own
+    copy (it pickles, so any start method works), and every shard owns
+    a private model and engine. The shard starts from an empty
+    telemetry registry, recording iff the frontend's process was.
     Reports ``(port, shutdown_token)`` through the spawn pipe.
     """
-    from repro.core.serialization import deployment_from_dict
-    from repro.serving.runtime import ClassificationServer
-
-    if config.telemetry:
-        telemetry.configure(True, reset=True)
-    deployed = deployment_from_dict(bundle)
+    telemetry.configure(telemetry_on, reset=True)
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind((_LOCALHOST, 0))
@@ -139,13 +155,12 @@ class ClassificationFleet:
     ----------
     deployed:
         A :class:`repro.core.serialization.DeployedClassifier`; shipped
-        to every shard in its plain-dict form.
-    shards:
-        Process count (defaults to ``config.shards``).
+        to every shard process.
     config:
-        A :class:`~repro.core.session.SessionConfig`; each shard runs a
-        full :class:`~repro.serving.runtime.ClassificationServer` with
-        these knobs (``max_workers`` / ``queue_depth`` are per shard).
+        A :class:`~repro.core.session.SessionConfig`; ``shards`` is the
+        process count, and each shard runs a full
+        :class:`~repro.serving.runtime.ClassificationServer` with these
+        knobs (``max_workers`` / ``queue_depth`` are per shard).
     heartbeat_interval:
         Seconds between health probes of each shard.
     restart_dead:
@@ -155,7 +170,7 @@ class ClassificationFleet:
 
     Example::
 
-        fleet = ClassificationFleet(deployed, shards=4)
+        fleet = ClassificationFleet(deployed, SessionConfig(shards=4))
         fleet.start()
         result = request_classification("127.0.0.1", fleet.port, row,
                                         seed=7)
@@ -166,22 +181,16 @@ class ClassificationFleet:
     def __init__(
         self,
         deployed,
-        shards: Optional[int] = None,
         config: Optional[SessionConfig] = None,
         heartbeat_interval: float = 0.5,
         restart_dead: bool = True,
         host: str = _LOCALHOST,
         port: int = 0,
     ) -> None:
-        from repro.core.serialization import deployed_to_dict
-
         self.config = config if config is not None else SessionConfig()
-        self.num_shards = int(shards or self.config.shards)
-        if self.num_shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
         self.heartbeat_interval = float(heartbeat_interval)
         self.restart_dead = bool(restart_dead)
-        self._bundle = deployed_to_dict(deployed)
+        self.deployed = deployed
         #: Fleet-level shutdown secret: a ``KIND_SHUTDOWN`` frame to the
         #: *frontend* carrying it stops the whole fleet (the CLI path).
         self.shutdown_token = f"{secure_rng().getrandbits(128):032x}"
@@ -192,15 +201,21 @@ class ClassificationFleet:
         self._stopping = threading.Event()
         self._threads: List[threading.Thread] = []
         self._lock = threading.Lock()  # guards shard spawn/replace
+        # Client connections the frontend holds at once: what the
+        # shards behind it can admit.
+        self._slots = threading.BoundedSemaphore(
+            self.config.shards
+            * (self.config.max_workers + self.config.queue_depth)
+        )
         #: The whole fleet's merged metrics as :meth:`shutdown` found
-        #: them, before it stopped the shards (``config.telemetry`` only).
+        #: them, before it stopped the shards (telemetry on only).
         self.telemetry_at_shutdown: Optional[Dict[str, Any]] = None
 
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "ClassificationFleet":
         """Spawn the shards, bind the frontend, start its threads."""
-        for index in range(self.num_shards):
+        for index in range(self.config.shards):
             self.shards.append(self._spawn(index))
         self.listener = socket.create_server(
             (self.host, self.port), backlog=128
@@ -222,7 +237,8 @@ class ClassificationFleet:
         parent, child = multiprocessing.Pipe()
         process = multiprocessing.Process(
             target=_shard_main,
-            args=(child, self._bundle, self.config, name),
+            args=(child, self.deployed, self.config, name,
+                  telemetry.enabled()),
             daemon=True,
         )
         process.start()
@@ -247,11 +263,11 @@ class ClassificationFleet:
     def shutdown(self, timeout: float = 30.0) -> None:
         """Stop routing, stop every shard gracefully, join the threads.
 
-        With ``config.telemetry`` on, the first call merges every
-        shard's metrics into :attr:`telemetry_at_shutdown` first: once
-        the shards stop, their registries are gone.
+        With telemetry on, the first call merges every shard's metrics
+        into :attr:`telemetry_at_shutdown` first: once the shards stop,
+        their registries are gone.
         """
-        if self.config.telemetry and not self._stopping.is_set():
+        if telemetry.enabled() and not self._stopping.is_set():
             self.telemetry_at_shutdown = self.telemetry_snapshot()
         self._stopping.set()
         if self.listener is not None:
@@ -402,6 +418,10 @@ class ClassificationFleet:
                 continue
             except OSError:
                 break  # frontend listener closed (shutdown)
+            if not self._slots.acquire(blocking=False):
+                telemetry.count("fleet.shed")
+                shed(sock, "")
+                continue
             thread = threading.Thread(
                 target=self._route, args=(sock,), daemon=True
             )
@@ -414,14 +434,16 @@ class ClassificationFleet:
                 self._route_inner(client)
         except Exception:  # the fleet-level fault boundary
             telemetry.count("fleet.errors")
+        finally:
+            self._slots.release()
 
     def _route_inner(self, client: socket.socket) -> None:
-        client.settimeout(self.config.io_timeout)
+        client.settimeout(self.config.request_timeout_s)
         try:
             kind, body = wire.recv_frame(client)
         except wire.FrameTooLarge as error:
             telemetry.count("fleet.errors")
-            self._client_error(client, "bad-request", str(error), "")
+            send_error(client, "bad-request", str(error), "")
             return
         except (wire.WireError, OSError):
             return  # client vanished before the handshake
@@ -432,20 +454,14 @@ class ClassificationFleet:
             self._frontend_health_frame(client)
             return
         if kind != wire.KIND_REQUEST:
+            reject_first_frame(client, kind, "")
             return
         telemetry.count("fleet.requests")
         self._relay_session(client, kind, body)
 
     def _frontend_shutdown_frame(self, client: socket.socket, body) -> None:
         """KIND_SHUTDOWN at the frontend: fleet token stops everything."""
-        try:
-            payload = wire.WireCodec().decode(body)
-        except wire.WireError:
-            payload = None
-        token = payload.get("token") if isinstance(payload, dict) else payload
-        if isinstance(token, str) and hmac.compare_digest(
-            token, self.shutdown_token
-        ):
+        if token_matches(body, self.shutdown_token):
             try:
                 wire.send_frame(
                     client, wire.KIND_HEALTH,
@@ -456,7 +472,7 @@ class ClassificationFleet:
             threading.Thread(target=self.shutdown, daemon=True).start()
         else:
             telemetry.count("fleet.shutdown_denied")
-            self._client_error(
+            send_error(
                 client, "bad-request",
                 "fleet shutdown requires the frontend's shutdown token", "",
             )
@@ -494,12 +510,12 @@ class ClassificationFleet:
             try:
                 upstream = socket.create_connection(
                     (_LOCALHOST, shard.port),
-                    timeout=self.config.connect_timeout,
+                    timeout=_CONNECT_TIMEOUT_S,
                 )
             except OSError:
                 shard.healthy = False  # heartbeat will re-probe/restart
                 continue
-            upstream.settimeout(self.config.io_timeout)
+            upstream.settimeout(self.config.request_timeout_s)
             try:
                 wire.send_frame(upstream, kind, body)
                 first_kind, first_body = wire.recv_frame(upstream)
@@ -519,13 +535,13 @@ class ClassificationFleet:
             return
         if all_shed:
             telemetry.count("fleet.shed")
-            self._client_error(
+            send_error(
                 client, "overloaded",
                 "every shard is at capacity; retry with backoff", "",
             )
         else:
             telemetry.count("fleet.unroutable")
-            self._client_error(
+            send_error(
                 client, "internal", "no healthy shard available", "",
             )
 
@@ -568,7 +584,7 @@ class ClassificationFleet:
                     # keep the fleet.
                     shard.healthy = False
                     telemetry.count("fleet.shard_failures")
-                    self._client_error(
+                    send_error(
                         client, "internal",
                         "shard failed mid-request; the fleet kept serving",
                         "",
@@ -582,16 +598,6 @@ class ClassificationFleet:
             except OSError:
                 pass
             pump.join(timeout=2)
-
-    @staticmethod
-    def _client_error(
-        client: socket.socket, code: str, message: str, request_id: str
-    ) -> None:
-        try:
-            body = wire.encode(wire.error_payload(code, message, request_id))
-            wire.send_frame(client, wire.KIND_ERROR, body)
-        except OSError:
-            pass  # client already gone
 
 
 def _pump_frames(source: socket.socket, sink: socket.socket) -> None:

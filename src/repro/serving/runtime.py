@@ -1,11 +1,11 @@
 """The concurrent, fault-isolated classification server runtime.
 
-:class:`ClassificationServer` replaces the serial accept loop that
-``repro.smc.transport.serve_deployment`` shipped with: one listener
-thread accepts connections and dispatches each one to a bounded
-``ThreadPoolExecutor``, so a slow (or stuck, or malicious) client only
-occupies one worker slot instead of the whole server. The design
-invariants, in order of importance:
+:class:`ClassificationServer` is the one way to serve a deployment
+(``python -m repro serve`` runs it; the fleet's shards are instances of
+it): one listener thread accepts connections and dispatches each one to
+a bounded ``ThreadPoolExecutor``, so a slow (or stuck, or malicious)
+client only occupies one worker slot instead of the whole server. The
+design invariants, in order of importance:
 
 1. **Fault isolation.** Any exception inside a request handler is
    converted into a sanitized ``KIND_ERROR`` frame for that client,
@@ -26,8 +26,13 @@ invariants, in order of importance:
    operation of a request (threaded through
    :class:`~repro.smc.transport.TcpTransport`); a request that exceeds
    it gets ``KIND_ERROR {code: "deadline"}`` and its socket closed.
-5. **Graceful drain.** :meth:`ClassificationServer.shutdown` stops the
-   accept loop; in-flight requests run to completion before
+5. **A typed answer to every first frame.** A ``KIND_REQUEST`` is
+   served; ``KIND_HEALTH`` and ``KIND_SHUTDOWN`` are answered; a
+   complete frame of any other kind gets ``KIND_ERROR {code:
+   "bad-request"}``, never a silent close.
+6. **Graceful drain.** :meth:`ClassificationServer.shutdown` (or a
+   ``KIND_SHUTDOWN`` carrying the server's token) stops the accept
+   loop; in-flight requests run to completion before
    :meth:`serve_forever` returns.
 
 Serving telemetry: ``serve.requests`` / ``serve.errors`` (plus one
@@ -77,13 +82,7 @@ class ClassificationServer:
         ``"shares"`` server shares one offline triple store across
         requests), ``ledger_path`` / ``privacy_budget`` (per-client
         cumulative privacy-budget enforcement; see
-        :mod:`repro.serving.budget` and ``docs/PRIVACY.md``) and
-        ``io_timeout`` (the socket deadline when ``request_timeout_s``
-        is unset).
-    max_connections:
-        Stop accepting after this many accepted connections (shed ones
-        included) and drain; ``None`` serves until :meth:`shutdown` or
-        an *authorized* ``KIND_SHUTDOWN`` frame.
+        :mod:`repro.serving.budget` and ``docs/PRIVACY.md``).
     shard_name:
         Optional fleet identity (e.g. ``"s0"``). Prefixes every request
         id (``s0-req-000001``) and is echoed in ``KIND_HEALTH`` replies
@@ -113,13 +112,11 @@ class ClassificationServer:
         deployed,
         listener: socket.socket,
         config: Optional[SessionConfig] = None,
-        max_connections: Optional[int] = None,
         shard_name: str = "",
     ) -> None:
         self.deployed = deployed
         self.listener = listener
         self.config = config if config is not None else SessionConfig()
-        self.max_connections = max_connections
         self.shard_name = str(shard_name)
         self._id_prefix = f"{self.shard_name}-" if self.shard_name else ""
         #: Per-server shutdown secret, minted at bind time from OS
@@ -153,10 +150,9 @@ class ClassificationServer:
         """Accept-and-dispatch loop; returns after shutdown + drain.
 
         Runs on the calling thread (the *listener thread*); request
-        handlers run on the pool. On exit -- shutdown requested, the
-        listener closed under us, or ``max_connections`` reached -- the
-        pool is drained: every in-flight request finishes before this
-        method returns.
+        handlers run on the pool. On exit -- shutdown requested, or the
+        listener closed under us -- the pool is drained: every in-flight
+        request finishes before this method returns.
         """
         executor = ThreadPoolExecutor(
             max_workers=self.config.max_workers,
@@ -168,22 +164,18 @@ class ClassificationServer:
         self.listener.settimeout(0.1)
         try:
             while not self._stopping.is_set():
-                if (
-                    self.max_connections is not None
-                    and self._accepted >= self.max_connections
-                ):
-                    break
                 try:
                     sock, _ = self.listener.accept()
                 except socket.timeout:
-                    continue  # re-check the stop/limit conditions
+                    continue  # re-check the stop condition
                 except OSError:
                     break  # listener closed (shutdown) or torn down
                 with self._lock:
                     self._accepted += 1
                     request_id = f"{self._id_prefix}req-{self._accepted:06d}"
                 if not self._slots.acquire(blocking=False):
-                    self._shed(sock, request_id)
+                    telemetry.count("serve.shed")
+                    shed(sock, request_id)
                     continue
                 self._note_admitted(+1)
                 executor.submit(
@@ -229,34 +221,6 @@ class ClassificationServer:
         telemetry.gauge("serve.queue_depth", depth)
         telemetry.gauge("serve.queue_peak", peak)
 
-    def _shed(self, sock: socket.socket, request_id: str) -> None:
-        """Reject one connection beyond capacity, in bounded time.
-
-        Runs on the listener thread: the request is never decoded, the
-        error frame fits in the empty send buffer of a fresh
-        connection, and every socket operation is capped at a fraction
-        of a second. The half-close-and-drain before ``close`` matters:
-        closing with the client's unread request bytes still in our
-        receive buffer would send a TCP RST, which flushes the
-        client's buffered ``KIND_ERROR`` before it can read it.
-        """
-        telemetry.count("serve.shed")
-        try:
-            sock.settimeout(0.25)
-            body = wire.encode(wire.error_payload(
-                "overloaded",
-                "server at capacity; retry with backoff",
-                request_id,
-            ))
-            wire.send_frame(sock, wire.KIND_ERROR, body)
-            sock.shutdown(socket.SHUT_WR)
-            while sock.recv(4096):
-                pass
-        except OSError:
-            pass  # client already gone, or slow enough to forfeit
-        finally:
-            sock.close()
-
     # -- request handling ----------------------------------------------
 
     def _worker(
@@ -273,36 +237,29 @@ class ClassificationServer:
             # The handler reports its own failures to the client; this
             # boundary only guarantees a broken socket or a bug in the
             # error path itself cannot take a pool thread down with it.
-            _count_error("handler")
+            count_error("handler")
         finally:
             self._note_admitted(-1)
             self._slots.release()
 
-    def _io_timeout(self) -> float:
-        """Per-request socket deadline: ``request_timeout_s`` if set."""
-        cfg = self.config
-        if cfg.request_timeout_s is not None:
-            return cfg.request_timeout_s
-        return cfg.io_timeout
-
     def _handle(self, sock: socket.socket, request_id: str) -> None:
         """Serve one accepted connection end to end."""
-        sock.settimeout(self._io_timeout())
+        sock.settimeout(self.config.request_timeout_s)
         try:
             kind, body = wire.recv_frame(sock)
         except wire.FrameTooLarge as error:
-            _count_error("frame_too_large")
-            self._send_error(sock, "bad-request", str(error), request_id)
+            count_error("frame_too_large")
+            send_error(sock, "bad-request", str(error), request_id)
             return
         except (wire.WireError, OSError):
             return  # client vanished before sending a request
         if kind == wire.KIND_SHUTDOWN:
-            if self._authorized_shutdown(body):
+            if token_matches(body, self.shutdown_token):
                 self._send_health(sock, "stopping")
                 self.shutdown()
             else:
                 telemetry.count("serve.shutdown_denied")
-                self._send_error(
+                send_error(
                     sock, "bad-request",
                     "shutdown requires this server's shutdown token",
                     request_id,
@@ -312,6 +269,7 @@ class ClassificationServer:
             self._send_health(sock, "ok", body)
             return
         if kind != wire.KIND_REQUEST:
+            reject_first_frame(sock, kind, request_id)
             return
         telemetry.count("serve.requests")
         try:
@@ -322,8 +280,8 @@ class ClassificationServer:
                 n_features=len(self.deployed.features),
             )
         except (BadRequest, wire.WireError) as error:
-            _count_error("bad_request")
-            self._send_error(sock, "bad-request", str(error), request_id)
+            count_error("bad_request")
+            send_error(sock, "bad-request", str(error), request_id)
             return
         try:
             with telemetry.span(
@@ -332,15 +290,15 @@ class ClassificationServer:
                 result = self._classify(session, sock, request_span)
         except Exception as error:  # the per-request fault boundary
             code, message = _sanitize(error)
-            _count_error(code)
-            self._send_error(sock, code, message, request_id)
+            count_error(code)
+            send_error(sock, code, message, request_id)
             return
         try:
             wire.send_frame(sock, wire.KIND_RESULT, wire.encode(result))
         except OSError:
             # The client hung up after the protocol finished. The
             # result is only theirs to lose -- count it, keep serving.
-            _count_error("result_send")
+            count_error("result_send")
 
     def _classify(self, session: RequestSession, sock, request_span) -> dict:
         """Run one classification on a private context/codec/transport."""
@@ -379,7 +337,8 @@ class ClassificationServer:
         wire_sock = sock.dup()
         try:
             transport = TcpTransport(
-                wire_sock, wire.codec_for_context(ctx), self._io_timeout()
+                wire_sock, wire.codec_for_context(ctx),
+                self.config.request_timeout_s,
             )
             ctx.channel.transport = transport
             label = self.deployed.classify(
@@ -405,23 +364,6 @@ class ClassificationServer:
                 wire_sock.close()
             except OSError:  # pragma: no cover - already dropped
                 pass
-
-    def _authorized_shutdown(self, body: bytes) -> bool:
-        """Does this ``KIND_SHUTDOWN`` body carry our shutdown token?
-
-        Accepts the canonical ``{"token": "..."}`` payload
-        (:func:`repro.smc.wire.shutdown_payload`) or a bare string.
-        Comparison is constant-time; a malformed body is simply
-        unauthorized, never an exception.
-        """
-        try:
-            payload = wire.WireCodec().decode(body)
-        except wire.WireError:
-            return False
-        token = payload.get("token") if isinstance(payload, dict) else payload
-        if not isinstance(token, str):
-            return False
-        return hmac.compare_digest(token, self.shutdown_token)
 
     def _send_health(
         self, sock: socket.socket, status: str, body: bytes = b""
@@ -451,21 +393,90 @@ class ClassificationServer:
         except OSError:  # pragma: no cover - prober already disconnected
             pass
 
-    def _send_error(
-        self, sock: socket.socket, code: str, message: str, request_id: str
-    ) -> None:
-        """Best-effort ``KIND_ERROR`` reply (the client may be gone)."""
-        try:
-            body = wire.encode(wire.error_payload(code, message, request_id))
-            wire.send_frame(sock, wire.KIND_ERROR, body)
-        except OSError:  # pragma: no cover - peer already disconnected
-            pass
+
+# -- frame helpers shared with the fleet frontend ----------------------------
 
 
-def _count_error(cause: str) -> None:
+def count_error(cause: str) -> None:
     """Count a failed request in ``serve.errors`` and its cause's counter."""
     telemetry.count("serve.errors")
     telemetry.count(f"serve.errors.{cause}")
+
+
+def send_error(
+    sock: socket.socket, code: str, message: str, request_id: str
+) -> None:
+    """Best-effort ``KIND_ERROR`` reply (the client may be gone)."""
+    try:
+        body = wire.encode(wire.error_payload(code, message, request_id))
+        wire.send_frame(sock, wire.KIND_ERROR, body)
+    except OSError:  # pragma: no cover - peer already disconnected
+        pass
+
+
+def reject_first_frame(
+    sock: socket.socket, kind: int, request_id: str
+) -> None:
+    """Answer a first frame that opens no session: ``bad-request``.
+
+    A connection must open with ``KIND_REQUEST``, ``KIND_HEALTH`` or
+    ``KIND_SHUTDOWN``; a protocol frame (``MSG``, ``KEYS``, ``RESULT``,
+    ``ERROR``) or an unknown kind byte is a client bug, answered and
+    counted in ``serve.errors.bad_request`` rather than dropped.
+    """
+    count_error("bad_request")
+    send_error(
+        sock, "bad-request",
+        f"a connection must open with a request, health or shutdown "
+        f"frame, not kind 0x{kind:02X}",
+        request_id,
+    )
+
+
+def shed(sock: socket.socket, request_id: str) -> None:
+    """Reject one connection beyond capacity, in bounded time.
+
+    Runs on an accept thread: the request is never decoded, the error
+    frame fits in the empty send buffer of a fresh connection, and
+    every socket operation is capped at a fraction of a second. The
+    half-close-and-drain before ``close`` matters: closing with the
+    client's unread request bytes still in our receive buffer would
+    send a TCP RST, which flushes the client's buffered ``KIND_ERROR``
+    before it can read it. The caller counts the shed.
+    """
+    try:
+        sock.settimeout(0.25)
+        body = wire.encode(wire.error_payload(
+            "overloaded",
+            "server at capacity; retry with backoff",
+            request_id,
+        ))
+        wire.send_frame(sock, wire.KIND_ERROR, body)
+        sock.shutdown(socket.SHUT_WR)
+        while sock.recv(4096):
+            pass
+    except OSError:
+        pass  # client already gone, or slow enough to forfeit
+    finally:
+        sock.close()
+
+
+def token_matches(body: bytes, token: str) -> bool:
+    """Does this ``KIND_SHUTDOWN`` body carry ``token``?
+
+    Accepts the canonical ``{"token": "..."}`` payload
+    (:func:`repro.smc.wire.shutdown_payload`) or a bare string.
+    Comparison is constant-time; a malformed body is simply
+    unauthorized, never an exception.
+    """
+    try:
+        payload = wire.WireCodec().decode(body)
+    except wire.WireError:
+        return False
+    candidate = payload.get("token") if isinstance(payload, dict) else payload
+    if not isinstance(candidate, str):
+        return False
+    return hmac.compare_digest(candidate, token)
 
 
 def _sanitize(error: Exception) -> tuple:

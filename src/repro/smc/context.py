@@ -200,10 +200,6 @@ def make_context(
     transcript is reproducible from one integer; ``rng_mode="system"``
     draws everything from OS entropy instead.
 
-    When ``config.telemetry`` is set, telemetry recording is switched on
-    for the process before key generation, so the session is observable
-    from its first operation.
-
     Example::
 
         ctx = make_context(config=SessionConfig(
@@ -213,8 +209,6 @@ def make_context(
     cfg = config if config is not None else SessionConfig()
     if seed is not None:
         cfg = cfg.with_overrides(seed=seed)
-    if cfg.telemetry and not telemetry.enabled():
-        telemetry.configure(True)
     if cfg.rng_mode == "system":
         master = secure_rng()
     else:

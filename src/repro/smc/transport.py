@@ -17,15 +17,13 @@ This module makes the *wire* under that channel real:
   exactly.
 
 On top of the message transports sits the deployment serving path:
-:func:`serve_deployment` runs a classification server -- a thin
-wrapper over the concurrent, fault-isolated
-:class:`repro.serving.ClassificationServer` runtime, which drives a
-:class:`TcpTransport` on every socket it accepts -- and
-:func:`request_classification` is the matching *client process* side,
-which runs :func:`mirror_frames`. Each query's protocol messages all
-cross the socket between the two processes, and the client gets back
-the label plus the server's trace accounting together with its own
-independent byte counts.
+:class:`repro.serving.ClassificationServer` (``python -m repro
+serve``) drives a :class:`TcpTransport` on every socket it accepts,
+and :func:`request_classification` is the matching *client process*
+side, which runs :func:`mirror_frames`. Each query's protocol messages
+all cross the socket between the two processes, and the client gets
+back the label plus the server's trace accounting together with its
+own independent byte counts.
 
 Failure semantics: connects and reads are bounded by timeouts. The
 client retries a refused or failed connect with jittered exponential
@@ -40,7 +38,6 @@ code.
 
 from __future__ import annotations
 
-import multiprocessing
 import socket
 import time
 from dataclasses import dataclass, field
@@ -49,9 +46,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.crypto.rand import secure_rng
 from repro.smc import wire
 from repro.smc.network import Direction
-
-_LOCALHOST = "127.0.0.1"
-
 
 class TransportError(Exception):
     """Raised when a transport cannot deliver a message."""
@@ -294,7 +288,7 @@ def mirror_frames(
         )
 
 
-# -- deployment serving over a socket ---------------------------------------
+# -- the client side of a served query ---------------------------------------
 
 
 @dataclass
@@ -326,98 +320,6 @@ class ClassificationResult:
     budget: Optional[Dict] = None
 
 
-def serve_deployment(
-    deployed,
-    listener: socket.socket,
-    max_connections: Optional[int] = None,
-    config=None,
-) -> None:
-    """Serve live hybrid classification queries over ``listener``.
-
-    Per connection the protocol is:
-
-    1. client sends a ``KIND_REQUEST`` frame:
-       ``{"row": [...], "seed": int, "disclosure": [...] | None}``;
-    2. the server derives the session keys from the seed (the client is
-       the key owner in the Bost model; a shared seed keeps transcripts
-       reproducible) and answers with a ``KIND_KEYS`` keyring frame;
-    3. every protocol message of the classification crosses this socket
-       as a ``KIND_MSG`` frame, mirrored by the client;
-    4. the server finishes with a ``KIND_RESULT`` frame carrying the
-       label and the full trace summary -- or a ``KIND_ERROR`` frame if
-       the request was shed, malformed, timed out or crashed.
-
-    Requests are served *concurrently* by the
-    :class:`repro.serving.ClassificationServer` runtime; this function
-    is the blocking convenience wrapper (build the server yourself for
-    explicit lifecycle control). ``deployed`` is a
-    :class:`repro.core.serialization.DeployedClassifier`; ``config`` an
-    optional :class:`repro.core.session.SessionConfig` carrying
-    ``max_workers`` / ``queue_depth`` / ``request_timeout_s``.
-
-    Example::
-
-        listener = socket.create_server(("127.0.0.1", 0))
-        serve_deployment(deployed, listener, max_connections=8)
-    """
-    from repro.serving import ClassificationServer
-
-    server = ClassificationServer(
-        deployed, listener, config=config, max_connections=max_connections
-    )
-    server.serve_forever()
-
-
-def _deployment_server_main(ready, bundle_path: str,
-                            max_connections: Optional[int]) -> None:
-    from repro.core.serialization import load_deployment
-
-    deployed = load_deployment(bundle_path)
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((_LOCALHOST, 0))
-    listener.listen(4)
-    ready.send(listener.getsockname()[1])
-    ready.close()
-    with listener:
-        serve_deployment(deployed, listener, max_connections=max_connections)
-
-
-def start_deployment_server(
-    bundle_path: str, max_connections: Optional[int] = None
-) -> Tuple[multiprocessing.Process, int]:
-    """Launch a deployment-bundle classification server process.
-
-    Returns ``(process, port)``. The server loads the bundle from
-    ``bundle_path``, binds an ephemeral localhost port and serves
-    concurrently (the :class:`repro.serving.ClassificationServer`
-    runtime with default :class:`~repro.core.session.SessionConfig`
-    knobs) until ``max_connections`` connections are handled (or
-    forever when ``None``; send a shutdown frame or terminate the
-    process to stop it). The test-suite and benchmark entry point for
-    a real out-of-process server; production deployments use
-    ``python -m repro serve``.
-
-    Example::
-
-        process, port = start_deployment_server("bundle.json",
-                                                max_connections=1)
-        result = request_classification("127.0.0.1", port, row, seed=7)
-        process.join()
-    """
-    parent, child = multiprocessing.Pipe()
-    process = multiprocessing.Process(
-        target=_deployment_server_main,
-        args=(child, bundle_path, max_connections),
-        daemon=True,
-    )
-    process.start()
-    child.close()
-    port = parent.recv()
-    parent.close()
-    return process, port
-
-
 def request_classification(
     host: str,
     port: int,
@@ -429,10 +331,10 @@ def request_classification(
 ) -> ClassificationResult:
     """Client-process side of one served query.
 
-    Connects to a :func:`serve_deployment` server, submits the query,
-    mirrors every protocol frame through :func:`mirror_frames` (each
-    crosses the socket physically), and returns the label plus both
-    endpoints' byte accounting.
+    Connects to a :class:`repro.serving.ClassificationServer` (or a
+    fleet frontend), submits the query, mirrors every protocol frame
+    through :func:`mirror_frames` (each crosses the socket physically),
+    and returns the label plus both endpoints' byte accounting.
 
     ``pace_seconds`` sleeps before mirroring each protocol frame,
     simulating a remote client's per-round network latency (localhost

@@ -78,13 +78,3 @@ class TestBenchJson:
         assert set(doc["benches"]) == {"e23", "e24"}
         assert doc["benches"]["e23"]["metrics"]["speedup"] == 3.0
         assert doc["benches"]["e24"]["metrics"]["speedup"] == 3.5
-
-    def test_update_upgrades_legacy_single_record(self, tmp_path):
-        path = str(tmp_path / "bench.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"bench": "e23", "metrics": {"speedup": 2.9}}, handle)
-        update_bench_json(path, "e24", {"speedup": 3.5})
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-        assert set(doc["benches"]) == {"e23", "e24"}
-        assert doc["benches"]["e23"]["metrics"]["speedup"] == 2.9

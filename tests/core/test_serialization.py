@@ -1,6 +1,7 @@
 """Tests for deployment serialization."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -68,6 +69,9 @@ class TestDeploymentBundle:
         pipeline = _fitted(kind, train)
         bundle = deployment_to_dict(pipeline)
         deployed = deployment_from_dict(bundle)
+        # The serving fleet ships the built classifier itself to its
+        # shard processes, so it must survive pickling.
+        shipped = pickle.loads(pickle.dumps(deployed))
 
         assert deployed.disclosure == list(pipeline.solution.disclosed)
         ctx = pipeline.make_context(seed=404)
@@ -75,6 +79,7 @@ class TestDeploymentBundle:
             live = deployed.classify(ctx, row)
             expected = pipeline.secure_model.predict_quantized(row)
             assert live == expected
+            assert shipped.classify(ctx, row) == expected
 
     def test_bundle_is_json_serialisable(self, warfarin_split):
         train, _ = warfarin_split

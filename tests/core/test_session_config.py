@@ -17,7 +17,7 @@ class TestValidation:
     def test_defaults_are_valid(self):
         config = SessionConfig()
         assert config.rng_mode == "deterministic"
-        assert config.telemetry is False
+        assert config.request_timeout_s == 30.0
 
     @pytest.mark.parametrize("field,value", [
         ("protocol_backend", "garbled"),
@@ -51,6 +51,15 @@ class TestValidation:
     def test_retired_transport_fields_are_gone(self, field):
         with pytest.raises(TypeError):
             SessionConfig(**{field: 1})
+
+    @pytest.mark.parametrize("field,value", [
+        ("io_timeout", 30.0),       # request_timeout_s is the deadline
+        ("connect_timeout", 5.0),   # a fleet constant now
+        ("telemetry", True),        # repro.telemetry.configure is the switch
+    ])
+    def test_retired_serving_fields_are_gone(self, field, value):
+        with pytest.raises(TypeError):
+            SessionConfig(**{field: value})
 
     def test_retired_crypto_backend_field_is_gone(self):
         # The bignum kernel is the process default of repro.crypto.modexp.

@@ -50,9 +50,9 @@ def row(warfarin_split):
 
 
 def test_kill_one_shard_mid_run_zero_non_shed_errors(deployed, row):
-    config = SessionConfig(max_workers=8, queue_depth=32, **_BITS)
+    config = SessionConfig(max_workers=8, queue_depth=32, shards=2, **_BITS)
     fleet = ClassificationFleet(
-        deployed, shards=2, config=config,
+        deployed, config=config,
         heartbeat_interval=0.2, restart_dead=False,
     )
     fleet.start()

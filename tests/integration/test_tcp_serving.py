@@ -1,24 +1,33 @@
 """End-to-end: serve a saved deployment bundle over real localhost TCP.
 
-The server runs in a separate process, loads the bundle from disk and
-answers classification queries; every protocol message physically
-crosses the socket.  Results and byte accounting must match an
-in-process replay from the same seed exactly.
+The server is the shipped ``python -m repro serve`` command in its own
+process: it loads the bundle from disk, prints its port and shutdown
+token, answers classification queries, and exits 0 once a
+``KIND_SHUTDOWN`` frame carrying that token has drained it. Every
+protocol message physically crosses the socket. Results and byte
+accounting must match an in-process replay from the same seed exactly.
 """
+
+import contextlib
+import json
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.api import PipelineConfig, PrivacyAwareClassifier
 from repro.core.serialization import load_deployment, save_deployment
 from repro.core.session import SessionConfig
+from repro.smc import wire
 from repro.smc.context import make_context
-from repro.smc.transport import (
-    request_classification,
-    start_deployment_server,
-)
+from repro.smc.transport import request_classification
 
 N_QUERIES = 5
 _BASE_SEED = 400
+_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -34,13 +43,49 @@ def bundle(warfarin_split, tmp_path_factory):
     return str(path), test
 
 
+@contextlib.contextmanager
+def repro_serve(bundle_path):
+    """Run ``python -m repro serve`` on an ephemeral port; yields the
+    port, then stops the server with its token and asserts a clean
+    exit."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--bundle", bundle_path,
+         "--format", "json", "--workers", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        banner = ""
+        while not banner.endswith("}\n"):
+            line = proc.stdout.readline().decode()
+            assert line, proc.stderr.read().decode()
+            banner += line
+        info = json.loads(banner)
+        yield int(info["port"])
+        with socket.create_connection(
+            ("127.0.0.1", info["port"]), timeout=10
+        ) as sock:
+            body = wire.encode(wire.shutdown_payload(info["shutdown_token"]))
+            wire.send_frame(sock, wire.KIND_SHUTDOWN, body)
+            kind, reply = wire.recv_frame(sock)
+        assert kind == wire.KIND_HEALTH
+        assert wire.WireCodec().decode(reply)["status"] == "stopping"
+        assert proc.wait(timeout=30) == 0, proc.stderr.read().decode()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
 def test_served_queries_match_inproc_replay(bundle):
     bundle_path, test = bundle
     deployed = load_deployment(bundle_path)
-    server, port = start_deployment_server(
-        bundle_path, max_connections=N_QUERIES
-    )
-    try:
+    with repro_serve(bundle_path) as port:
         for query, row in enumerate(test.X[:N_QUERIES]):
             seed = _BASE_SEED + query
             result = request_classification(
@@ -65,10 +110,6 @@ def test_served_queries_match_inproc_replay(bundle):
             assert stats["frames"] == ctx.trace.messages
             assert stats["bytes_received"] == ctx.trace.total_bytes
             assert stats["bytes_sent"] == ctx.trace.total_bytes
-    finally:
-        server.join(timeout=30)
-        assert not server.is_alive()
-    assert server.exitcode == 0
 
 
 def test_disclosure_override(bundle):
@@ -80,8 +121,7 @@ def test_disclosure_override(bundle):
     if not deployed.disclosure:
         pytest.skip("bundle discloses nothing already")
     row = test.X[0]
-    server, port = start_deployment_server(bundle_path, max_connections=2)
-    try:
+    with repro_serve(bundle_path) as port:
         shipped = request_classification(
             "127.0.0.1", port, [int(v) for v in row], seed=_BASE_SEED
         )
@@ -89,8 +129,6 @@ def test_disclosure_override(bundle):
             "127.0.0.1", port, [int(v) for v in row], seed=_BASE_SEED,
             disclosure=[],
         )
-    finally:
-        server.join(timeout=30)
     ctx = make_context(config=SessionConfig(
         seed=_BASE_SEED, paillier_bits=deployed.paillier_bits,
         dgk_bits=deployed.dgk_bits,

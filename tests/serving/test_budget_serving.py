@@ -7,6 +7,7 @@ charges the one shared ledger file, exactly as a single server does).
 """
 
 import contextlib
+import dataclasses
 import multiprocessing
 import socket
 import threading
@@ -18,7 +19,6 @@ import repro.telemetry as telemetry
 
 from repro.core.exceptions import ReproError
 from repro.core.serialization import (
-    deployed_to_dict,
     deployment_from_dict,
     deployment_to_dict,
 )
@@ -81,9 +81,9 @@ def serving(deployed, target, **config_overrides):
     """One server or a 2-shard fleet with the same knobs; yields the
     port and a callable returning the endpoint's merged metrics."""
     if target == "fleet":
-        config = SessionConfig(**{**_BITS, **config_overrides})
+        config = SessionConfig(shards=2, **{**_BITS, **config_overrides})
         with ClassificationFleet(
-            deployed, shards=2, config=config, heartbeat_interval=0.2
+            deployed, config=config, heartbeat_interval=0.2
         ) as fleet:
             yield fleet.port, fleet.telemetry_snapshot
         return
@@ -124,10 +124,7 @@ class TestBundleCarriesRiskModel:
         assert deployed.risk_model["adversary"]["kind"] == "naive_bayes"
 
     def test_enforcer_requires_risk_model(self, deployed, tmp_path):
-        bare = deployment_from_dict(
-            {k: v for k, v in deployed_to_dict(deployed).items()
-             if k != "risk_model"}
-        )
+        bare = dataclasses.replace(deployed, risk_model=None)
         config = SessionConfig(ledger_path=str(tmp_path / "l.db"), **_BITS)
         with pytest.raises(ReproError):
             BudgetEnforcer.from_config(bare, config)
@@ -135,12 +132,9 @@ class TestBundleCarriesRiskModel:
     def test_fleet_without_risk_model_fails_at_startup(
         self, deployed, tmp_path
     ):
-        bare = deployment_from_dict(
-            {k: v for k, v in deployed_to_dict(deployed).items()
-             if k != "risk_model"}
-        )
+        bare = dataclasses.replace(deployed, risk_model=None)
         config = SessionConfig(ledger_path=str(tmp_path / "l.db"), **_BITS)
-        fleet = ClassificationFleet(bare, shards=1, config=config)
+        fleet = ClassificationFleet(bare, config=config)
         with pytest.raises(ReproError):
             fleet.start()
         fleet.shutdown()
@@ -273,6 +267,7 @@ class TestServerEnforcement:
 
     def test_identities_do_not_share_budget(self, deployed, row, tmp_path):
         ledger_path = str(tmp_path / "pair.db")
+        telemetry.configure(True, reset=True)
         server, thread, port = start_server(
             deployed, ledger_path=ledger_path, privacy_budget=0.1,
             max_workers=2,
@@ -283,10 +278,13 @@ class TestServerEnforcement:
                     "127.0.0.1", port, row, seed=seed, disclosure=[0, 1],
                 )
                 assert result.budget["identity"] == identity(seed)
+            gauges = telemetry.snapshot()["gauges"]
         finally:
             stop_server(server, thread)
+            telemetry.configure(False, reset=True)
         with PrivacyLedger(ledger_path) as ledger:
-            assert len(ledger.clients()) == 2
+            assert len(ledger.clients()) == ledger.client_count() == 2
+        assert gauges["budget.clients"] == 2
 
     def test_redisclosure_is_free(self, deployed, row, tmp_path):
         server, thread, port = start_server(
@@ -377,7 +375,7 @@ class TestFleetEnforcement:
             max_workers=1, queue_depth=0, ledger_path=ledger_path, **_BITS
         )
         with ClassificationFleet(
-            deployed, shards=1, config=config, heartbeat_interval=0.2
+            deployed, config=config, heartbeat_interval=0.2
         ) as fleet:
             # An idle connection straight to the shard holds its only
             # worker slot until it is closed.
@@ -406,7 +404,7 @@ def test_out_of_schema_disclosure_is_a_bad_request(
 ):
     """A disclosure index the deployed schema lacks is refused at
     admission, before any keygen or pricing, on every endpoint."""
-    overrides = {"telemetry": True}
+    overrides = {}
     if with_ledger:
         overrides["ledger_path"] = str(tmp_path / "oos.db")
     telemetry.configure(True, reset=True)

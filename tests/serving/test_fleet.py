@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import repro.telemetry as telemetry
 from repro.core.serialization import deployment_from_dict, deployment_to_dict
 from repro.core.session import SessionConfig
 from repro.serving import ClassificationFleet
@@ -47,11 +48,10 @@ def row(warfarin_split):
 
 
 def make_fleet(deployed, shards=2, **overrides):
-    defaults = dict(_BITS)
+    defaults = dict(_BITS, shards=shards)
     defaults.update(overrides)
     return ClassificationFleet(
-        deployed, shards=shards, config=SessionConfig(**defaults),
-        heartbeat_interval=0.2,
+        deployed, config=SessionConfig(**defaults), heartbeat_interval=0.2,
     )
 
 
@@ -214,7 +214,8 @@ def test_drain_one_shard_keeps_the_fleet_serving(deployed, row):
 def test_fleet_telemetry_merges_shard_snapshots(deployed, row):
     """The frontend pulls each shard's registry over KIND_HEALTH
     telemetry probes and merges them into one fleet-wide document."""
-    fleet = make_fleet(deployed, telemetry=True)
+    telemetry.configure(True, reset=True)  # shards inherit the switch
+    fleet = make_fleet(deployed)
     fleet.start()
     try:
         for seed in (_BASE_SEED, _BASE_SEED + 1):
@@ -225,6 +226,7 @@ def test_fleet_telemetry_merges_shard_snapshots(deployed, row):
         assert waits["count"] >= 2 and len(waits["samples"]) >= 2
     finally:
         fleet.shutdown()
+        telemetry.configure(False, reset=True)
 
 
 def test_health_probe_reads_a_full_shard_ring_under_the_caps(deployed, row):
@@ -233,7 +235,6 @@ def test_health_probe_reads_a_full_shard_ring_under_the_caps(deployed, row):
     and a full queue-wait histogram -- still answers the frontend's
     telemetry probe, which reads it under the normal MAX_FRAME_BYTES and
     MAX_DECODE_ELEMENTS."""
-    import repro.telemetry as telemetry
     from repro.serving import ClassificationServer
     from repro.serving.fleet import ShardHandle
     from repro.telemetry.registry import (
@@ -260,9 +261,7 @@ def test_health_probe_reads_a_full_shard_ring_under_the_caps(deployed, row):
             registry.add_root(SpanRecord.from_dict(served))
         for _ in range(HISTOGRAM_SAMPLE_CAP):
             registry.observe("serve.queue_wait", 0.001)
-        fleet = ClassificationFleet(
-            deployed, shards=1, config=SessionConfig(**_BITS)
-        )
+        fleet = ClassificationFleet(deployed, SessionConfig(**_BITS))
         reply = fleet._probe(
             ShardHandle("s0", None, port, ""), telemetry_too=True
         )
@@ -291,3 +290,59 @@ def test_frontend_answers_oversized_frame_with_bad_request(deployed):
         assert wire.WireCodec().decode(reply)["code"] == "bad-request"
     finally:
         fleet.shutdown()
+
+
+def test_frontend_answers_a_non_request_first_frame_with_bad_request(
+    deployed,
+):
+    """A protocol frame (or an unknown kind) cannot open a session at
+    the frontend either: it is answered ``bad-request``, not dropped."""
+    fleet = make_fleet(deployed, shards=1)
+    fleet.start()
+    try:
+        for kind in (wire.KIND_MSG, wire.KIND_RESULT, 0x42):
+            with socket.create_connection(
+                ("127.0.0.1", fleet.port), timeout=10
+            ) as s:
+                wire.send_frame(s, kind, wire.encode({"x": 1}))
+                reply_kind, reply = wire.recv_frame(s)
+            assert reply_kind == wire.KIND_ERROR
+            assert wire.WireCodec().decode(reply)["code"] == "bad-request"
+    finally:
+        fleet.shutdown()
+
+
+def test_frontend_sheds_connections_beyond_its_capacity(deployed, row):
+    """The frontend holds at most shards * (max_workers + queue_depth)
+    connections: at capacity 1 an idle connection fills it, the next
+    one is answered ``overloaded`` and counted in ``fleet.shed``, and
+    closing the idle one frees the slot."""
+    telemetry.configure(True, reset=True)
+    fleet = make_fleet(deployed, shards=1, max_workers=1, queue_depth=0)
+    fleet.start()
+    try:
+        with socket.create_connection(("127.0.0.1", fleet.port),
+                                      timeout=10):
+            with pytest.raises(ServerError) as excinfo:
+                request_classification(
+                    "127.0.0.1", fleet.port, row, seed=_BASE_SEED,
+                    config=TransportConfig(retries=0),
+                )
+            assert excinfo.value.code == "overloaded"
+            assert telemetry.snapshot()["counters"]["fleet.shed"] == 1
+        served = None
+        deadline = time.monotonic() + 10
+        while served is None:
+            try:
+                served = request_classification(
+                    "127.0.0.1", fleet.port, row, seed=_BASE_SEED,
+                    config=TransportConfig(retries=0),
+                )
+            except ServerError as error:  # the idle slot is releasing
+                assert error.code == "overloaded"
+                assert time.monotonic() < deadline
+                time.sleep(0.1)
+        assert served.request_id.startswith("s0-")
+    finally:
+        fleet.shutdown()
+        telemetry.configure(False, reset=True)

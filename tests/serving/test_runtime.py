@@ -217,6 +217,34 @@ def test_oversized_frame_gets_bad_request_error(deployed):
         stop_server(server, thread)
 
 
+def test_non_request_first_frame_gets_bad_request_error(deployed):
+    """A complete first frame that opens no session -- a protocol frame
+    or an unknown kind byte -- is answered ``bad-request`` and counted
+    in ``serve.errors.bad_request``; the socket is not dropped
+    silently."""
+    import repro.telemetry as telemetry
+
+    kinds = (wire.KIND_MSG, wire.KIND_KEYS, wire.KIND_RESULT,
+             wire.KIND_ERROR, 0x42)
+    telemetry.configure(True, reset=True)
+    server, thread, port = start_server(deployed)
+    try:
+        for kind in kinds:
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as s:
+                wire.send_frame(s, kind, wire.encode({"x": 1}))
+                reply_kind, reply = wire.recv_frame(s)
+            assert reply_kind == wire.KIND_ERROR
+            assert wire.WireCodec().decode(reply)["code"] == "bad-request"
+        counters = telemetry.snapshot()["counters"]
+        assert thread.is_alive()
+    finally:
+        stop_server(server, thread)
+        telemetry.configure(False, reset=True)
+    assert counters["serve.errors.bad_request"] == len(kinds)
+    assert counters["serve.errors"] == len(kinds)
+
+
 def test_overload_sheds_with_overloaded_error(deployed, rows):
     """With one worker and no queue, a second concurrent request is
     answered with an 'overloaded' error instead of waiting."""

@@ -19,5 +19,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.23", "networkx>=2.8"],
+    install_requires=["numpy>=1.23"],
 )

@@ -44,7 +44,8 @@ class SessionConfig:
         streams (``rng_mode="deterministic"``).
     paillier_bits / dgk_bits / dgk_plaintext_bits:
         Key sizes for the additively homomorphic and comparison
-        cryptosystems.
+        cryptosystems. ``paillier_bits`` must be even: the modulus is
+        the product of two primes of ``paillier_bits // 2`` bits.
     statistical_security_bits:
         Width of the additive blinding margin (``kappa``).
     protocol_backend:
@@ -121,6 +122,11 @@ class SessionConfig:
                      "statistical_security_bits"):
             if getattr(self, name) <= 0:
                 raise ReproError(f"{name} must be positive")
+        if self.paillier_bits % 2:
+            raise ReproError(
+                f"paillier_bits must be even (two equal-size primes), "
+                f"got {self.paillier_bits}"
+            )
         if self.max_workers < 1:
             raise ReproError(
                 f"max_workers must be positive, got {self.max_workers}"

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.crypto.rand import DeterministicRandom, default_rng
 
-# Small primes used for cheap trial division before Miller-Rabin.
+# Small primes used for cheap trial division before a primality test.
 _SMALL_PRIMES: Tuple[int, ...] = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
     67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
@@ -21,6 +21,7 @@ _SMALL_PRIMES: Tuple[int, ...] = (
     211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277,
     281, 283, 293, 307, 311, 313, 317, 331, 337, 347, 349,
 )
+_SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
 
 # Deterministic Miller-Rabin witness sets. Testing against the listed
 # bases is *proven* correct for all n below the associated bound.
@@ -86,12 +87,21 @@ def is_probable_prime(n: int, rng: Optional[DeterministicRandom] = None) -> bool
     return True
 
 
-def generate_prime(
-    bits: int,
-    rng: Optional[DeterministicRandom] = None,
-    condition=None,
-) -> int:
-    """Generate a random prime with exactly ``bits`` bits.
+def generate_prime(bits: int, rng: Optional[DeterministicRandom] = None) -> int:
+    """Generate a random prime with exactly ``bits`` bits, proven prime.
+
+    The prime lies in ``[3 * 2^(bits-2), 2^bits)``: its top two bits are
+    set, so the product of two ``k``-bit primes always has ``2k`` bits.
+
+    Below the last deterministic Miller-Rabin bound (about 78 bits) a
+    random odd candidate is tested with the fixed witness sets, which
+    is a proof. Above it, the prime is built by the Shawe-Taylor step
+    of FIPS 186-4, Appendix C.6: a proven prime ``q0`` of
+    ``ceil(bits/2) + 1`` bits (so ``q0 > sqrt(p)``) is generated
+    recursively, and a candidate ``p = 2*r*q0 + 1`` is accepted when
+    ``2^(p-1) = 1 (mod p)`` and ``gcd(2^(2r) - 1, p) = 1``. By
+    Pocklington's theorem every prime factor of ``p`` is then
+    ``1 (mod q0)``, hence above ``sqrt(p)``, so ``p`` is prime.
 
     Parameters
     ----------
@@ -99,18 +109,27 @@ def generate_prime(
         Bit length of the prime; must be at least 3.
     rng:
         Randomness source; the module default is used when omitted.
-    condition:
-        Optional predicate a candidate prime must additionally satisfy
-        (e.g. ``lambda p: p % 4 == 3`` for Blum primes).
     """
     if bits < 3:
         raise ValueError(f"prime bit length must be >= 3, got {bits}")
     rng = rng or default_rng()
+    second_top_bit = 1 << (bits - 2)
+    if (1 << bits) <= _DETERMINISTIC_BASES[-1][0]:
+        while True:
+            candidate = rng.random_odd(bits) | second_top_bit
+            if is_probable_prime(candidate):
+                return candidate
+    q0 = generate_prime((bits + 1) // 2 + 1, rng)
+    # p = 2*r*q0 + 1 must lie in [3 * 2^(bits-2), 2^bits).
+    r_low = -(-(3 * second_top_bit - 1) // (2 * q0))
+    r_high = ((1 << bits) - 2) // (2 * q0)
     while True:
-        candidate = rng.random_odd(bits)
-        if condition is not None and not condition(candidate):
+        r = rng.randint(r_low, r_high)
+        candidate = 2 * r * q0 + 1
+        if math.gcd(candidate, _SMALL_PRIMES_PRODUCT) != 1:
             continue
-        if is_probable_prime(candidate, rng):
+        z = pow(2, 2 * r, candidate)
+        if math.gcd(z - 1, candidate) == 1 and pow(z, q0, candidate) == 1:
             return candidate
 
 

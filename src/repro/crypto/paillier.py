@@ -254,32 +254,29 @@ class PaillierKeyPair:
     def generate(
         key_bits: int = DEFAULT_KEY_BITS, rng: Optional[DeterministicRandom] = None
     ) -> "PaillierKeyPair":
-        """Generate a fresh key pair with an (approximately) ``key_bits``
-        modulus.
+        """Generate a fresh key pair with a ``key_bits`` modulus.
 
-        The two prime factors are each ``key_bits // 2`` bits, rejected
-        until their product has full bit length and ``gcd(n, phi) == 1``
-        holds (guaranteed for distinct primes of equal size).
+        The two prime factors are distinct ``key_bits // 2``-bit primes
+        with their top two bits set, so their product always has exactly
+        ``key_bits`` bits, and ``gcd(n, phi) == 1`` holds (guaranteed
+        for distinct primes of equal size). ``key_bits`` must be even.
         """
+        if key_bits % 2:
+            raise ValueError(f"key_bits must be even, got {key_bits}")
         rng = rng or default_rng()
         half = key_bits // 2
-        while True:
-            p = generate_prime(half, rng=rng)
+        p = generate_prime(half, rng=rng)
+        q = generate_prime(half, rng=rng)
+        while q == p:  # pragma: no cover - astronomically unlikely
             q = generate_prime(half, rng=rng)
-            if p == q:
-                continue
-            n = p * q
-            if n.bit_length() != key_bits:
-                continue
-            lam = lcm(p - 1, q - 1)
-            public = PaillierPublicKey(n=n)
-            # mu = (L(g^lambda mod n^2))^-1 mod n with g = n + 1:
-            # g^lambda = 1 + lambda*n (mod n^2), so L(...) = lambda mod n.
-            mu = modinv(lam % n, n)
-            private = PaillierPrivateKey(
-                public_key=public, lam=lam, mu=mu, p=p, q=q
-            )
-            return PaillierKeyPair(public_key=public, private_key=private)
+        n = p * q
+        lam = lcm(p - 1, q - 1)
+        public = PaillierPublicKey(n=n)
+        # mu = (L(g^lambda mod n^2))^-1 mod n with g = n + 1:
+        # g^lambda = 1 + lambda*n (mod n^2), so L(...) = lambda mod n.
+        mu = modinv(lam % n, n)
+        private = PaillierPrivateKey(public_key=public, lam=lam, mu=mu, p=p, q=q)
+        return PaillierKeyPair(public_key=public, private_key=private)
 
 
 @dataclass(frozen=True)

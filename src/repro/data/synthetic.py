@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.data.schema import Dataset, FeatureSpec
@@ -20,27 +19,26 @@ from repro.data.schema import Dataset, FeatureSpec
 
 def random_dag(
     n_nodes: int, max_parents: int, rng: np.random.Generator
-) -> nx.DiGraph:
+) -> List[List[int]]:
     """Random DAG over ``0..n_nodes-1`` with bounded in-degree.
 
-    Edges always point from lower to higher node index, which both
-    guarantees acyclicity and gives a topological order for free.
+    Returns each node's parents as a sorted list, indexed by node.
+    Every parent index is below its child's, which both guarantees
+    acyclicity and gives a topological order for free.
     """
     if n_nodes <= 0:
         raise ValueError(f"n_nodes must be positive, got {n_nodes}")
     if max_parents < 0:
         raise ValueError(f"max_parents must be non-negative, got {max_parents}")
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(n_nodes))
+    parent_lists: List[List[int]] = [[] for _ in range(n_nodes)]
     for node in range(1, n_nodes):
         available = min(node, max_parents)
         if available == 0:
             continue
         n_parents = int(rng.integers(0, available + 1))
         parents = rng.choice(node, size=n_parents, replace=False)
-        for parent in parents:
-            graph.add_edge(int(parent), node)
-    return graph
+        parent_lists[node] = sorted(int(parent) for parent in parents)
+    return parent_lists
 
 
 def generate_bayesnet_dataset(
@@ -76,14 +74,11 @@ def generate_bayesnet_dataset(
             f"n_sensitive={n_sensitive} must be below n_features={n_features}"
         )
     rng = np.random.default_rng(seed)
-    dag = random_dag(n_features, max_parents, rng)
+    parent_lists = random_dag(n_features, max_parents, rng)
 
     # Random CPTs: for each node, one Dirichlet row per parent config.
     tables: List[np.ndarray] = []
-    parent_lists: List[List[int]] = []
-    for node in range(n_features):
-        parents = sorted(dag.predecessors(node))
-        parent_lists.append(parents)
+    for parents in parent_lists:
         n_configs = domain_size ** len(parents)
         tables.append(
             rng.dirichlet(np.full(domain_size, concentration), size=n_configs)

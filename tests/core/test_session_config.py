@@ -23,6 +23,7 @@ class TestValidation:
         ("protocol_backend", "garbled"),
         ("rng_mode", "lava-lamp"),
         ("paillier_bits", 0),
+        ("paillier_bits", 513),  # two equal-size primes give an even modulus
         ("dgk_bits", -1),
         ("dgk_plaintext_bits", 0),
         ("statistical_security_bits", 0),
@@ -108,6 +109,21 @@ class TestMakeContextShim:
                 dgk_plaintext_bits=16,
             ))
         assert ctx.paillier.public_key.n.bit_length() >= 380
+
+    def test_system_rng_mode_builds_working_keys(self):
+        from repro.smc.context import make_context
+
+        ctx = make_context(config=SessionConfig(
+            rng_mode="system", paillier_bits=384, dgk_bits=192,
+        ))
+        assert not ctx.client_rng.is_deterministic
+        assert ctx.paillier.public_key.n.bit_length() == 384
+        public = ctx.paillier.public_key
+        assert ctx.paillier.private_key.decrypt(
+            public.encrypt(-42, ctx.client_rng)
+        ) == -42
+        dgk = ctx.dgk.public_key
+        assert ctx.dgk.private_key.decrypt(dgk.encrypt(7, ctx.client_rng)) == 7
 
     def test_per_parameter_keywords_are_gone(self):
         from repro.smc.context import make_context

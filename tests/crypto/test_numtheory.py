@@ -48,10 +48,19 @@ class TestGeneratePrime:
             assert p.bit_length() == bits
             assert nt.is_probable_prime(p)
 
-    def test_condition_respected(self):
-        rng = fresh_rng(2)
-        p = nt.generate_prime(32, rng=rng, condition=lambda x: x % 4 == 3)
-        assert p % 4 == 3
+    @given(
+        seed=st.integers(0, 2**32),
+        bits=st.one_of(
+            st.integers(3, 64), st.sampled_from((66, 96, 128, 129, 192, 256))
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_proven_primes_have_top_two_bits(self, seed, bits):
+        p = nt.generate_prime(bits, rng=fresh_rng(seed))
+        assert p.bit_length() == bits
+        assert p >> (bits - 2) == 0b11
+        # An independent 40-round Miller-Rabin agrees with the proof.
+        assert nt.is_probable_prime(p, rng=fresh_rng(seed + 1))
 
     def test_rejects_tiny_bit_length(self):
         with pytest.raises(ValueError):

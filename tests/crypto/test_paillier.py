@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import paillier
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.modexp import gmpy2_available, resolve_backend
+from repro.crypto.numtheory import generate_prime
 from repro.crypto.paillier import PaillierError, PaillierKeyPair
 from repro.crypto.rand import fresh_rng
 
@@ -27,6 +29,24 @@ class TestKeyGeneration:
         a = PaillierKeyPair.generate(key_bits=256, rng=fresh_rng(9))
         b = PaillierKeyPair.generate(key_bits=256, rng=fresh_rng(9))
         assert a.public_key.n == b.public_key.n
+
+    def test_every_prime_pair_gives_a_full_width_modulus(self, monkeypatch):
+        calls = []
+
+        def counting_generate_prime(bits, rng=None):
+            calls.append(bits)
+            return generate_prime(bits, rng=rng)
+
+        monkeypatch.setattr(paillier, "generate_prime", counting_generate_prime)
+        for seed in range(200):
+            del calls[:]
+            keys = PaillierKeyPair.generate(key_bits=512, rng=fresh_rng(seed))
+            assert keys.public_key.n.bit_length() == 512
+            assert calls == [256, 256]
+
+    def test_odd_key_bits_rejected(self):
+        with pytest.raises(ValueError, match="even"):
+            PaillierKeyPair.generate(key_bits=129, rng=fresh_rng(1))
 
 
 class TestEncryptDecrypt:

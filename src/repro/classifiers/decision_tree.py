@@ -11,7 +11,7 @@ disclosure-based pruning both walk it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -107,7 +107,13 @@ class DecisionTreeClassifier(Classifier):
         features = np.asarray(features)
         labels = np.asarray(labels)
         self._register_training_shape(features, labels)
-        self._root = self._grow(features, labels, depth=0)
+        candidates = (
+            self.candidate_features
+            if self.candidate_features is not None
+            else range(features.shape[1])
+        )
+        search = _SplitSearch(features, labels, candidates)
+        self._root = self._grow(search, np.arange(len(labels)), depth=0)
         return self
 
     @property
@@ -128,7 +134,8 @@ class DecisionTreeClassifier(Classifier):
         assert node.label is not None
         return int(node.label)
 
-    def _grow(self, features: np.ndarray, labels: np.ndarray, depth: int) -> TreeNode:
+    def _grow(self, search: _SplitSearch, rows: np.ndarray, depth: int) -> TreeNode:
+        labels = search.labels[rows]
         if (
             depth >= self.max_depth
             or len(labels) < self.min_samples_split
@@ -136,47 +143,97 @@ class DecisionTreeClassifier(Classifier):
         ):
             return TreeNode(label=_majority_label(labels))
 
-        split = self._best_split(features, labels)
+        split = search.best_split(rows)
         if split is None:
             return TreeNode(label=_majority_label(labels))
         feature, threshold, gain = split
         if gain < self.min_impurity_decrease:
             return TreeNode(label=_majority_label(labels))
 
-        mask = features[:, feature] <= threshold
+        mask = search.features[rows, feature] <= threshold
         return TreeNode(
             feature=feature,
-            threshold=int(threshold),
-            left=self._grow(features[mask], labels[mask], depth + 1),
-            right=self._grow(features[~mask], labels[~mask], depth + 1),
+            threshold=threshold,
+            left=self._grow(search, rows[mask], depth + 1),
+            right=self._grow(search, rows[~mask], depth + 1),
         )
 
-    def _best_split(
-        self, features: np.ndarray, labels: np.ndarray
-    ) -> Optional[Tuple[int, int, float]]:
-        """Best ``(feature, threshold, gain)`` over all candidate splits."""
-        parent_impurity = _gini(labels)
-        n = len(labels)
-        best: Optional[Tuple[int, int, float]] = None
-        candidates = (
-            self.candidate_features
-            if self.candidate_features is not None
-            else range(features.shape[1])
+
+class _SplitSearch:
+    """Histogram split search over one training set.
+
+    Each candidate column is recoded once to dense value ranks, and
+    each ``(candidate, rank)`` pair is a *slot*. A node then costs one
+    ``np.bincount`` over ``(slot, class)``: cumulative sums down each
+    candidate's slots give the left-side class counts of every
+    threshold, and the node's class totals minus those give the right
+    side. Gains are computed with :func:`_gini`'s arithmetic, so the
+    chosen split is the one a scan of every threshold would choose.
+    """
+
+    def __init__(
+        self, features: np.ndarray, labels: np.ndarray, candidates: Iterable[int]
+    ) -> None:
+        self.features = features
+        self.labels = labels
+        self.candidates = list(candidates)
+        classes, self.codes = np.unique(labels, return_inverse=True)
+        self.n_classes = len(classes)
+        self.values: List[np.ndarray] = []
+        ranks = []
+        for feature in self.candidates:
+            values, column = np.unique(features[:, feature], return_inverse=True)
+            self.values.append(values)
+            ranks.append(column)
+        sizes = [len(values) for values in self.values]
+        #: Candidate index of every slot, and each candidate's first slot.
+        self.slot_candidate = np.repeat(np.arange(len(sizes)), sizes)
+        self.first_slot = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+        #: Row-by-candidate histogram cell, before adding the row's class.
+        self.cells = (
+            (np.column_stack(ranks) + self.first_slot) * self.n_classes
+            if ranks
+            else np.empty((len(labels), 0), dtype=np.intp)
         )
-        for feature in candidates:
-            column = features[:, feature]
-            for threshold in np.unique(column)[:-1]:
-                mask = column <= threshold
-                left, right = labels[mask], labels[~mask]
-                if len(left) == 0 or len(right) == 0:
-                    continue
-                weighted = (
-                    len(left) / n * _gini(left) + len(right) / n * _gini(right)
-                )
-                gain = parent_impurity - weighted
-                if best is None or gain > best[2]:
-                    best = (feature, int(threshold), gain)
-        return best
+
+    def best_split(self, rows: np.ndarray) -> Optional[Tuple[int, int, float]]:
+        """Best ``(feature, threshold, gain)`` over the node holding ``rows``.
+
+        Thresholds are the values present at the node except its
+        largest. Ties go to the first candidate, then the lowest
+        threshold.
+        """
+        n = len(rows)
+        codes = self.codes[rows]
+        n_slots = len(self.slot_candidate)
+        counts = np.bincount(
+            (self.cells[rows] + codes[:, None]).ravel(),
+            minlength=n_slots * self.n_classes,
+        ).reshape(n_slots, self.n_classes)
+        # Every row lands once in each candidate's slots, so the running
+        # total before candidate j's first slot is j times the node's
+        # class totals.
+        totals = np.bincount(codes, minlength=self.n_classes)
+        left = counts.cumsum(axis=0) - self.slot_candidate[:, None] * totals
+        left_size = left.sum(axis=1)
+        valid = np.flatnonzero((counts.sum(axis=1) > 0) & (left_size < n))
+        if len(valid) == 0:
+            return None
+        left, left_size = left[valid], left_size[valid]
+        impurity = _gini_rows(np.concatenate([left, totals - left]))
+        weighted = (
+            left_size / n * impurity[: len(valid)]
+            + (n - left_size) / n * impurity[len(valid):]
+        )
+        gains = _gini(self.labels[rows]) - weighted
+        best = int(np.argmax(gains))
+        slot = valid[best]
+        candidate = self.slot_candidate[slot]
+        return (
+            self.candidates[candidate],
+            int(self.values[candidate][slot - self.first_slot[candidate]]),
+            float(gains[best]),
+        )
 
 
 def _gini(labels: np.ndarray) -> float:
@@ -186,6 +243,27 @@ def _gini(labels: np.ndarray) -> float:
     _, counts = np.unique(labels, return_counts=True)
     proportions = counts / counts.sum()
     return float(1.0 - (proportions**2).sum())
+
+
+def _gini_rows(counts: np.ndarray) -> np.ndarray:
+    """:func:`_gini` of every row of a class-count table, float for float.
+
+    :func:`_gini` sums the squared proportions of the classes present
+    only, and numpy groups a sum's terms by how many there are. So each
+    row's present terms are packed to the front and summed together
+    with the rows that have as many.
+    """
+    squares = (counts / counts.sum(axis=1)[:, None]) ** 2
+    present = counts > 0
+    packed = np.take_along_axis(
+        squares, np.argsort(~present, axis=1, kind="stable"), axis=1
+    )
+    n_present = present.sum(axis=1)
+    sums = np.empty(len(counts))
+    for width in np.unique(n_present):
+        same = n_present == width
+        sums[same] = packed[same, :width].sum(axis=1)
+    return 1.0 - sums
 
 
 def _majority_label(labels: np.ndarray) -> int:

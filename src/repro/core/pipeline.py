@@ -42,7 +42,6 @@ from repro.secure.encoding import FixedPointEncoder
 from repro.secure.secure_linear import SecureLinearClassifier
 from repro.secure.secure_naive_bayes import SecureNaiveBayesClassifier
 from repro.secure.secure_tree import SecureDecisionTreeClassifier
-from repro.selection.annealing import solve_annealing
 from repro.selection.branch_and_bound import solve_branch_and_bound
 from repro.selection.exhaustive import solve_exhaustive
 from repro.selection.greedy import solve_greedy
@@ -57,7 +56,6 @@ SOLVERS: Dict[str, Callable[[DisclosureProblem], DisclosureSolution]] = {
     "greedy": solve_greedy,
     "branch_and_bound": solve_branch_and_bound,
     "exhaustive": solve_exhaustive,
-    "annealing": solve_annealing,
 }
 
 

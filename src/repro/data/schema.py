@@ -104,9 +104,11 @@ class Dataset:
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise SchemaError("feature names must be unique")
-        for index, spec in enumerate(self.features):
-            column = self.X[:, index]
-            if len(column) and (column.min() < 0 or column.max() >= spec.domain_size):
+        if len(self.X):
+            domains = np.array([spec.domain_size for spec in self.features])
+            outside = (self.X.min(axis=0) < 0) | (self.X.max(axis=0) >= domains)
+            if outside.any():
+                spec = self.features[int(np.argmax(outside))]
                 raise SchemaError(
                     f"feature {spec.name!r} has codes outside "
                     f"[0, {spec.domain_size})"

@@ -84,19 +84,20 @@ def generate_bayesnet_dataset(
             rng.dirichlet(np.full(domain_size, concentration), size=n_configs)
         )
 
-    # Ancestral sampling (node order is already topological).
-    samples = np.zeros((n_samples, n_features), dtype=np.int64)
+    # Ancestral sampling (node order is already topological): a node's
+    # code is the number of cumulative CPT levels its uniform draw
+    # exceeds.
+    columns: List[np.ndarray] = []
     for node in range(n_features):
-        parents = parent_lists[node]
-        if parents:
-            config = np.zeros(n_samples, dtype=np.int64)
-            for parent in parents:
-                config = config * domain_size + samples[:, parent]
-        else:
-            config = np.zeros(n_samples, dtype=np.int64)
+        config = np.zeros(n_samples, dtype=np.int64)
+        for parent in parent_lists[node]:
+            config = config * domain_size + columns[parent]
         uniform = rng.random(n_samples)
-        cumulative = tables[node].cumsum(axis=1)
-        samples[:, node] = (uniform[:, None] > cumulative[config]).sum(axis=1)
+        column = np.zeros(n_samples, dtype=np.int64)
+        for thresholds in tables[node].cumsum(axis=1).T:
+            column += uniform > thresholds[config]
+        columns.append(column)
+    samples = np.column_stack(columns)
 
     # Label: noisy threshold over a random feature subset.
     weight_count = max(2, n_features // 3)

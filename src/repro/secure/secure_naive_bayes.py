@@ -172,8 +172,8 @@ class SecureNaiveBayesClassifier(SecureClassifier):
         for feature in hidden:
             domain = self.features[feature].domain_size
             add_encrypt_vector(trace, domain, self.sizes)
-            for _ in range(n_classes):
-                add_indicator_lookup(trace, domain, self.sizes)
+            # One lookup per class, each costing ``domain`` ops.
+            add_indicator_lookup(trace, n_classes * domain, self.sizes)
             trace.count(Op.PAILLIER_ADD, n_classes)
         trace.count(Op.PAILLIER_ADD, n_classes)  # shift into [0, 2^bits)
         add_secure_argmax(trace, n_classes, self.score_bits, self.sizes)

@@ -12,13 +12,10 @@ budget, find the disclosure set minimising cost subject to the budget:
   cost-saving per unit risk; the paper's practical solver.
 * :mod:`repro.selection.branch_and_bound` -- exact search with greedy
   incumbent and optimistic cost pruning.
-* :mod:`repro.selection.annealing` -- simulated annealing, the
-  metaheuristic baseline.
 * :mod:`repro.selection.pareto` -- risk/cost trade-off frontiers swept
   over budgets.
 """
 
-from repro.selection.annealing import solve_annealing
 from repro.selection.branch_and_bound import solve_branch_and_bound
 from repro.selection.dual import solve_dual_exhaustive, solve_dual_greedy
 from repro.selection.exhaustive import solve_exhaustive
@@ -30,7 +27,6 @@ __all__ = [
     "DisclosureProblem",
     "DisclosureSolution",
     "pareto_frontier",
-    "solve_annealing",
     "solve_branch_and_bound",
     "solve_dual_exhaustive",
     "solve_dual_greedy",

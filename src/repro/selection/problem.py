@@ -122,7 +122,7 @@ class DisclosureSolution:
         Wall-clock solver time.
     nodes_explored:
         Search-effort indicator (meaning differs per solver: subsets
-        enumerated / greedy steps / B&B nodes / annealing moves).
+        enumerated / greedy steps / B&B nodes).
 
     Example::
 

@@ -131,6 +131,11 @@ class Op(enum.Enum):
     SHARE_MUL_TRIPLE = "share_mul_triple"
     SYMMETRIC_OP = "symmetric_op"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is valid, and it skips Enum.__hash__'s Python-level call on every
+    # ExecutionTrace.count.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class ExecutionTrace:

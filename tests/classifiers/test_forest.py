@@ -1,11 +1,16 @@
 """Tests for the random-forest trainer."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.classifiers.base import ClassifierError
 from repro.classifiers.forest import RandomForestClassifier
 from repro.classifiers.metrics import accuracy
+from repro.data.splits import train_test_split
+from repro.data.warfarin import generate_warfarin
 
 
 class TestTraining:
@@ -107,3 +112,26 @@ def _collect_internal(node):
     if node.is_leaf:
         return []
     return [node] + _collect_internal(node.left) + _collect_internal(node.right)
+
+
+def _preorder(node):
+    if node.is_leaf:
+        return [["leaf", node.label]]
+    return (
+        [[node.feature, node.threshold]]
+        + _preorder(node.left) + _preorder(node.right)
+    )
+
+
+def test_seeded_forest_pinned():
+    # Bootstrap rows and feature subsets fixed by the seed: every
+    # tree's structure must not move when the trainer's internals change.
+    train, _ = train_test_split(
+        generate_warfarin(n_samples=4000, seed=0), seed=0
+    )
+    forest = RandomForestClassifier(n_trees=5, seed=3).fit(train.X, train.y)
+    shapes = [_preorder(tree.root) for tree in forest.trees]
+    assert sum(tree.root.count_internal() for tree in forest.trees) == 259
+    assert hashlib.sha256(json.dumps(shapes).encode()).hexdigest() == (
+        "9e0862653b1b01ead5e6ea71f907e09766b7241cbdc9b17a5f1228bb7b51885c"
+    )

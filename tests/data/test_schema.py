@@ -69,6 +69,20 @@ class TestDataset:
         with pytest.raises(SchemaError):
             Dataset("bad", features, np.array([[5]]), np.array([0]))
 
+    def test_first_feature_outside_its_domain_is_named(self):
+        features = [FeatureSpec("a", 2), FeatureSpec("b", 3),
+                    FeatureSpec("c", 2)]
+        X = np.array([[0, 2, 0], [1, -1, 2]])
+        with pytest.raises(SchemaError, match="'b' has codes outside"):
+            Dataset("bad", features, X, np.array([0, 1]))
+        with pytest.raises(SchemaError, match=r"'c' .*\[0, 2\)"):
+            Dataset("bad", features, np.array([[0, 2, 5]]), np.array([0]))
+
+    def test_empty_matrix_skips_the_range_check(self):
+        ds = Dataset("empty", [FeatureSpec("a", 2)],
+                     np.zeros((0, 1), dtype=int), np.zeros(0, dtype=int))
+        assert ds.n_samples == 0
+
     def test_float_matrix_rejected(self):
         features = [FeatureSpec("a", 2)]
         with pytest.raises(SchemaError):

@@ -3,11 +3,22 @@
 import numpy as np
 import pytest
 
+import itertools
+
 from repro.classifiers.naive_bayes import NaiveBayesClassifier
+from repro.core.pipeline import PipelineConfig
 from repro.secure.base import SecureClassificationError
 from repro.secure.secure_naive_bayes import SecureNaiveBayesClassifier
-from repro.secure.costing import ProtocolSizes
-from repro.smc.protocol import Op
+from repro.secure.costing import (
+    FRAME_OVERHEAD,
+    LIST_OVERHEAD,
+    SMALL_INT_BYTES,
+    ProtocolSizes,
+    add_encrypt_vector,
+    add_indicator_lookup,
+    add_secure_argmax,
+)
+from repro.smc.protocol import ExecutionTrace, Op
 
 TEST_SIZES = ProtocolSizes(paillier_bits=384, dgk_bits=192)
 
@@ -102,3 +113,54 @@ class TestEstimatedVsLive:
         assert estimated.total_bytes == pytest.approx(
             fresh_context.trace.total_bytes, rel=0.25
         )
+
+
+def _per_class_trace(secure, disclosure_set):
+    """The trace built with one indicator lookup per (feature, class)."""
+    disclosed, hidden = secure.partition(disclosure_set)
+    trace = ExecutionTrace(label=f"naive-bayes|hidden={len(hidden)}")
+    n_classes = len(secure.classes)
+    if disclosed:
+        trace.bytes_client_to_server += (
+            FRAME_OVERHEAD + LIST_OVERHEAD + SMALL_INT_BYTES * len(disclosed)
+        )
+        trace.messages += 1
+        trace.rounds += 1
+    if not hidden:
+        trace.bytes_server_to_client += FRAME_OVERHEAD + SMALL_INT_BYTES
+        trace.messages += 1
+        trace.rounds += 1
+        return trace
+    trace.count(Op.PAILLIER_ENCRYPT, n_classes)
+    for feature in hidden:
+        domain = secure.features[feature].domain_size
+        add_encrypt_vector(trace, domain, secure.sizes)
+        for _ in range(n_classes):
+            add_indicator_lookup(trace, domain, secure.sizes)
+        trace.count(Op.PAILLIER_ADD, n_classes)
+    trace.count(Op.PAILLIER_ADD, n_classes)
+    add_secure_argmax(trace, n_classes, secure.score_bits, secure.sizes)
+    return trace
+
+
+def test_estimated_trace_matches_per_class_lookups(warfarin_split):
+    # One lookup of n_classes * domain ops per hidden feature must give
+    # the per-class loop's counts, op order and priced seconds exactly.
+    train, _ = warfarin_split
+    columns = 7
+    model = NaiveBayesClassifier(
+        domain_sizes=train.domain_sizes[:columns]
+    ).fit(train.X[:, :columns], train.y)
+    secure = SecureNaiveBayesClassifier(
+        model, train.features[:columns], sizes=TEST_SIZES
+    )
+    assert len(secure.classes) > 1
+    cost_model = PipelineConfig().cost_model
+    for size in range(columns + 1):
+        for subset in itertools.combinations(range(columns), size):
+            got = secure.estimated_trace(subset)
+            want = _per_class_trace(secure, subset)
+            assert got.summary() == want.summary()
+            assert list(got.ops.items()) == list(want.ops.items())
+            assert cost_model.total_seconds(got) == \
+                cost_model.total_seconds(want)

@@ -1,11 +1,10 @@
-"""Tests for all four disclosure solvers, individually and against each
+"""Tests for all three disclosure solvers, individually and against each
 other on shared synthetic problems."""
 
 import itertools
 
 import pytest
 
-from repro.selection.annealing import solve_annealing
 from repro.selection.branch_and_bound import solve_branch_and_bound
 from repro.selection.exhaustive import MAX_EXHAUSTIVE_CANDIDATES, solve_exhaustive
 from repro.selection.greedy import solve_greedy
@@ -155,31 +154,6 @@ class TestBranchAndBound:
         assert solution.risk <= KNAPSACK["budget"] + 1e-9
 
 
-class TestAnnealing:
-    def test_respects_budget(self):
-        problem = make_problem(**KNAPSACK)
-        solution = solve_annealing(problem, iterations=500, seed=1)
-        assert solution.risk <= KNAPSACK["budget"] + 1e-9
-
-    def test_improves_over_empty_set(self):
-        problem = make_problem(**KNAPSACK)
-        solution = solve_annealing(problem, iterations=800, seed=2)
-        assert solution.cost < 10.0
-
-    def test_empty_candidates(self):
-        problem = DisclosureProblem(
-            candidates=(), risk=lambda c: 0.0, cost=lambda c: 1.0,
-            risk_budget=0.5,
-        )
-        solution = solve_annealing(problem)
-        assert solution.disclosed == ()
-
-    def test_deterministic_for_seed(self):
-        a = solve_annealing(make_problem(**KNAPSACK), iterations=300, seed=7)
-        b = solve_annealing(make_problem(**KNAPSACK), iterations=300, seed=7)
-        assert a.disclosed == b.disclosed
-
-
 class TestSolverConsistency:
     def test_exact_solvers_beat_heuristics(self):
         problem_args = dict(
@@ -188,7 +162,6 @@ class TestSolverConsistency:
             budget=0.3,
         )
         exact = solve_exhaustive(make_problem(**problem_args))
-        for solver in (solve_greedy, solve_branch_and_bound,
-                       lambda p: solve_annealing(p, iterations=500)):
+        for solver in (solve_greedy, solve_branch_and_bound):
             solution = solver(make_problem(**problem_args))
             assert solution.cost >= exact.cost - 1e-9

@@ -1,8 +1,29 @@
 """Tests for execution traces."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.smc.protocol import ExecutionTrace, Op
+
+
+class TestOp:
+    def test_members_pickle_and_copy_to_themselves(self):
+        # Op hashes by identity, which is only valid while every
+        # round trip gives back the singleton member.
+        for op in Op:
+            assert pickle.loads(pickle.dumps(op)) is op
+            assert copy.deepcopy(op) is op
+            assert Op(op.value) is op
+
+    def test_pickled_counts_keep_their_keys(self):
+        trace = ExecutionTrace()
+        trace.count(Op.DGK_ADD, 2)
+        trace.count(Op.PAILLIER_ADD, 5)
+        restored = pickle.loads(pickle.dumps(trace))
+        assert restored.ops[Op.DGK_ADD] == 2
+        assert list(restored.ops) == [Op.DGK_ADD, Op.PAILLIER_ADD]
 
 
 class TestExecutionTrace:

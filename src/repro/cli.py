@@ -407,6 +407,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import socket
 
     from repro.core.serialization import load_deployment
+    from repro.serving import ClassificationFleet, ClassificationServer
 
     metered = _begin_metrics(args)
     deployed = load_deployment(args.bundle)
@@ -420,71 +421,46 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         privacy_budget=args.privacy_budget,
     )
     if config.shards > 1:
-        from repro.serving import ClassificationFleet
-
-        fleet = ClassificationFleet(
+        front = ClassificationFleet(
             deployed, config=config, host=args.host, port=args.port
-        )
-        fleet.start()
-        emit(
-            args.format,
-            text=(
-                f"serving {args.bundle} ({deployed.kind}) on "
-                f"{fleet.host}:{fleet.port} with {config.shards} shards x "
-                f"{args.workers} workers (queue depth {args.queue_depth})\n"
-                f"shutdown token: {fleet.shutdown_token}"
-            ),
-            payload={
-                "bundle": args.bundle,
-                "kind": deployed.kind,
-                "host": fleet.host,
-                "port": fleet.port,
-                "shards": config.shards,
-                "workers": args.workers,
-                "queue_depth": args.queue_depth,
-                "shutdown_token": fleet.shutdown_token,
-            },
-        )
-        sys.stdout.flush()
-        try:
-            fleet.wait()
-        finally:
-            fleet.shutdown()
-        if metered:
-            # Every shard's registry, merged before the shards stopped.
-            telemetry.write_metrics(args.metrics, fleet.telemetry_at_shutdown)
-        return 0
-
-    from repro.serving import ClassificationServer
-
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((args.host, args.port))
-    listener.listen(max(4, args.workers + args.queue_depth))
-    host, port = listener.getsockname()
-    server = ClassificationServer(deployed, listener, config=config)
+        ).start()
+    else:
+        listener = socket.create_server((args.host, args.port), backlog=128)
+        front = ClassificationServer(deployed, listener, config=config)
+    host, port = front.listener.getsockname()[:2]
+    shards = f"{config.shards} shards x " if config.shards > 1 else ""
     emit(
         args.format,
         text=(
             f"serving {args.bundle} ({deployed.kind}) on {host}:{port} "
-            f"with {args.workers} workers (queue depth {args.queue_depth})\n"
-            f"shutdown token: {server.shutdown_token}"
+            f"with {shards}{args.workers} workers (queue depth "
+            f"{args.queue_depth})\nshutdown token: {front.shutdown_token}"
         ),
         payload={
             "bundle": args.bundle,
             "kind": deployed.kind,
             "host": host,
             "port": port,
+            "shards": config.shards,
             "workers": args.workers,
             "queue_depth": args.queue_depth,
-            "shutdown_token": server.shutdown_token,
+            "shutdown_token": front.shutdown_token,
         },
     )
     sys.stdout.flush()
-    with listener:
-        server.serve_forever()
-    if metered:
-        _finish_metrics(args)
+    if config.shards > 1:
+        try:
+            front.wait()
+        finally:
+            front.shutdown()
+        if metered:
+            # Every shard's registry, merged before the shards stopped.
+            telemetry.write_metrics(args.metrics, front.telemetry_at_shutdown)
+    else:
+        with front.listener:
+            front.serve_forever()
+        if metered:
+            _finish_metrics(args)
     return 0
 
 

@@ -461,7 +461,7 @@ def _memoized(
     pushes and pops gets the identical float. Only results are stored:
     a set whose pricing raises is priced again on the next request.
     """
-    key = frozenset(int(i) for i in disclosure_set)
+    key = frozenset(disclosure_set)
     value = memo.get(key)
     if value is None:
         value = memo[key] = price(key)

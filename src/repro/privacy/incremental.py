@@ -22,7 +22,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.privacy.adversary import NaiveBayesAdversary
-from repro.privacy.risk import RiskError, RiskMetric
+from repro.privacy.risk import (
+    RiskError,
+    RiskMetric,
+    adversary_score,
+    normalised_gain,
+)
 
 # Log-weight that turns a row's belief into a numerical point mass when
 # the sensitive attribute itself is disclosed (exp(300) dwarfs any
@@ -215,18 +220,11 @@ class IncrementalRiskEvaluator:
         shifted = log_beliefs - log_beliefs.max(axis=1, keepdims=True)
         beliefs = np.exp(shifted)
         beliefs /= beliefs.sum(axis=1, keepdims=True)
-        if self.metric is RiskMetric.MAX_POSTERIOR:
-            return float(beliefs.max(axis=1).mean())
-        if self.metric is RiskMetric.ENTROPY:
-            clipped = np.clip(beliefs, 1e-12, 1.0)
-            return float(-(-(clipped * np.log2(clipped)).sum(axis=1)).mean())
-        truths = self.rows[:, sensitive]
-        return float((beliefs.argmax(axis=1) == truths).mean())
+        return adversary_score(self.metric, beliefs, self.rows[:, sensitive])
 
     def _normalised(self, sensitive: int, log_beliefs: np.ndarray) -> float:
-        baseline = self._baselines[sensitive]
-        achieved = self._score(sensitive, log_beliefs)
-        ceiling = 0.0 if self.metric is RiskMetric.ENTROPY else 1.0
-        if ceiling - baseline <= 1e-12:
-            return 0.0
-        return float(np.clip((achieved - baseline) / (ceiling - baseline), 0.0, 1.0))
+        return normalised_gain(
+            self.metric,
+            self._baselines[sensitive],
+            self._score(sensitive, log_beliefs),
+        )

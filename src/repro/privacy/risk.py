@@ -75,6 +75,28 @@ def inference_accuracy_risk(posteriors: np.ndarray, truths: np.ndarray) -> float
     return float((guesses == truths).mean())
 
 
+def adversary_score(
+    metric: RiskMetric, posteriors: np.ndarray, truths: np.ndarray
+) -> float:
+    """How well the adversary does under ``metric``; higher is better
+    for it under every metric (entropy is negated)."""
+    if metric is RiskMetric.MAX_POSTERIOR:
+        return max_posterior_confidence(posteriors)
+    if metric is RiskMetric.ENTROPY:
+        return -entropy_loss_risk(posteriors)
+    return inference_accuracy_risk(posteriors, truths)
+
+
+def normalised_gain(metric: RiskMetric, baseline: float, achieved: float) -> float:
+    """The adversary's score gain over ``baseline`` as a share of the
+    most it could gain (full identification), clipped to ``[0, 1]``."""
+    # Full identification scores 1, or a point mass's negated entropy 0.
+    ceiling = 0.0 if metric is RiskMetric.ENTROPY else 1.0
+    if ceiling - baseline <= 1e-12:
+        return 0.0
+    return float(np.clip((achieved - baseline) / (ceiling - baseline), 0.0, 1.0))
+
+
 @dataclass
 class RiskModel:
     """Prices disclosure sets against a cohort.
@@ -167,29 +189,18 @@ class RiskModel:
         return np.array(out)
 
     def _confidence(self, sensitive_column: int, columns: Tuple[int, ...]) -> float:
-        posteriors = self._posteriors(sensitive_column, columns)
-        if self.metric is RiskMetric.MAX_POSTERIOR:
-            return max_posterior_confidence(posteriors)
-        if self.metric is RiskMetric.ENTROPY:
-            # Higher confidence = lower entropy; return negated entropy so
-            # 'gain' is increase in confidence for all metrics.
-            return -entropy_loss_risk(posteriors)
-        truths = self.evaluation_rows[:, sensitive_column]
-        return inference_accuracy_risk(posteriors, truths)
+        return adversary_score(
+            self.metric,
+            self._posteriors(sensitive_column, columns),
+            self.evaluation_rows[:, sensitive_column],
+        )
 
     def _normalised_gain(self, sensitive_column: int, columns: Tuple[int, ...]) -> float:
-        baseline = self._baseline[sensitive_column]
-        achieved = self._confidence(sensitive_column, columns)
-        ceiling = self._ceiling(sensitive_column)
-        if ceiling - baseline <= 1e-12:
-            return 0.0
-        return float(np.clip((achieved - baseline) / (ceiling - baseline), 0.0, 1.0))
-
-    def _ceiling(self, sensitive_column: int) -> float:
-        """Best-possible adversary score (full identification)."""
-        if self.metric is RiskMetric.ENTROPY:
-            return 0.0  # negated entropy of a point mass
-        return 1.0
+        return normalised_gain(
+            self.metric,
+            self._baseline[sensitive_column],
+            self._confidence(sensitive_column, columns),
+        )
 
 
 def _batched_naive_posteriors(

@@ -216,11 +216,7 @@ class SecureRandomForestClassifier(SecureClassifier):
             )
             total_comparisons += shape.comparisons
             total_leaves += shape.leaves
-            used_hidden.update(
-                node.feature
-                for node in _internal_nodes(wrapper.model.root)
-                if node.feature not in disclosed_set
-            )
+            used_hidden |= wrapper._used_features - disclosed_set
 
         comparisons = int(round(total_comparisons))
         if comparisons == 0:

@@ -94,6 +94,10 @@ class SecureDecisionTreeClassifier(SecureClassifier):
                 f"{self.n_features}"
             )
         self.model = model
+        # Fixed per model; the analytic trace prices its hidden ones.
+        self._used_features = frozenset(
+            node.feature for node in _internal_nodes(model.root)
+        )
         if feature_marginals is None:
             self.feature_marginals = [
                 np.full(spec.domain_size, 1.0 / spec.domain_size)
@@ -237,10 +241,7 @@ class SecureDecisionTreeClassifier(SecureClassifier):
             trace.rounds += 1
             return trace
 
-        used_hidden = sorted(
-            {n.feature for n in _internal_nodes(self.model.root)
-             if n.feature not in disclosed_set}
-        )
+        used_hidden = sorted(self._used_features - disclosed_set)
         add_encrypt_vector(trace, len(used_hidden), self.sizes)
 
         batch_bits = (

@@ -12,12 +12,12 @@ is the offline/online split the paper's serving story depends on.
 
 Frontend responsibilities, in routing order:
 
-1. **Bounded admission.** The frontend holds at most
-   ``shards * (max_workers + queue_depth)`` client connections at once
-   -- what the shards behind it can admit -- and answers any connection
-   beyond that ``KIND_ERROR {code: "overloaded"}`` at once, counted in
-   ``fleet.shed``, so idle connections cannot grow relay threads
-   without limit.
+1. **Bounded admission.** The frontend is a
+   :class:`~repro.serving.runtime.FrontDoor`, like a server: it relays
+   at most ``shards * (max_workers + queue_depth)`` client connections
+   at once -- what its shards can admit. Beyond that it answers control
+   frames and anything else ``KIND_ERROR {code: "overloaded"}``,
+   counted in ``fleet.shed``.
 2. **Sticky routing.** The first client frame is the ``KIND_REQUEST``
    handshake; its ``seed`` keys the session, and ``seed % n`` picks the
    home shard, so a session always lands on the same shard while the
@@ -67,13 +67,10 @@ from typing import Any, Dict, List, Optional
 import repro.telemetry as telemetry
 from repro.core.exceptions import ReproError
 from repro.core.session import SessionConfig
-from repro.crypto.rand import secure_rng
 from repro.serving.runtime import (
     ClassificationServer,
-    reject_first_frame,
+    FrontDoor,
     send_error,
-    shed,
-    token_matches,
 )
 from repro.smc import wire
 from repro.telemetry import MetricsRegistry
@@ -104,10 +101,7 @@ def _shard_main(
     Reports ``(port, shutdown_token)`` through the spawn pipe.
     """
     telemetry.configure(telemetry_on, reset=True)
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((_LOCALHOST, 0))
-    listener.listen(64)
+    listener = socket.create_server((_LOCALHOST, 0), backlog=128)
     server = ClassificationServer(
         deployed, listener, config=config, shard_name=shard_name
     )
@@ -148,7 +142,7 @@ class ShardHandle:
         return self.healthy and not self.draining and self.process.is_alive()
 
 
-class ClassificationFleet:
+class ClassificationFleet(FrontDoor):
     """N shard processes behind one wire-protocol routing frontend.
 
     Parameters
@@ -178,6 +172,8 @@ class ClassificationFleet:
         fleet.shutdown()
     """
 
+    family = "fleet"
+
     def __init__(
         self,
         deployed,
@@ -188,25 +184,23 @@ class ClassificationFleet:
         port: int = 0,
     ) -> None:
         self.config = config if config is not None else SessionConfig()
+        # Client connections the frontend holds at once, one relay
+        # thread each: what the shards behind it can admit. The
+        # fleet-level shutdown_token stops the whole fleet (the CLI
+        # path).
+        capacity = self.config.shards * (
+            self.config.max_workers + self.config.queue_depth
+        )
+        super().__init__(capacity, capacity, self.config.request_timeout_s)
         self.heartbeat_interval = float(heartbeat_interval)
         self.restart_dead = bool(restart_dead)
         self.deployed = deployed
-        #: Fleet-level shutdown secret: a ``KIND_SHUTDOWN`` frame to the
-        #: *frontend* carrying it stops the whole fleet (the CLI path).
-        self.shutdown_token = f"{secure_rng().getrandbits(128):032x}"
         self.shards: List[ShardHandle] = []
         self.listener: Optional[socket.socket] = None
         self.host = host
         self.port: int = int(port)
-        self._stopping = threading.Event()
         self._threads: List[threading.Thread] = []
-        self._lock = threading.Lock()  # guards shard spawn/replace
-        # Client connections the frontend holds at once: what the
-        # shards behind it can admit.
-        self._slots = threading.BoundedSemaphore(
-            self.config.shards
-            * (self.config.max_workers + self.config.queue_depth)
-        )
+        self._spawn_lock = threading.Lock()  # guards shard spawn/replace
         #: The whole fleet's merged metrics as :meth:`shutdown` found
         #: them, before it stopped the shards (telemetry on only).
         self.telemetry_at_shutdown: Optional[Dict[str, Any]] = None
@@ -332,7 +326,7 @@ class ClassificationFleet:
             self._replace(index)
 
     def _replace(self, index: int) -> None:
-        with self._lock:
+        with self._spawn_lock:
             generation = self.shards[index].generation + 1
             fresh = self._spawn(index)
             fresh.generation = generation
@@ -357,10 +351,10 @@ class ClassificationFleet:
     def _probe(self, shard: ShardHandle, telemetry_too: bool = False):
         """One KIND_HEALTH round trip; ``None`` means unreachable.
 
-        Any framed reply -- even ``KIND_ERROR {overloaded}`` from a
-        saturated shard -- proves the process is alive; a refused
-        connection, EOF, timeout or a health reply that does not decode
-        under the normal wire caps is a health failure.
+        Any framed reply proves the process is alive (a saturated shard
+        still answers health); a refused connection, EOF, timeout or a
+        health reply that does not decode under the normal wire caps is
+        a health failure.
         """
         body = {"telemetry": True} if telemetry_too else None
         try:
@@ -406,87 +400,27 @@ class ClassificationFleet:
                 merged.merge(reply["telemetry"])
         return merged.snapshot()
 
-    # -- routing --------------------------------------------------------
+    # -- front door -----------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        assert self.listener is not None
-        self.listener.settimeout(0.1)
-        while not self._stopping.is_set():
-            try:
-                sock, _ = self.listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break  # frontend listener closed (shutdown)
-            if not self._slots.acquire(blocking=False):
-                telemetry.count("fleet.shed")
-                shed(sock, "")
-                continue
-            thread = threading.Thread(
-                target=self._route, args=(sock,), daemon=True
-            )
-            thread.start()
+    def _request_id(self) -> str:
+        return ""  # a relayed session carries its shard's request id
 
-    def _route(self, client: socket.socket) -> None:
-        """Route one client connection: handshake, pick shard, relay."""
-        try:
-            with client:
-                self._route_inner(client)
-        except Exception:  # the fleet-level fault boundary
-            telemetry.count("fleet.errors")
-        finally:
-            self._slots.release()
+    def _count_error(self, cause: str) -> None:
+        telemetry.count("fleet.errors")
 
-    def _route_inner(self, client: socket.socket) -> None:
-        client.settimeout(self.config.request_timeout_s)
-        try:
-            kind, body = wire.recv_frame(client)
-        except wire.FrameTooLarge as error:
-            telemetry.count("fleet.errors")
-            send_error(client, "bad-request", str(error), "")
-            return
-        except (wire.WireError, OSError):
-            return  # client vanished before the handshake
-        if kind == wire.KIND_SHUTDOWN:
-            self._frontend_shutdown_frame(client, body)
-            return
-        if kind == wire.KIND_HEALTH:
-            self._frontend_health_frame(client)
-            return
-        if kind != wire.KIND_REQUEST:
-            reject_first_frame(client, kind, "")
-            return
-        telemetry.count("fleet.requests")
-        self._relay_session(client, kind, body)
-
-    def _frontend_shutdown_frame(self, client: socket.socket, body) -> None:
-        """KIND_SHUTDOWN at the frontend: fleet token stops everything."""
-        if token_matches(body, self.shutdown_token):
-            try:
-                wire.send_frame(
-                    client, wire.KIND_HEALTH,
-                    wire.encode(wire.health_payload("stopping")),
-                )
-            except OSError:
-                pass
-            threading.Thread(target=self.shutdown, daemon=True).start()
-        else:
-            telemetry.count("fleet.shutdown_denied")
-            send_error(
-                client, "bad-request",
-                "fleet shutdown requires the frontend's shutdown token", "",
-            )
-
-    def _frontend_health_frame(self, client: socket.socket) -> None:
-        """KIND_HEALTH at the frontend: aggregate fleet status."""
+    def _health(self, body: bytes) -> dict:
+        """Aggregate fleet status, one entry per shard."""
         routable = sum(1 for s in self.shards if s.routable)
         status = "ok" if routable else "degraded"
         payload = wire.health_payload(status, shard="frontend")
         payload["shards"] = self.status()
-        try:
-            wire.send_frame(client, wire.KIND_HEALTH, wire.encode(payload))
-        except OSError:
-            pass
+        return payload
+
+    def _stop(self) -> None:
+        # shutdown() joins the accept thread this may be running on.
+        threading.Thread(target=self.shutdown, daemon=True).start()
+
+    # -- routing --------------------------------------------------------
 
     def _sticky_order(self, body: bytes) -> List[int]:
         """Shard indices to try, home shard (``seed % n``) first."""
@@ -498,10 +432,11 @@ class ClassificationFleet:
         home = seed % len(self.shards)
         return [(home + i) % len(self.shards) for i in range(len(self.shards))]
 
-    def _relay_session(
-        self, client: socket.socket, kind: int, body: bytes
+    def _answer_request(
+        self, client: socket.socket, body: bytes, request_id: str
     ) -> None:
         """Find a shard that accepts the request, then splice frames."""
+        telemetry.count("fleet.requests")
         all_shed = False
         for index in self._sticky_order(body):
             shard = self.shards[index]
@@ -517,7 +452,7 @@ class ClassificationFleet:
                 continue
             upstream.settimeout(self.config.request_timeout_s)
             try:
-                wire.send_frame(upstream, kind, body)
+                wire.send_frame(upstream, wire.KIND_REQUEST, body)
                 first_kind, first_body = wire.recv_frame(upstream)
             except (wire.WireError, OSError):
                 upstream.close()

@@ -18,18 +18,17 @@ design invariants, in order of importance:
    gets its own context, codec and transport. Nothing on the shared
    ``DeployedClassifier`` is ever mutated.
 3. **Bounded queueing with load shedding.** At most
-   ``max_workers + queue_depth`` requests are admitted; beyond that the
-   listener answers a ``KIND_ERROR {code: "overloaded"}`` frame
-   immediately (constant-time, without reading the request) instead of
-   letting connections pile up, and counts ``serve.shed``.
+   ``max_workers + queue_depth`` requests are admitted. Beyond that the
+   listener reads the first frame itself in bounded time and still
+   answers control frames (so a full server can be stopped and
+   probed); anything else gets ``KIND_ERROR {code: "overloaded"}``
+   before any key generation or crypto, counted in ``serve.shed``.
 4. **Deadlines.** ``request_timeout_s`` bounds every blocking socket
    operation of a request (threaded through
    :class:`~repro.smc.transport.TcpTransport`); a request that exceeds
    it gets ``KIND_ERROR {code: "deadline"}`` and its socket closed.
-5. **A typed answer to every first frame.** A ``KIND_REQUEST`` is
-   served; ``KIND_HEALTH`` and ``KIND_SHUTDOWN`` are answered; a
-   complete frame of any other kind gets ``KIND_ERROR {code:
-   "bad-request"}``, never a silent close.
+5. **A typed answer to every first frame**, never a silent close (see
+   :class:`FrontDoor`, which the fleet frontend shares).
 6. **Graceful drain.** :meth:`ClassificationServer.shutdown` (or a
    ``KIND_SHUTDOWN`` carrying the server's token) stops the accept
    loop; in-flight requests run to completion before
@@ -63,7 +62,198 @@ from repro.smc import wire
 from repro.smc.transport import TcpTransport, TransportError
 
 
-class ClassificationServer:
+#: Timeout of each socket operation on a connection beyond capacity,
+#: which runs on the accept thread. The overloaded reply fits in the
+#: empty send buffer of a fresh connection.
+_SHED_S = 0.25
+
+#: Largest first-frame body read beyond capacity. A shutdown or health
+#: frame fits; a request frame is larger and is shed unread.
+_CONTROL_FRAME_BYTES = 256
+
+
+class FrontDoor:
+    """One listener's admission: accept, shed and answer the first frame.
+
+    Shared by :class:`ClassificationServer` and the fleet frontend
+    (:class:`~repro.serving.fleet.ClassificationFleet`). The door mints
+    :attr:`shutdown_token`, polls ``self.listener``, admits at most
+    ``capacity`` connections to a pool of ``workers`` threads, and
+    answers each first frame: ``KIND_SHUTDOWN`` carrying the token
+    stops the front end, ``KIND_HEALTH`` gets :meth:`_health`,
+    ``KIND_REQUEST`` goes to :meth:`_answer_request`, any other kind is
+    ``bad-request``. Beyond capacity the same dispatch runs on the
+    accept thread in bounded time: control frames still get through,
+    anything else is shed ``overloaded`` (``<family>.shed``).
+
+    A front end defines ``_answer_request(sock, body, request_id)``,
+    ``_health(body) -> dict``, ``_stop()`` (which may run on the accept
+    thread), ``_count_error(cause)`` and ``_request_id() -> str``.
+    """
+
+    #: Prefix of the ``.shed`` and ``.shutdown_denied`` counters.
+    family = "serve"
+    #: Named in the ``KIND_HEALTH`` acknowledgement of a shutdown.
+    shard_name = ""
+
+    def __init__(
+        self, capacity: int, workers: int, request_timeout_s: float
+    ) -> None:
+        #: Shutdown secret, minted at bind time from OS entropy. 128
+        #: bits rendered as hex; compared constant-time.
+        self.shutdown_token = f"{secure_rng().getrandbits(128):032x}"
+        self._workers = workers
+        self._request_timeout_s = request_timeout_s
+        self._stopping = threading.Event()
+        self._lock = threading.Lock()
+        self._admitted = 0     # connections holding a slot
+        self._queue_peak = 0
+        self._slots = threading.BoundedSemaphore(capacity)
+
+    def _accept_loop(self) -> None:
+        """Accept and dispatch on the calling thread until stopped (or
+        the listener closed), then drain: every admitted connection
+        finishes before this returns."""
+        executor = ThreadPoolExecutor(
+            max_workers=self._workers,
+            thread_name_prefix=f"repro-{self.family}",
+        )
+        # Closing a listener does not wake a blocked accept() on Linux,
+        # so the loop polls: a short accept timeout bounds how long a
+        # stop from another thread can go unnoticed.
+        self.listener.settimeout(0.1)
+        try:
+            while not self._stopping.is_set():
+                try:
+                    sock, _ = self.listener.accept()
+                except socket.timeout:
+                    continue  # re-check the stop condition
+                except OSError:
+                    break  # listener closed (shutdown) or torn down
+                request_id = self._request_id()
+                if self._slots.acquire(blocking=False):
+                    self._note_admitted(+1)
+                    executor.submit(
+                        self._worker, sock, request_id, time.monotonic()
+                    )
+                else:
+                    self._serve_connection(sock, request_id, admitted=False)
+        finally:
+            self._stopping.set()
+            executor.shutdown(wait=True)  # graceful drain
+
+    def _note_admitted(self, delta: int) -> None:
+        # Only a server queues (and reports serve.queue_*): a fleet
+        # frontend has a relay thread per slot.
+        with self._lock:
+            self._admitted += delta
+            depth = max(0, self._admitted - self._workers)
+            self._queue_peak = max(self._queue_peak, depth)
+            peak = self._queue_peak
+        if self.family == "serve":
+            telemetry.gauge("serve.queue_depth", depth)
+            telemetry.gauge("serve.queue_peak", peak)
+
+    def _worker(
+        self, sock: socket.socket, request_id: str, accepted_at: float
+    ) -> None:
+        if self.family == "serve":
+            telemetry.observe(
+                "serve.queue_wait", time.monotonic() - accepted_at
+            )
+        self._serve_connection(sock, request_id, admitted=True)
+
+    def _serve_connection(
+        self, sock: socket.socket, request_id: str, admitted: bool
+    ) -> None:
+        try:
+            with sock:
+                self._answer_first_frame(sock, request_id, admitted)
+        except Exception:
+            # Handlers report their own failures to the client; this
+            # boundary only guarantees a broken socket or a bug in the
+            # error path itself cannot take a thread down with it.
+            self._count_error("handler")
+        finally:
+            if admitted:
+                self._note_admitted(-1)
+                self._slots.release()
+
+    def _answer_first_frame(
+        self, sock: socket.socket, request_id: str, admitted: bool
+    ) -> None:
+        """Read a connection's first frame and answer it.
+
+        An admitted connection may send any frame up to the wire cap
+        within the request deadline. Beyond capacity the accept thread
+        reads at most :data:`_CONTROL_FRAME_BYTES` of body, each socket
+        read capped at :data:`_SHED_S`, and answers only control frames;
+        a request, a slow or oversized frame, or a vanished client is
+        shed ``overloaded``.
+        """
+        kind = body = None
+        if admitted:
+            sock.settimeout(self._request_timeout_s)
+            try:
+                kind, body = wire.recv_frame(sock)
+            except wire.FrameTooLarge as error:
+                self._count_error("frame_too_large")
+                send_error(sock, "bad-request", str(error), request_id)
+                return
+            except (wire.WireError, OSError):
+                return  # client vanished before sending a request
+        else:
+            sock.settimeout(_SHED_S)
+            try:
+                kind, body = wire.recv_frame(sock, _CONTROL_FRAME_BYTES)
+            except (wire.WireError, OSError):
+                pass  # slow, oversized or gone: shed below
+        if kind == wire.KIND_SHUTDOWN:
+            if token_matches(body, self.shutdown_token):
+                send_reply(sock, wire.KIND_HEALTH, wire.health_payload(
+                    "stopping", shard=self.shard_name
+                ))
+                self._stop()
+            else:
+                telemetry.count(f"{self.family}.shutdown_denied")
+                send_error(
+                    sock, "bad-request",
+                    "shutdown requires this server's shutdown token",
+                    request_id,
+                )
+        elif kind == wire.KIND_HEALTH:
+            send_reply(sock, wire.KIND_HEALTH, self._health(body))
+        elif not admitted:
+            telemetry.count(f"{self.family}.shed")
+            send_error(
+                sock, "overloaded", "server at capacity; retry with backoff",
+                request_id,
+            )
+            # Half-close and drain before the close: closing with the
+            # client's unread bytes in our receive buffer would send a
+            # TCP RST, which flushes the client's buffered KIND_ERROR
+            # before it can read it.
+            try:
+                sock.shutdown(socket.SHUT_WR)
+                while sock.recv(4096):
+                    pass
+            except OSError:
+                pass  # client already gone, or slow enough to forfeit
+        elif kind == wire.KIND_REQUEST:
+            self._answer_request(sock, body, request_id)
+        else:
+            # A protocol frame (MSG, KEYS, RESULT, ERROR) or an unknown
+            # kind byte opens no session: a client bug, answered.
+            count_error("bad_request")
+            send_error(
+                sock, "bad-request",
+                f"a connection must open with a request, health or "
+                f"shutdown frame, not kind 0x{kind:02X}",
+                request_id,
+            )
+
+
+class ClassificationServer(FrontDoor):
     """Concurrent server for live hybrid classification queries.
 
     Parameters
@@ -73,8 +263,8 @@ class ClassificationServer:
         as read-only by every handler).
     listener:
         An already-bound, listening TCP socket. The server owns its
-        lifecycle from :meth:`serve_forever` on: :meth:`shutdown`
-        closes it to break the accept loop.
+        lifecycle from :meth:`serve_forever` on: :meth:`shutdown` closes
+        it to break the accept loop.
     config:
         A :class:`~repro.core.session.SessionConfig`; the serving
         runtime reads ``max_workers``, ``queue_depth``,
@@ -88,16 +278,15 @@ class ClassificationServer:
         id (``s0-req-000001``) and is echoed in ``KIND_HEALTH`` replies
         so fleet clients and tests can attribute work to a shard.
 
-    A remote ``KIND_SHUTDOWN`` frame is honored only when its body
-    carries :attr:`shutdown_token` -- a per-server secret generated at
-    construction (bind) time and never sent on the wire by the server
-    itself. Anyone else gets a ``bad-request`` error and the server
-    keeps serving; the CLI prints the token and the fleet frontend uses
-    it for graceful drain.
+    A remote ``KIND_SHUTDOWN`` frame is honored, even when every slot
+    is taken, only when its body carries :attr:`shutdown_token` -- a
+    per-server secret minted at construction (bind) time and never sent
+    on the wire by the server itself. The CLI prints the token and the
+    fleet frontend uses it for graceful drain.
 
     Example::
 
-        listener = socket.create_server(("127.0.0.1", 0))
+        listener = socket.create_server(("127.0.0.1", 0), backlog=128)
         server = ClassificationServer(
             deployed, listener,
             config=SessionConfig(max_workers=4, queue_depth=16),
@@ -119,9 +308,12 @@ class ClassificationServer:
         self.config = config if config is not None else SessionConfig()
         self.shard_name = str(shard_name)
         self._id_prefix = f"{self.shard_name}-" if self.shard_name else ""
-        #: Per-server shutdown secret, minted at bind time from OS
-        #: entropy. 128 bits rendered as hex; compared constant-time.
-        self.shutdown_token = f"{secure_rng().getrandbits(128):032x}"
+        self._accepted = 0  # connections accepted (request ids)
+        super().__init__(
+            self.config.max_workers + self.config.queue_depth,
+            self.config.max_workers,
+            self.config.request_timeout_s,
+        )
         # One engine, on the process-default bignum backend, shared by
         # every request context.
         self._engine = CryptoEngine()
@@ -135,55 +327,15 @@ class ClassificationServer:
         # when config.ledger_path is set (and the bundle carries a
         # risk_model). One enforcer -> one ledger for this process.
         self._budget = BudgetEnforcer.from_config(deployed, self.config)
-        self._stopping = threading.Event()
         self._drained = threading.Event()
-        self._lock = threading.Lock()
-        self._admitted = 0     # requests holding a worker/queue slot
-        self._accepted = 0     # connections accepted (request ids)
-        self._queue_peak = 0
-        capacity = self.config.max_workers + self.config.queue_depth
-        self._slots = threading.BoundedSemaphore(capacity)
 
     # -- lifecycle ------------------------------------------------------
 
     def serve_forever(self) -> None:
-        """Accept-and-dispatch loop; returns after shutdown + drain.
-
-        Runs on the calling thread (the *listener thread*); request
-        handlers run on the pool. On exit -- shutdown requested, or the
-        listener closed under us -- the pool is drained: every in-flight
-        request finishes before this method returns.
-        """
-        executor = ThreadPoolExecutor(
-            max_workers=self.config.max_workers,
-            thread_name_prefix="repro-serve",
-        )
-        # Closing a listener does not wake a blocked accept() on Linux,
-        # so the loop polls: a short accept timeout bounds how long a
-        # shutdown() from another thread can go unnoticed.
-        self.listener.settimeout(0.1)
+        """Accept-and-dispatch loop; returns after shutdown + drain."""
         try:
-            while not self._stopping.is_set():
-                try:
-                    sock, _ = self.listener.accept()
-                except socket.timeout:
-                    continue  # re-check the stop condition
-                except OSError:
-                    break  # listener closed (shutdown) or torn down
-                with self._lock:
-                    self._accepted += 1
-                    request_id = f"{self._id_prefix}req-{self._accepted:06d}"
-                if not self._slots.acquire(blocking=False):
-                    telemetry.count("serve.shed")
-                    shed(sock, request_id)
-                    continue
-                self._note_admitted(+1)
-                executor.submit(
-                    self._worker, sock, request_id, time.monotonic()
-                )
+            self._accept_loop()
         finally:
-            self._stopping.set()
-            executor.shutdown(wait=True)  # graceful drain
             if self._budget is not None:
                 self._budget.close()  # after drain: no in-flight charges
             self._drained.set()
@@ -192,9 +344,9 @@ class ClassificationServer:
         """Stop accepting new connections and let in-flight requests
         finish (the drain itself happens in :meth:`serve_forever`).
 
-        Safe to call from any thread, including a request handler (the
-        ``KIND_SHUTDOWN`` frame path) -- it only signals and closes the
-        listener, it never joins the pool.
+        Safe to call from any thread, including a request handler or
+        the accept thread (the ``KIND_SHUTDOWN`` frame path) -- it only
+        signals and closes the listener, it never joins the pool.
         """
         self._stopping.set()
         for stopper in (
@@ -206,71 +358,26 @@ class ClassificationServer:
             except OSError:
                 pass  # already closed, or the platform rejects the nudge
 
+    _stop = shutdown
+
     def wait_drained(self, timeout: Optional[float] = None) -> bool:
         """Block until :meth:`serve_forever` finished draining."""
         return self._drained.wait(timeout)
 
-    # -- admission control ---------------------------------------------
-
-    def _note_admitted(self, delta: int) -> None:
-        with self._lock:
-            self._admitted += delta
-            depth = max(0, self._admitted - self.config.max_workers)
-            self._queue_peak = max(self._queue_peak, depth)
-            peak = self._queue_peak
-        telemetry.gauge("serve.queue_depth", depth)
-        telemetry.gauge("serve.queue_peak", peak)
-
     # -- request handling ----------------------------------------------
 
-    def _worker(
-        self, sock: socket.socket, request_id: str, accepted_at: float
-    ) -> None:
-        """Pool entry point: queue accounting + the isolation boundary."""
-        telemetry.observe(
-            "serve.queue_wait", time.monotonic() - accepted_at
-        )
-        try:
-            with sock:
-                self._handle(sock, request_id)
-        except Exception:
-            # The handler reports its own failures to the client; this
-            # boundary only guarantees a broken socket or a bug in the
-            # error path itself cannot take a pool thread down with it.
-            count_error("handler")
-        finally:
-            self._note_admitted(-1)
-            self._slots.release()
+    def _request_id(self) -> str:
+        with self._lock:
+            self._accepted += 1
+            return f"{self._id_prefix}req-{self._accepted:06d}"
 
-    def _handle(self, sock: socket.socket, request_id: str) -> None:
-        """Serve one accepted connection end to end."""
-        sock.settimeout(self.config.request_timeout_s)
-        try:
-            kind, body = wire.recv_frame(sock)
-        except wire.FrameTooLarge as error:
-            count_error("frame_too_large")
-            send_error(sock, "bad-request", str(error), request_id)
-            return
-        except (wire.WireError, OSError):
-            return  # client vanished before sending a request
-        if kind == wire.KIND_SHUTDOWN:
-            if token_matches(body, self.shutdown_token):
-                self._send_health(sock, "stopping")
-                self.shutdown()
-            else:
-                telemetry.count("serve.shutdown_denied")
-                send_error(
-                    sock, "bad-request",
-                    "shutdown requires this server's shutdown token",
-                    request_id,
-                )
-            return
-        if kind == wire.KIND_HEALTH:
-            self._send_health(sock, "ok", body)
-            return
-        if kind != wire.KIND_REQUEST:
-            reject_first_frame(sock, kind, request_id)
-            return
+    def _count_error(self, cause: str) -> None:
+        count_error(cause)
+
+    def _answer_request(
+        self, sock: socket.socket, body: bytes, request_id: str
+    ) -> None:
+        """Serve one admitted ``KIND_REQUEST`` end to end."""
         telemetry.count("serve.requests")
         try:
             session = RequestSession.from_payload(
@@ -365,36 +472,25 @@ class ClassificationServer:
             except OSError:  # pragma: no cover - already dropped
                 pass
 
-    def _send_health(
-        self, sock: socket.socket, status: str, body: bytes = b""
-    ) -> None:
-        """Best-effort ``KIND_HEALTH`` reply to a probe (or as an ack).
-
-        A probe whose body asks ``{"telemetry": true}`` gets this
-        process's full registry snapshot attached, which is how the
-        fleet frontend collects per-shard metrics to merge.
-        """
-        with_telemetry = False
-        if body:
-            try:
-                probe = wire.WireCodec().decode(body)
-                with_telemetry = bool(
-                    isinstance(probe, dict) and probe.get("telemetry")
-                )
-            except wire.WireError:
-                pass  # a bare probe still deserves a liveness answer
-        payload = wire.health_payload(
-            status,
+    def _health(self, body: bytes) -> dict:
+        """Liveness reply; a probe whose body asks ``{"telemetry":
+        true}`` gets this process's full registry snapshot attached,
+        which is how the fleet frontend collects per-shard metrics."""
+        try:
+            probe = wire.WireCodec().decode(body) if body else None
+        except wire.WireError:
+            probe = None  # a bare probe still deserves a liveness answer
+        with_telemetry = isinstance(probe, dict) and bool(
+            probe.get("telemetry")
+        )
+        return wire.health_payload(
+            "ok",
             shard=self.shard_name,
             telemetry=telemetry.snapshot() if with_telemetry else None,
         )
-        try:
-            wire.send_frame(sock, wire.KIND_HEALTH, wire.encode(payload))
-        except OSError:  # pragma: no cover - prober already disconnected
-            pass
 
 
-# -- frame helpers shared with the fleet frontend ----------------------------
+# -- frame helpers -----------------------------------------------------------
 
 
 def count_error(cause: str) -> None:
@@ -403,62 +499,21 @@ def count_error(cause: str) -> None:
     telemetry.count(f"serve.errors.{cause}")
 
 
-def send_error(
-    sock: socket.socket, code: str, message: str, request_id: str
-) -> None:
-    """Best-effort ``KIND_ERROR`` reply (the client may be gone)."""
+def send_reply(sock: socket.socket, kind: int, payload) -> None:
+    """Best-effort reply frame (the client may be gone)."""
     try:
-        body = wire.encode(wire.error_payload(code, message, request_id))
-        wire.send_frame(sock, wire.KIND_ERROR, body)
+        wire.send_frame(sock, kind, wire.encode(payload))
     except OSError:  # pragma: no cover - peer already disconnected
         pass
 
 
-def reject_first_frame(
-    sock: socket.socket, kind: int, request_id: str
+def send_error(
+    sock: socket.socket, code: str, message: str, request_id: str
 ) -> None:
-    """Answer a first frame that opens no session: ``bad-request``.
-
-    A connection must open with ``KIND_REQUEST``, ``KIND_HEALTH`` or
-    ``KIND_SHUTDOWN``; a protocol frame (``MSG``, ``KEYS``, ``RESULT``,
-    ``ERROR``) or an unknown kind byte is a client bug, answered and
-    counted in ``serve.errors.bad_request`` rather than dropped.
-    """
-    count_error("bad_request")
-    send_error(
-        sock, "bad-request",
-        f"a connection must open with a request, health or shutdown "
-        f"frame, not kind 0x{kind:02X}",
-        request_id,
+    """Best-effort ``KIND_ERROR`` reply."""
+    send_reply(
+        sock, wire.KIND_ERROR, wire.error_payload(code, message, request_id)
     )
-
-
-def shed(sock: socket.socket, request_id: str) -> None:
-    """Reject one connection beyond capacity, in bounded time.
-
-    Runs on an accept thread: the request is never decoded, the error
-    frame fits in the empty send buffer of a fresh connection, and
-    every socket operation is capped at a fraction of a second. The
-    half-close-and-drain before ``close`` matters: closing with the
-    client's unread request bytes still in our receive buffer would
-    send a TCP RST, which flushes the client's buffered ``KIND_ERROR``
-    before it can read it. The caller counts the shed.
-    """
-    try:
-        sock.settimeout(0.25)
-        body = wire.encode(wire.error_payload(
-            "overloaded",
-            "server at capacity; retry with backoff",
-            request_id,
-        ))
-        wire.send_frame(sock, wire.KIND_ERROR, body)
-        sock.shutdown(socket.SHUT_WR)
-        while sock.recv(4096):
-            pass
-    except OSError:
-        pass  # client already gone, or slow enough to forfeit
-    finally:
-        sock.close()
 
 
 def token_matches(body: bytes, token: str) -> bool:

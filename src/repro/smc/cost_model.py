@@ -84,27 +84,6 @@ NATIVE_1024 = HardwareProfile(
     ciphertext_bytes=256,
 )
 
-NATIVE_2048 = HardwareProfile(
-    name="native-paillier2048",
-    op_seconds={
-        # Modexp scales ~cubically in the modulus size: 2048-bit ops are
-        # roughly 6x their 1024-bit counterparts.
-        Op.PAILLIER_ENCRYPT: 9.5e-3,
-        Op.PAILLIER_DECRYPT: 7.0e-3,
-        Op.PAILLIER_ADD: 1.5e-5,
-        Op.PAILLIER_SCALAR_MUL: 1.5e-3,
-        Op.PAILLIER_RERANDOMIZE: 9.5e-3,
-        Op.DGK_ENCRYPT: 1.2e-3,
-        Op.DGK_ZERO_TEST: 9.0e-4,
-        Op.DGK_ADD: 5.0e-6,
-        Op.DGK_SCALAR_MUL: 2.4e-4,
-        Op.OT_TRANSFER_1OF2: 8.0e-3,
-        Op.SHARE_MUL_TRIPLE: 2.0e-6,
-        Op.SYMMETRIC_OP: 1.0e-7,
-    },
-    ciphertext_bytes=512,
-)
-
 
 @dataclass(frozen=True)
 class CostBreakdown:

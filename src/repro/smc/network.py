@@ -186,19 +186,3 @@ class NetworkProfile:
         latency_seconds=40e-3,
         bandwidth_bytes_per_second=6.25e6,  # 50 Mbit/s
     )
-
-    @classmethod
-    def by_name(cls, name: str) -> NetworkModel:
-        """Look a profile up by its name (case-insensitive)."""
-        profiles = {
-            "loopback": cls.LOOPBACK,
-            "lan": cls.LAN,
-            "wan": cls.WAN,
-        }
-        try:
-            return profiles[name.lower()]
-        except KeyError:
-            raise ChannelError(
-                f"unknown network profile {name!r}; expected one of "
-                f"{sorted(profiles)}"
-            ) from None

@@ -346,3 +346,52 @@ def test_frontend_sheds_connections_beyond_its_capacity(deployed, row):
     finally:
         fleet.shutdown()
         telemetry.configure(False, reset=True)
+
+
+def test_frontend_control_frames_get_through_at_capacity(deployed, row):
+    """A full frontend (capacity 1, one idle connection held) still
+    answers a health probe and a stranger's shutdown, sheds a request,
+    and stops the fleet on the fleet token's shutdown."""
+    telemetry.configure(True, reset=True)
+    fleet = make_fleet(deployed, shards=1, max_workers=1, queue_depth=0)
+    fleet.start()
+
+    def control_frame(kind, payload):
+        with socket.create_connection(
+            ("127.0.0.1", fleet.port), timeout=30
+        ) as s:
+            wire.send_frame(s, kind, wire.encode(payload))
+            reply_kind, reply = wire.recv_frame(s)
+            assert s.recv(1) == b""  # one reply, then close
+        return reply_kind, wire.WireCodec().decode(reply)
+
+    try:
+        with socket.create_connection(("127.0.0.1", fleet.port),
+                                      timeout=30):
+            kind, reply = control_frame(wire.KIND_HEALTH, None)
+            assert kind == wire.KIND_HEALTH
+            assert reply["shard"] == "frontend"
+            assert [s["name"] for s in reply["shards"]] == ["s0"]
+            with pytest.raises(ServerError) as excinfo:
+                request_classification(
+                    "127.0.0.1", fleet.port, row, seed=_BASE_SEED,
+                    config=TransportConfig(retries=0),
+                )
+            assert excinfo.value.code == "overloaded"
+            kind, reply = control_frame(
+                wire.KIND_SHUTDOWN, wire.shutdown_payload("0" * 32)
+            )
+            assert (kind, reply["code"]) == (wire.KIND_ERROR, "bad-request")
+            assert not fleet.wait(timeout=0.5)
+            kind, reply = control_frame(
+                wire.KIND_SHUTDOWN,
+                wire.shutdown_payload(fleet.shutdown_token),
+            )
+            assert (kind, reply["status"]) == (wire.KIND_HEALTH, "stopping")
+            assert fleet.wait(timeout=30)
+        counters = telemetry.snapshot()["counters"]
+        assert counters["fleet.shed"] == 1
+        assert counters["fleet.shutdown_denied"] == 1
+    finally:
+        fleet.shutdown()
+        telemetry.configure(False, reset=True)

@@ -388,6 +388,55 @@ def test_token_shutdown_frame_stops_the_server(deployed):
     assert server.wait_drained(timeout=1)
 
 
+def control_frame(port, kind, payload):
+    """One control frame on a fresh connection: its decoded reply."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
+        wire.send_frame(s, kind, wire.encode(payload))
+        reply_kind, reply = wire.recv_frame(s)
+        assert s.recv(1) == b""  # one reply, then close
+    return reply_kind, wire.WireCodec().decode(reply)
+
+
+def test_control_frames_get_through_at_capacity(deployed, rows):
+    """With its only slot held by an idle connection, the server still
+    answers a health probe and a stranger's shutdown, sheds a request,
+    and stops on its own token's shutdown."""
+    import repro.telemetry as telemetry
+
+    telemetry.configure(True, reset=True)
+    server, thread, port = start_server(
+        deployed, max_workers=1, queue_depth=0
+    )
+    idle = socket.create_connection(("127.0.0.1", port), timeout=30)
+    try:
+        kind, reply = control_frame(port, wire.KIND_HEALTH, None)
+        assert (kind, reply["status"]) == (wire.KIND_HEALTH, "ok")
+        with pytest.raises(ServerError) as excinfo:
+            request_classification(
+                "127.0.0.1", port, rows[0], seed=_BASE_SEED,
+                config=TransportConfig(retries=0),
+            )
+        assert excinfo.value.code == "overloaded"
+        kind, reply = control_frame(
+            port, wire.KIND_SHUTDOWN, wire.shutdown_payload("0" * 32)
+        )
+        assert (kind, reply["code"]) == (wire.KIND_ERROR, "bad-request")
+        assert thread.is_alive()
+        kind, reply = control_frame(
+            port, wire.KIND_SHUTDOWN,
+            wire.shutdown_payload(server.shutdown_token),
+        )
+        assert (kind, reply["status"]) == (wire.KIND_HEALTH, "stopping")
+        counters = telemetry.snapshot()["counters"]
+    finally:
+        idle.close()
+        thread.join(timeout=30)
+        telemetry.configure(False, reset=True)
+    assert not thread.is_alive()  # serve_forever returned
+    assert counters["serve.shed"] == 1
+    assert counters["serve.shutdown_denied"] == 1
+
+
 def test_health_probe_can_carry_telemetry(deployed):
     """A KIND_HEALTH probe asking for telemetry gets this shard's
     registry snapshot attached (the fleet frontend's merge source)."""

@@ -4,7 +4,6 @@ import pytest
 
 from repro.smc.cost_model import (
     NATIVE_1024,
-    NATIVE_2048,
     CostModel,
     calibrate_hardware_profile,
 )
@@ -26,10 +25,6 @@ def _sample_trace() -> ExecutionTrace:
 class TestHardwareProfiles:
     def test_compute_seconds_positive(self):
         assert NATIVE_1024.compute_seconds(_sample_trace()) > 0
-
-    def test_2048_slower_than_1024(self):
-        trace = _sample_trace()
-        assert NATIVE_2048.compute_seconds(trace) > NATIVE_1024.compute_seconds(trace)
 
     def test_missing_ops_priced_zero(self):
         trace = ExecutionTrace()

@@ -133,12 +133,6 @@ class TestNetworkModel:
             wan = NetworkProfile.WAN.transfer_seconds(total_bytes, rounds)
             assert loopback < lan < wan
 
-    def test_by_name(self):
-        assert NetworkProfile.by_name("lan") is NetworkProfile.LAN
-        assert NetworkProfile.by_name("WAN") is NetworkProfile.WAN
-        with pytest.raises(ChannelError):
-            NetworkProfile.by_name("dialup")
-
 
 class TestTransportFailureAccounting:
     # Regression: a frame that never crosses the wire must not be

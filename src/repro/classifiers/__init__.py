@@ -18,25 +18,15 @@ bit-compatible.
 
 from repro.classifiers.base import Classifier
 from repro.classifiers.decision_tree import DecisionTreeClassifier, TreeNode
-from repro.classifiers.forest import RandomForestClassifier
 from repro.classifiers.linear import LogisticRegressionClassifier
 from repro.classifiers.metrics import accuracy
 from repro.classifiers.naive_bayes import NaiveBayesClassifier
-from repro.classifiers.regression import (
-    RidgeRegression,
-    mean_absolute_error,
-    r2_score,
-)
 
 __all__ = [
     "Classifier",
     "DecisionTreeClassifier",
     "LogisticRegressionClassifier",
     "NaiveBayesClassifier",
-    "RandomForestClassifier",
-    "RidgeRegression",
     "TreeNode",
     "accuracy",
-    "mean_absolute_error",
-    "r2_score",
 ]

@@ -84,7 +84,6 @@ class DecisionTreeClassifier(Classifier):
         max_depth: int = 6,
         min_samples_split: int = 4,
         min_impurity_decrease: float = 1e-7,
-        candidate_features: Optional[List[int]] = None,
     ) -> None:
         if max_depth < 0:
             raise ClassifierError(f"max_depth must be non-negative: {max_depth}")
@@ -95,11 +94,6 @@ class DecisionTreeClassifier(Classifier):
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_impurity_decrease = min_impurity_decrease
-        # Restricting split candidates enables random-forest feature
-        # subsampling without copying the data matrix.
-        self.candidate_features = (
-            list(candidate_features) if candidate_features is not None else None
-        )
         self._root: Optional[TreeNode] = None
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "DecisionTreeClassifier":
@@ -107,12 +101,7 @@ class DecisionTreeClassifier(Classifier):
         features = np.asarray(features)
         labels = np.asarray(labels)
         self._register_training_shape(features, labels)
-        candidates = (
-            self.candidate_features
-            if self.candidate_features is not None
-            else range(features.shape[1])
-        )
-        search = _SplitSearch(features, labels, candidates)
+        search = _SplitSearch(features, labels, range(features.shape[1]))
         self._root = self._grow(search, np.arange(len(labels)), depth=0)
         return self
 

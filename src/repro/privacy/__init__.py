@@ -33,15 +33,8 @@ from repro.privacy.inversion import (
     ModelInversionAttack,
     augment_with_model_output,
 )
-from repro.privacy.randomized_response import (
-    NoisyDisclosureAdversary,
-    accuracy_under_noise,
-    epsilon_of_channel,
-    randomized_response_channel,
-)
 from repro.privacy.risk import (
     RiskMetric,
-    RiskModel,
     entropy_loss_risk,
     inference_accuracy_risk,
     max_posterior_confidence,
@@ -55,13 +48,8 @@ __all__ = [
     "InversionReport",
     "ModelInversionAttack",
     "NaiveBayesAdversary",
-    "NoisyDisclosureAdversary",
-    "accuracy_under_noise",
     "augment_with_model_output",
-    "epsilon_of_channel",
-    "randomized_response_channel",
     "RiskMetric",
-    "RiskModel",
     "entropy_loss_risk",
     "inference_accuracy_risk",
     "max_posterior_confidence",

@@ -49,8 +49,7 @@ class IncrementalRiskEvaluator:
     sensitive_columns:
         The adversary's targets.
     metric:
-        Aggregation metric (same semantics as
-        :class:`repro.privacy.risk.RiskModel`).
+        Aggregation metric (see :class:`repro.privacy.risk.RiskMetric`).
     """
 
     def __init__(

@@ -29,8 +29,6 @@ from repro.secure.base import SecureClassifier
 from repro.secure.encoding import FixedPointEncoder
 from repro.secure.secure_linear import SecureLinearClassifier
 from repro.secure.secure_naive_bayes import SecureNaiveBayesClassifier
-from repro.secure.secure_forest import SecureRandomForestClassifier
-from repro.secure.secure_regression import SecureRegression
 from repro.secure.secure_tree import SecureDecisionTreeClassifier
 
 __all__ = [
@@ -39,6 +37,4 @@ __all__ = [
     "SecureDecisionTreeClassifier",
     "SecureLinearClassifier",
     "SecureNaiveBayesClassifier",
-    "SecureRandomForestClassifier",
-    "SecureRegression",
 ]

@@ -105,7 +105,7 @@ class ProtocolBackend(abc.ABC):
       learns ``score_1 >= score_0`` and nothing else;
     * :meth:`argmax_client_learns` -- multi-class decision: the client
       learns the index of the maximum score and nothing else;
-    * :meth:`reveal_score_to_client` -- regression output: the client
+    * :meth:`reveal_score_to_client` -- score output: the client
       learns the raw fixed-point score.
 
     :meth:`prepare_offline` moves precomputable work (triple dealing,
@@ -458,7 +458,7 @@ class SharesBackend(ProtocolBackend):
         """Exact offline material one query consumes: ``triples`` and
         ``comparisons`` (masks), for provisioning and benchmarks.
 
-        ``n_classes`` of 0 or 1 means a regression/score-reveal query
+        ``n_classes`` of 0 or 1 means a score-reveal query
         (no comparison); triple consumption is data-independent, so
         these counts are exact, not bounds.
         """

@@ -172,9 +172,10 @@ class SecureDecisionTreeClassifier(SecureClassifier):
         # Client encrypts each hidden feature the residual tree uses
         # (one engine batch), then one batched encrypted comparison runs
         # per residual internal node.
-        encrypted = _encrypt_hidden_features(ctx, row, [residual])
+        nodes = _internal_nodes(residual)
+        encrypted = _encrypt_hidden_features(ctx, row, nodes)
         branch_bits = _compare_residual_nodes(
-            ctx, self.features, encrypted, _internal_nodes(residual)
+            ctx, self.features, encrypted, nodes
         )
         leaves = _path_costs(ctx, residual, branch_bits)
 
@@ -300,15 +301,11 @@ class SecureDecisionTreeClassifier(SecureClassifier):
 
 
 def _encrypt_hidden_features(
-    ctx: TwoPartyContext, row: np.ndarray, residuals: Sequence[TreeNode]
+    ctx: TwoPartyContext, row: np.ndarray, nodes: Sequence[TreeNode]
 ) -> Dict[int, PaillierCiphertext]:
     """Client: encrypt (one engine batch) and ship every hidden feature
-    the residual trees test; returns ``feature -> [x_f]``."""
-    used_features = sorted({
-        node.feature
-        for residual in residuals
-        for node in _internal_nodes(residual)
-    })
+    the residual tree's ``nodes`` test; returns ``feature -> [x_f]``."""
+    used_features = sorted({node.feature for node in nodes})
     ciphertexts = ctx.client_encrypt_batch(
         [int(row[f]) for f in used_features]
     )

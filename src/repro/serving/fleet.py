@@ -495,7 +495,10 @@ class ClassificationFleet(FrontDoor):
         mid-request (EOF before ``KIND_RESULT``/``KIND_ERROR``) gets
         replaced by a synthesized ``internal`` error to the client and
         marked unhealthy. The client->shard leg is a plain pump on a
-        helper thread.
+        helper thread. When the relay ends, the client socket's read
+        side is shut down so the pump's ``recv`` returns at once: a
+        close from this thread would neither wake it nor send the
+        client its EOF until the request deadline.
         """
         pump = threading.Thread(
             target=_pump_frames, args=(client, upstream), daemon=True
@@ -528,10 +531,12 @@ class ClassificationFleet(FrontDoor):
         finally:
             if terminal:
                 telemetry.count("fleet.completed")
-            try:
-                upstream.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+            for sock, how in ((upstream, socket.SHUT_RDWR),
+                              (client, socket.SHUT_RD)):
+                try:
+                    sock.shutdown(how)
+                except OSError:
+                    pass
             pump.join(timeout=2)
 
 

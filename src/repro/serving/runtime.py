@@ -62,10 +62,12 @@ from repro.smc import wire
 from repro.smc.transport import TcpTransport, TransportError
 
 
-#: Timeout of each socket operation on a connection beyond capacity,
-#: which runs on the accept thread. The overloaded reply fits in the
-#: empty send buffer of a fresh connection.
-_SHED_S = 0.25
+#: Whole time the accept thread spends reading a connection beyond
+#: capacity: its first frame and, after an overloaded reply, the drain.
+#: One deadline for both, so a client that trickles bytes cannot hold
+#: the accept thread longer. The reply fits in the empty send buffer of
+#: a fresh connection.
+_SHED_S = 0.5
 
 #: Largest first-frame body read beyond capacity. A shutdown or health
 #: frame fits; a request frame is larger and is shed unread.
@@ -186,10 +188,10 @@ class FrontDoor:
 
         An admitted connection may send any frame up to the wire cap
         within the request deadline. Beyond capacity the accept thread
-        reads at most :data:`_CONTROL_FRAME_BYTES` of body, each socket
-        read capped at :data:`_SHED_S`, and answers only control frames;
-        a request, a slow or oversized frame, or a vanished client is
-        shed ``overloaded``.
+        reads at most :data:`_CONTROL_FRAME_BYTES` of body, all of it
+        and the drain within :data:`_SHED_S`, and answers only control
+        frames; a request, a slow or oversized frame, or a vanished
+        client is shed ``overloaded``.
         """
         kind = body = None
         if admitted:
@@ -203,9 +205,9 @@ class FrontDoor:
             except (wire.WireError, OSError):
                 return  # client vanished before sending a request
         else:
-            sock.settimeout(_SHED_S)
+            reader = _ReadDeadline(sock, time.monotonic() + _SHED_S)
             try:
-                kind, body = wire.recv_frame(sock, _CONTROL_FRAME_BYTES)
+                kind, body = wire.recv_frame(reader, _CONTROL_FRAME_BYTES)
             except (wire.WireError, OSError):
                 pass  # slow, oversized or gone: shed below
         if kind == wire.KIND_SHUTDOWN:
@@ -235,7 +237,7 @@ class FrontDoor:
             # before it can read it.
             try:
                 sock.shutdown(socket.SHUT_WR)
-                while sock.recv(4096):
+                while reader.recv(4096):
                     pass
             except OSError:
                 pass  # client already gone, or slow enough to forfeit
@@ -251,6 +253,21 @@ class FrontDoor:
                 f"shutdown frame, not kind 0x{kind:02X}",
                 request_id,
             )
+
+
+class _ReadDeadline:
+    """A socket's reads, all of which must end by one deadline."""
+
+    def __init__(self, sock: socket.socket, deadline: float) -> None:
+        self._sock = sock
+        self._deadline = deadline
+
+    def recv(self, size: int) -> bytes:
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0:
+            raise socket.timeout("read deadline passed")
+        self._sock.settimeout(remaining)
+        return self._sock.recv(size)
 
 
 class ClassificationServer(FrontDoor):

@@ -239,9 +239,9 @@ def share_reveal_to_client(
 ) -> int:
     """Protocol phase revealing one shared result to the client.
 
-    Used by the regression path to hand the raw fixed-point score to
-    the client; the server only ever sends its own uniformly random
-    share, so nothing about the client's features leaks back.
+    The shares backend's ``reveal_score_to_client``: it hands one raw
+    score to the client. The server only ever sends its own uniformly
+    random share, so nothing about the client's features leaks back.
     """
     session.ctx.channel.reset_direction()
     return session.reveal_to_client(value, signed=signed)

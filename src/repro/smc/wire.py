@@ -108,15 +108,19 @@ MAX_NESTING_DEPTH = 64
 #: alone would let one frame cost the server gigabytes. The decoder
 #: checks each container's declared length against what is left, so a
 #: payload is refused before its items are built. Protocol payloads
-#: stay far below: the largest flight of a 15-tree, depth-8 forest
-#: query on the warfarin cohort holds 6 236 elements, at any key size.
+#: stay far below. The largest flight of a pure-SMC query to a depth-8
+#: warfarin tree is its batched DGK comparison flight: one list per
+#: internal node (139) of four DGK ciphertexts, 696 elements at any key
+#: size. That figure is analytic, counted from the flight's shape.
 MAX_DECODE_ELEMENTS = 1 << 20
 
 #: Largest frame body :func:`recv_frame` accepts from a peer; a longer
 #: declared length raises :class:`FrameTooLarge` before any of the body
-#: is read. The largest protocol frames are batched comparison flights:
-#: a whole 15-tree, depth-8 forest query at 4096/2048-bit keys moves
-#: under 9 MB each way. A shard's ``KIND_HEALTH`` reply with telemetry
+#: is read. Protocol frames stay far below: by the tree's
+#: ``estimated_trace`` at 4096/2048-bit keys (analytic, not measured), a
+#: whole pure-SMC query to a depth-8 warfarin tree moves under 0.6 MB
+#: each way, and its largest frame, the blinded leaf list, is 0.29 MB.
+#: A shard's ``KIND_HEALTH`` reply with telemetry
 #: stays far below too: its span roots are a bounded ring
 #: (:data:`repro.telemetry.registry.SPAN_ROOT_CAP`).
 MAX_FRAME_BYTES = 64 * 1024 * 1024

@@ -221,15 +221,13 @@ class TestHistogramSplitSearch:
     @settings(max_examples=150, deadline=None)
     @given(_training_sets(), st.integers(0, 4))
     def test_fit_matches_scan(self, data, max_depth):
-        features, labels, candidates = data
+        features, labels, _ = data
         tree = DecisionTreeClassifier(
             max_depth=max_depth, min_samples_split=2,
-            min_impurity_decrease=0.0, candidate_features=candidates,
+            min_impurity_decrease=0.0,
         ).fit(features, labels)
-        if candidates is None:
-            candidates = list(range(features.shape[1]))
         assert _preorder(tree.root) == _scan_tree(
-            features, labels, candidates, 0, max_depth,
+            features, labels, list(range(features.shape[1])), 0, max_depth,
             min_samples_split=2, min_impurity_decrease=0.0,
         )
 

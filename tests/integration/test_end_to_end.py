@@ -6,8 +6,9 @@ import pytest
 from repro.api import PipelineConfig, PrivacyAwareClassifier, TradeoffAnalyzer
 from repro.classifiers import accuracy
 from repro.data import generate_adult_like, generate_cancer_like, train_test_split
-from repro.privacy import NaiveBayesAdversary, RiskModel
+from repro.privacy import NaiveBayesAdversary
 from repro.selection import solve_branch_and_bound, solve_greedy
+from tests.privacy.reference_risk import RiskModel
 
 
 def _fast_config(kind):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.privacy.adversary import NaiveBayesAdversary
 from repro.privacy.incremental import IncrementalRiskEvaluator
-from repro.privacy.risk import RiskError, RiskMetric, RiskModel
+from repro.privacy.risk import RiskError, RiskMetric
+from tests.privacy.reference_risk import RiskModel
 
 
 @pytest.fixture(scope="module")

@@ -7,11 +7,11 @@ from repro.privacy.adversary import ExactJointAdversary, NaiveBayesAdversary
 from repro.privacy.risk import (
     RiskError,
     RiskMetric,
-    RiskModel,
     entropy_loss_risk,
     inference_accuracy_risk,
     max_posterior_confidence,
 )
+from tests.privacy.reference_risk import RiskModel
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,8 @@
 The acceptance bar for the backend redesign:
 
 * both backends produce *identical labels* on the same model and rows
-  (binary, multi-class and regression);
+  (binary and multi-class), and both reveal the plaintext dot product
+  through ``encrypt_features -> dot_products -> reveal_score_to_client``;
 * the shares backend's analytic trace equals its live trace **exactly**
   (fixed-width share encoding + data-independent triple counts);
 * a shares-backend online phase performs *zero* homomorphic operations
@@ -16,7 +17,6 @@ import pytest
 
 import repro.telemetry as telemetry
 from repro.classifiers.linear import LogisticRegressionClassifier
-from repro.classifiers.regression import RidgeRegression
 from repro.core.exceptions import ReproError
 from repro.core.session import PROTOCOL_BACKENDS as CONFIG_BACKENDS
 from repro.core.session import SessionConfig
@@ -30,8 +30,8 @@ from repro.secure.backends import (
 )
 from repro.secure.costing import ProtocolSizes
 from repro.secure.secure_linear import SecureLinearClassifier
-from repro.secure.secure_regression import SecureRegression
 from repro.smc.context import make_context
+from repro.smc.protocol import ExecutionTrace
 
 TEST_SIZES = ProtocolSizes(paillier_bits=384, dgk_bits=192)
 _BITS = {"paillier_bits": 384, "dgk_bits": 192, "dgk_plaintext_bits": 16}
@@ -72,12 +72,21 @@ def multiclass(cohort):
     return SecureLinearClassifier(model, features, sizes=TEST_SIZES)
 
 
-@pytest.fixture(scope="module")
-def regression(cohort):
-    X, features = cohort
-    dose = X @ np.array([0.8, -0.3, 0.1, 0.5, -0.2]) + 2.5
-    model = RidgeRegression().fit(X, dose)
-    return SecureRegression(model, features, sizes=TEST_SIZES)
+#: A signed score reveal: weights, public offset and magnitude bound.
+_REVEAL_WEIGHTS = [8, -3, 0, 5, -2]
+_REVEAL_OFFSET = -40
+_REVEAL_BITS = 12
+
+
+def _reveal_score(ctx, values):
+    """One protected dot product over the backend, opened to the client."""
+    backend = ctx.protocol_backend
+    state = backend.begin_query(ctx, _REVEAL_BITS)
+    protected = backend.encrypt_features(state, values)
+    score = backend.dot_products(
+        state, protected, [_REVEAL_WEIGHTS], [_REVEAL_OFFSET]
+    )[0]
+    return backend.reveal_score_to_client(state, score)
 
 
 class TestRegistry:
@@ -130,13 +139,14 @@ class TestLabelParity:
             assert binary.classify(paillier, row, disclosure) == expected
             assert binary.classify(shares, row, disclosure) == expected
 
-    def test_regression_dose(self, regression, cohort):
+    def test_reveal_score_is_the_plaintext_dot_product(self, cohort):
         X, _ = cohort
         paillier, shares = _context("paillier"), _context("shares")
         for row in X[:4]:
-            expected = regression.quantized_prediction(row)
-            assert regression.predict_secure(paillier, row) == expected
-            assert regression.predict_secure(shares, row) == expected
+            values = [int(v) for v in row]
+            expected = _REVEAL_OFFSET + int(np.dot(_REVEAL_WEIGHTS, values))
+            assert _reveal_score(paillier, values) == expected
+            assert _reveal_score(shares, values) == expected
 
 
 class TestSharesTraceParity:
@@ -145,8 +155,12 @@ class TestSharesTraceParity:
 
     def _assert_exact(self, secure, ctx, classify):
         classify()
-        live = ctx.trace
-        estimated = secure.estimated_trace(backend=ctx.protocol_backend)
+        self._assert_equal_traces(
+            secure.estimated_trace(backend=ctx.protocol_backend), ctx.trace
+        )
+
+    @staticmethod
+    def _assert_equal_traces(estimated, live):
         assert estimated.bytes_client_to_server == live.bytes_client_to_server
         assert estimated.bytes_server_to_client == live.bytes_server_to_client
         assert estimated.total_bytes == live.total_bytes
@@ -166,12 +180,21 @@ class TestSharesTraceParity:
             multiclass, ctx, lambda: multiclass.classify(ctx, X[0])
         )
 
-    def test_regression(self, regression, cohort):
+    def test_reveal_score(self, cohort):
         X, _ = cohort
         ctx = _context("shares")
-        self._assert_exact(
-            regression, ctx, lambda: regression.classify(ctx, X[0])
+        backend = ctx.protocol_backend
+        _reveal_score(ctx, [int(v) for v in X[0]])
+        estimated = ExecutionTrace()
+        backend.trace_encrypt_vector(
+            estimated, len(_REVEAL_WEIGHTS), TEST_SIZES, _REVEAL_BITS
         )
+        backend.trace_dot_products(
+            estimated, [sum(1 for w in _REVEAL_WEIGHTS if w)],
+            TEST_SIZES, _REVEAL_BITS,
+        )
+        backend.trace_reveal_score(estimated, TEST_SIZES, _REVEAL_BITS)
+        self._assert_equal_traces(estimated, ctx.trace)
 
 
 class TestSharesOnlinePhase:

@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from repro.classifiers.decision_tree import DecisionTreeClassifier
-from repro.classifiers.forest import RandomForestClassifier
 from repro.classifiers.linear import LogisticRegressionClassifier
 from repro.classifiers.naive_bayes import NaiveBayesClassifier
 from repro.core.session import SessionConfig
@@ -36,7 +35,6 @@ from repro.crypto.rand import fresh_rng
 from repro.data import generate_warfarin
 from repro.secure.backends import SharesBackend
 from repro.secure.costing import ProtocolSizes
-from repro.secure.secure_forest import SecureRandomForestClassifier
 from repro.secure.secure_linear import SecureLinearClassifier
 from repro.secure.secure_naive_bayes import SecureNaiveBayesClassifier
 from repro.secure.secure_tree import SecureDecisionTreeClassifier
@@ -93,12 +91,6 @@ def _models():
         DecisionTreeClassifier(max_depth=4).fit(data.X, data.y),
         data.features, feature_marginals=marginals, sizes=SIZES,
     )
-    forest = SecureRandomForestClassifier(
-        RandomForestClassifier(n_trees=3, max_depth=3, seed=0).fit(
-            data.X, data.y
-        ),
-        data.features, feature_marginals=marginals, sizes=SIZES,
-    )
     naive_bayes = SecureNaiveBayesClassifier(
         NaiveBayesClassifier(domain_sizes=data.domain_sizes).fit(
             data.X, data.y
@@ -109,7 +101,7 @@ def _models():
         LogisticRegressionClassifier(iterations=40).fit(data.X, data.y),
         data.features, sizes=SIZES,
     )
-    return data.X[:2], tree, forest, naive_bayes, linear
+    return data.X[:2], tree, naive_bayes, linear
 
 
 def _plain(ctx: TwoPartyContext, value: Any) -> Any:
@@ -124,7 +116,7 @@ def _plain(ctx: TwoPartyContext, value: Any) -> Any:
 
 
 def _scenarios() -> Dict[str, Callable[[TwoPartyContext], Any]]:
-    rows, tree, forest, naive_bayes, linear = _models()
+    rows, tree, naive_bayes, linear = _models()
 
     def enc(ctx, value):
         return ctx.server_encrypt(value)
@@ -163,7 +155,7 @@ def _scenarios() -> Dict[str, Callable[[TwoPartyContext], Any]]:
         "nb_lookup": nb_lookup,
     }
     for name, model in (
-        ("naive_bayes", naive_bayes), ("tree", tree), ("forest", forest),
+        ("naive_bayes", naive_bayes), ("tree", tree),
         ("linear_shares", linear),
     ):
         for suffix, disclosure in (

@@ -312,6 +312,40 @@ def test_frontend_answers_a_non_request_first_frame_with_bad_request(
         fleet.shutdown()
 
 
+def test_frontend_closes_a_finished_session_at_once(deployed, row):
+    """Once the frontend relays a session's terminal frame, the client
+    gets its EOF within a second, not at the request deadline, and the
+    slot it held serves the next request within a second."""
+    fleet = make_fleet(deployed, shards=1, max_workers=1, queue_depth=0)
+    fleet.start()
+    try:
+        with socket.create_connection(
+            ("127.0.0.1", fleet.port), timeout=5
+        ) as s:
+            started = time.monotonic()
+            wire.send_frame(s, wire.KIND_REQUEST, b"")
+            kind, reply = wire.recv_frame(s)
+            assert kind == wire.KIND_ERROR
+            assert wire.WireCodec().decode(reply)["code"] == "bad-request"
+            assert s.recv(1) == b""
+            assert time.monotonic() - started < 1.0
+        freed = time.monotonic()
+        served = None
+        while served is None:
+            try:
+                served = request_classification(
+                    "127.0.0.1", fleet.port, row, seed=_BASE_SEED,
+                    config=TransportConfig(retries=0),
+                )
+            except ServerError as error:
+                assert error.code == "overloaded"
+                assert time.monotonic() - freed < 1.0, "slot still held"
+                time.sleep(0.05)
+        assert served.request_id.startswith("s0-")
+    finally:
+        fleet.shutdown()
+
+
 def test_frontend_sheds_connections_beyond_its_capacity(deployed, row):
     """The frontend holds at most shards * (max_workers + queue_depth)
     connections: at capacity 1 an idle connection fills it, the next

@@ -9,6 +9,7 @@ drains in-flight work.
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -435,6 +436,44 @@ def test_control_frames_get_through_at_capacity(deployed, rows):
     assert not thread.is_alive()  # serve_forever returned
     assert counters["serve.shed"] == 1
     assert counters["serve.shutdown_denied"] == 1
+
+
+def test_trickled_first_frame_cannot_hold_the_accept_thread(deployed):
+    """At capacity the accept thread reads a first frame itself; a
+    client trickling that frame one byte every 0.2 s gets one deadline
+    for the whole read, so a concurrent health probe is answered within
+    a second, not after the whole 45-byte frame."""
+    server, thread, port = start_server(
+        deployed, max_workers=1, queue_depth=0
+    )
+    frame = wire.pack_frame(wire.KIND_HEALTH, bytes(40))
+    stop = threading.Event()
+
+    def trickle():
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
+            for byte in frame:
+                if stop.wait(0.2):
+                    return
+                try:
+                    s.sendall(bytes((byte,)))
+                except OSError:
+                    return  # shed: the front door closed it
+
+    idle = socket.create_connection(("127.0.0.1", port), timeout=30)
+    trickler = threading.Thread(target=trickle, daemon=True)
+    try:
+        trickler.start()
+        time.sleep(0.3)  # the accept thread is now reading the trickle
+        started = time.monotonic()
+        kind, reply = control_frame(port, wire.KIND_HEALTH, None)
+        waited = time.monotonic() - started
+        assert (kind, reply["status"]) == (wire.KIND_HEALTH, "ok")
+        assert waited < 1.0, f"health probe waited {waited:.2f} s"
+    finally:
+        stop.set()
+        idle.close()
+        trickler.join(timeout=30)
+        stop_server(server, thread)
 
 
 def test_health_probe_can_carry_telemetry(deployed):

@@ -9,8 +9,8 @@ encoder) hides dead protocol surface that drifts unreviewed.
 This checker activates on any module defining ``TAG_*`` integer
 constants (in this repository, :mod:`repro.smc.wire`). For each tag it
 requires at least one reference inside an *encode-side* function (name
-containing ``encode`` or ``size``) and one inside a *decode-side*
-function (name containing ``decode``). The same discipline applies to
+containing ``encode``) and one inside a *decode-side* function (name
+containing ``decode``). The same discipline applies to
 the ciphertext classes registered with the codec: every ``*Ciphertext``
 class imported or defined by the module must appear on both sides, so
 registering a fourth ciphertext scheme without teaching the decoder
@@ -86,7 +86,7 @@ class WireTagChecker(Checker):
             name = func.name.lower()
             if "decode" in name:
                 decode_side.append(func)
-            if "encode" in name or "size" in name:
+            if "encode" in name:
                 encode_side.append(func)
 
         encode_names = _names_used_in(encode_side)
@@ -98,7 +98,7 @@ class WireTagChecker(Checker):
                     mod,
                     stmt,
                     f"wire tag {tag} has no encode branch (not referenced "
-                    f"in any encode/size function)",
+                    f"in any encode function)",
                 )
             if tag not in decode_names:
                 yield self.finding(

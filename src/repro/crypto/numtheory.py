@@ -71,11 +71,8 @@ def is_probable_prime(n: int, rng: Optional[DeterministicRandom] = None) -> bool
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if math.gcd(n, _SMALL_PRIMES_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
     for bound, bases in _DETERMINISTIC_BASES:
         if n < bound:
             return not any(_miller_rabin_witness(n, b) for b in bases)

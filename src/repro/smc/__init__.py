@@ -3,17 +3,18 @@
 This package is the SMC substrate the secure classifiers run on:
 
 * :mod:`repro.smc.wire` -- the canonical wire codec: every payload shape
-  that crosses the two-party link has one deterministic tagged encoding,
-  from which both the byte accounting and the socket transports derive.
+  that crosses the two-party link has one deterministic tagged encoding;
+  the channel charges and ships the bytes of that one encoding.
 * :mod:`repro.smc.network` -- the accounted message channel (bytes per
   direction, messages, rounds), plus latency/bandwidth network profiles
   (LAN / WAN / loopback). A channel optionally routes every payload
   through a transport.
 * :mod:`repro.smc.transport` -- transports: in-process codec round-trip
   and a TCP socket backend whose far end mirrors every frame, with
-  timeouts; plus socket serving of deployment bundles.
-* :mod:`repro.smc.protocol` -- execution traces: operation counters,
-  transfer statistics and wall-clock timing shared by all protocols.
+  timeouts; plus the client side of a served query (serving itself
+  lives in :mod:`repro.serving`).
+* :mod:`repro.smc.protocol` -- execution traces: operation counters and
+  transfer statistics shared by all protocols.
 * :mod:`repro.smc.comparison` -- the DGK private-input comparison and the
   Veugen/Bost encrypted-value comparison built on it.
 * :mod:`repro.smc.argmax` -- Bost-style encrypted argmax with a blinded

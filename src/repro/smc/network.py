@@ -2,19 +2,18 @@
 
 Every logical wire crossing goes through a :class:`Channel`, which
 
-* measures the canonically encoded size of each payload (derived from
-  the wire codec, :mod:`repro.smc.wire`, so the accounting equals what a
-  real socket would carry byte-for-byte),
+* encodes each payload once with the wire codec
+  (:mod:`repro.smc.wire`) and charges the frame those bytes make, so the
+  accounting is the bytes a real socket carries,
 * counts messages, and
 * counts *rounds* -- maximal runs of messages flowing in one direction,
   the quantity that multiplies network latency in the cost model.
 
 A channel optionally carries a *transport* (see
-:mod:`repro.smc.transport`): when attached, every payload is actually
-encoded, shipped across the transport (e.g. a TCP socket whose far end
-mirrors each frame), decoded on the far side and handed back -- the protocol
-then runs on data that genuinely crossed the wire, and the measured
-frame bytes are asserted against the trace accounting.
+:mod:`repro.smc.transport`): when attached, the encoded bytes are
+shipped across the transport (e.g. a TCP socket whose far end mirrors
+each frame), decoded on the far side and handed back -- the protocol
+then runs on data that genuinely crossed the wire.
 
 :class:`NetworkModel` prices a transcript under a latency/bandwidth
 profile. Three standard profiles mirror the setups secure-classification
@@ -46,23 +45,12 @@ class Direction(enum.Enum):
     SERVER_TO_CLIENT = "server->client"
 
 
-def wire_size(payload: Any) -> int:
-    """Canonical encoded size of a payload in bytes (excluding framing).
-
-    Delegates to the wire codec (:func:`repro.smc.wire.encoded_size`),
-    so signed integers are sized by their real two's-complement encoding
-    (``wire_size(-255) != wire_size(255)`` resolves to two distinct
-    encodings of equal, unambiguous length) and numpy scalars
-    (``np.int64``, ``np.bool_``, ...) are sized like their canonical
-    Python equivalents. A payload the codec cannot encode cannot cross
-    the wire, so it raises :class:`ChannelError`.
-    """
-    try:
-        return wire.encoded_size(payload)
-    except wire.WireError:
-        raise ChannelError(
-            f"cannot size payload of type {type(payload).__name__}"
-        ) from None
+#: Telemetry name of each wire-codec type tag (``0x0A`` -> ``"paillier"``),
+#: read off the first byte of an encoded payload.
+_NAME_BY_TAG = {
+    value: name[len("TAG_"):].lower()
+    for name, value in wire.tag_registry().items()
+}
 
 
 @dataclass
@@ -84,29 +72,26 @@ class Channel:
     def send(self, direction: Direction, payload: Any) -> Any:
         """Record a message and hand the payload to the other party.
 
-        Delivery happens *before* accounting: a transport failure (or a
-        codec/accounting disagreement) must leave the trace unchanged,
-        so the trace never claims bytes for frames that did not cross
-        the wire. Telemetry is charged from the same ``size`` value as
-        the trace, which is what keeps the two views reconciled.
+        The payload is encoded exactly once; the trace and the telemetry
+        are charged one frame around those bytes, and a transport ships
+        the same bytes. Delivery happens *before* accounting: an
+        unencodable payload or a transport failure leaves the trace
+        unchanged, so the trace never claims bytes for frames that did
+        not cross the wire.
         """
         if direction not in (
             Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
         ):  # pragma: no cover - enum exhausts the cases
             raise ChannelError(f"unknown direction {direction!r}")
-        size = FRAME_OVERHEAD + wire_size(payload)
-        tag = None
-        if telemetry.enabled():
-            tag = wire.payload_tag_name(payload)
+        try:
+            body = wire.encode(payload)
+        except wire.WireError:
+            raise ChannelError(
+                f"cannot encode payload of type {type(payload).__name__}"
+            ) from None
         if self.transport is not None:
-            payload = self.transport.exchange(direction, payload)
-            measured = self.transport.last_frame_bytes
-            if measured != size:
-                raise ChannelError(
-                    f"transport frame carried {measured} bytes but the "
-                    f"trace accounted {size}; codec and accounting "
-                    f"disagree"
-                )
+            payload = self.transport.exchange(direction, body)
+        size = FRAME_OVERHEAD + len(body)
         if direction is Direction.CLIENT_TO_SERVER:
             self.trace.bytes_client_to_server += size
         else:
@@ -121,7 +106,7 @@ class Channel:
                 if direction is Direction.CLIENT_TO_SERVER
                 else "server_to_client",
                 size,
-                tag,
+                _NAME_BY_TAG[body[0]],
             )
         return payload
 

@@ -3,9 +3,8 @@
 Each protocol invocation records, into a shared :class:`ExecutionTrace`:
 
 * counts of cryptographic operations (:class:`Op`),
-* bytes sent in each direction and the number of communication rounds
-  (recorded by :class:`repro.smc.network.Channel`),
-* wall-clock time.
+* bytes sent in each direction, messages and the number of
+  communication rounds (recorded by :class:`repro.smc.network.Channel`).
 
 The analytic cost model (:mod:`repro.smc.cost_model`) converts a trace
 into estimated runtime under arbitrary hardware and network profiles, so

@@ -2,19 +2,20 @@
 
 The protocols in this library are written as straight-line two-party
 computations driven through an accounted :class:`~repro.smc.network.Channel`.
-This module makes the *wire* under that channel real:
+This module makes the *wire* under that channel real. Each transport
+takes the bytes the channel encoded -- the same bytes it charged to the
+trace -- and returns the payload the other party decodes from them:
 
-* :class:`InProcessTransport` -- the payload is round-tripped through
-  the canonical codec (:mod:`repro.smc.wire`) in the same address
-  space. No sockets, but every message is genuinely encoded and
-  decoded, so codec fidelity is load-bearing even in-process.
+* :class:`InProcessTransport` -- the bytes are decoded with the
+  canonical codec (:mod:`repro.smc.wire`) in the same address space.
+  No sockets, but every message is genuinely encoded and decoded, so
+  codec fidelity is load-bearing even in-process.
 * :class:`TcpTransport` -- every channel message is framed and shipped
   over a connected TCP socket whose far end runs
   :func:`mirror_frames`: it decodes the frame, re-encodes it
   canonically and returns it. The protocol then computes on data that
-  physically crossed the socket, and both endpoints independently
-  measure the frame bytes, which must equal the trace accounting
-  exactly.
+  physically crossed the socket; the echo must equal the sent bytes,
+  and the far end's own frame counts equal the trace accounting.
 
 On top of the message transports sits the deployment serving path:
 :class:`repro.serving.ClassificationServer` (``python -m repro
@@ -131,19 +132,16 @@ class InProcessTransport:
     """Codec round-trip in the same address space.
 
     The cheapest backend that still exercises the canonical encoding on
-    every message: ``decode(encode(payload))`` replaces the payload, so
-    any codec infidelity breaks classification rather than hiding
-    behind object identity.
+    every message: the decode of the channel's encoded bytes replaces
+    the payload, so any codec infidelity breaks classification rather
+    than hiding behind object identity.
     """
 
     def __init__(self, codec: wire.WireCodec) -> None:
         self.codec = codec
-        self.last_frame_bytes = 0
 
-    def exchange(self, direction: Direction, payload: Any) -> Any:
-        """Encode, "ship" (in-process), decode and return the payload."""
-        body = wire.encode(payload)
-        self.last_frame_bytes = wire.FRAME_OVERHEAD + len(body)
+    def exchange(self, direction: Direction, body: bytes) -> Any:
+        """"Ship" one encoded message in-process: decode and return it."""
         return self.codec.decode(body)
 
     def close(self) -> None:
@@ -173,25 +171,24 @@ class TcpTransport:
     ) -> None:
         self.codec = codec
         self.io_timeout = io_timeout
-        self.last_frame_bytes = 0
         self._sock: Optional[socket.socket] = sock
         sock.settimeout(io_timeout)
         keyring = wire.keyring_payload(paillier=codec.paillier, dgk=codec.dgk)
         wire.send_frame(sock, wire.KIND_KEYS, wire.encode(keyring))
 
-    def exchange(self, direction: Direction, payload: Any) -> Any:
-        """Ship one protocol message across the socket and back.
+    def exchange(self, direction: Direction, body: bytes) -> Any:
+        """Ship one encoded protocol message across the socket and back.
 
         The peer decodes the frame and answers with its canonical
-        re-encoding; the returned payload is the decode of that reply,
-        so every value the protocol computes on has survived a real
+        re-encoding, which must equal ``body`` byte for byte; the
+        returned payload is the decode of that reply, so every value
+        the protocol computes on has survived a real
         encode -> wire -> decode -> encode -> wire -> decode cycle.
         A socket or wire failure closes the transport and raises
         :class:`TransportError`; nothing is resent.
         """
         if self._sock is None:
             raise TransportError("transport is closed")
-        body = wire.encode(payload)
         try:
             wire.send_frame(self._sock, wire.KIND_MSG, body)
             kind, reply = wire.recv_frame(self._sock)
@@ -215,7 +212,6 @@ class TcpTransport:
                 "peer's canonical re-encoding differs from the sent "
                 "frame; codec is not canonical"
             )
-        self.last_frame_bytes = wire.FRAME_OVERHEAD + len(body)
         return self.codec.decode(reply)
 
     def close(self) -> None:

@@ -5,10 +5,11 @@ signed integers (blinded differences, shares, labels), byte strings (OT
 table entries), strings, floats, booleans, ``None`` signals, Paillier /
 DGK ciphertexts, additive shares, and nested lists/tuples/dicts of those. This
 module defines *the* encoding of each shape -- a one-byte type tag
-followed by a length-prefixed body -- and both transport backends and
-the :class:`~repro.smc.network.Channel` byte accounting derive from it,
-so the simulator's accounting and the bytes observed on a real TCP
-socket agree exactly, by construction.
+followed by a length-prefixed body. The
+:class:`~repro.smc.network.Channel` encodes each message once, charges
+those bytes to the trace and hands the same bytes to the transport, so
+the simulator's accounting and the bytes on a real TCP socket agree
+exactly, by construction.
 
 Layout summary (all length prefixes are unsigned 32-bit big-endian):
 
@@ -170,43 +171,6 @@ def kind_registry() -> dict:
     }
 
 
-def payload_tag_name(payload: Any) -> str:
-    """Lower-case wire-tag name of ``payload``'s top level.
-
-    Used by telemetry's per-tag wire-byte counters
-    (``wire.bytes.tag.<name>``); payloads with no codec tag report as
-    ``"opaque"``.
-    """
-    payload = _canonical(payload)
-    if payload is None:
-        return "none"
-    if isinstance(payload, bool):
-        return "true" if payload else "false"
-    if isinstance(payload, numbers.Integral):
-        return "int"
-    if isinstance(payload, float):
-        return "float"
-    if isinstance(payload, bytes):
-        return "bytes"
-    if isinstance(payload, str):
-        return "str"
-    if isinstance(payload, PaillierCiphertext):
-        return "paillier"
-    if isinstance(payload, DgkCiphertext):
-        return "dgk"
-    if isinstance(payload, AdditiveShare):
-        return "share"
-    if isinstance(payload, BeaverTriple):
-        return "triple"
-    if isinstance(payload, list):
-        return "list"
-    if isinstance(payload, tuple):
-        return "tuple"
-    if isinstance(payload, dict):
-        return "dict"
-    return "opaque"
-
-
 class WireError(Exception):
     """Raised on unencodable payloads or malformed wire data."""
 
@@ -260,47 +224,6 @@ def _share_body(share: AdditiveShare) -> bytes:
         + share.modulus.to_bytes(width, "big")
         + share.value.to_bytes(width, "big")
     )
-
-
-def encoded_size(payload: Any) -> int:
-    """Exact length in bytes of :func:`encode` without materialising it.
-
-    The in-process channel uses this for byte accounting, so simulated
-    traffic equals real traffic byte-for-byte.
-    """
-    payload = _canonical(payload)
-    if payload is None:
-        return 1
-    if isinstance(payload, bool):
-        return 1
-    if isinstance(payload, numbers.Integral):
-        return ELEMENT_OVERHEAD + _int_body_length(int(payload))
-    if isinstance(payload, float):
-        return 1 + 8
-    if isinstance(payload, bytes):
-        return ELEMENT_OVERHEAD + len(payload)
-    if isinstance(payload, str):
-        return ELEMENT_OVERHEAD + len(payload.encode("utf-8"))
-    if isinstance(payload, PaillierCiphertext):
-        return ELEMENT_OVERHEAD + payload.serialized_size_bytes()
-    if isinstance(payload, DgkCiphertext):
-        return ELEMENT_OVERHEAD + payload.serialized_size_bytes()
-    if isinstance(payload, AdditiveShare):
-        # TAG_SHARE body: u32 width + modulus + fixed-width value.
-        return ELEMENT_OVERHEAD + 4 + 2 * _share_value_width(payload.modulus)
-    if isinstance(payload, BeaverTriple):
-        # TAG_TRIPLE: u32 count (3) + the a/b/c share elements.
-        return ELEMENT_OVERHEAD + sum(
-            encoded_size(share)
-            for share in (payload.a, payload.b, payload.c)
-        )
-    if isinstance(payload, (list, tuple)):
-        return ELEMENT_OVERHEAD + sum(encoded_size(item) for item in payload)
-    if isinstance(payload, dict):
-        return ELEMENT_OVERHEAD + sum(
-            encoded_size(k) + encoded_size(v) for k, v in payload.items()
-        )
-    raise WireError(f"cannot encode payload of type {type(payload).__name__}")
 
 
 def encode(payload: Any) -> bytes:
@@ -391,10 +314,6 @@ class WireCodec:
 
     paillier: Optional[PaillierPublicKey] = None
     dgk: Optional[DgkPublicKey] = None
-
-    # Encoding is stateless; expose it here for symmetry.
-    encode = staticmethod(encode)
-    encoded_size = staticmethod(encoded_size)
 
     def decode(
         self, data: bytes, max_elements: Optional[int] = MAX_DECODE_ELEMENTS

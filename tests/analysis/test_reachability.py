@@ -34,8 +34,6 @@ KEPT = {
         "the plaintext reference secure_argmax is tested against",
     "repro.smc.protocol.ExecutionTrace.op_count":
         "reads one op count off a trace in trace-vs-live assertions",
-    "repro.smc.wire.tag_registry":
-        "the wire round-trip property tests enumerate every element tag",
     "repro.smc.wire.kind_registry":
         "the wire round-trip property tests enumerate every frame kind",
     "repro.circuits.builder.assign_value":

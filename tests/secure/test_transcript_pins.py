@@ -62,17 +62,15 @@ PARTIAL_DISCLOSURE = (0, 1, 2, 3)
 class _RecordingTransport:
     """In-process transport that hashes every payload's wire encoding."""
 
-    def __init__(self) -> None:
+    def __init__(self, codec: wire.WireCodec) -> None:
+        self.codec = codec
         self.digest = hashlib.sha256()
-        self.last_frame_bytes = 0
 
-    def exchange(self, direction, payload: Any) -> Any:
-        body = wire.encode(payload)
+    def exchange(self, direction, body: bytes) -> Any:
         self.digest.update(direction.value.encode("ascii"))
         self.digest.update(len(body).to_bytes(4, "big"))
         self.digest.update(body)
-        self.last_frame_bytes = wire.FRAME_OVERHEAD + len(body)
-        return payload
+        return self.codec.decode(body)
 
 
 def _base_context() -> TwoPartyContext:
@@ -171,7 +169,7 @@ def _scenarios() -> Dict[str, Callable[[TwoPartyContext], Any]]:
 
 def _run(base: TwoPartyContext, name: str, scenario) -> Dict[str, Any]:
     seed = int.from_bytes(hashlib.sha256(name.encode()).digest()[:4], "big")
-    recorder = _RecordingTransport()
+    recorder = _RecordingTransport(wire.codec_for_context(base))
     ctx = dataclasses.replace(
         base,
         channel=Channel(transport=recorder),

@@ -13,68 +13,79 @@ from repro.smc.network import (
     Direction,
     NetworkModel,
     NetworkProfile,
-    wire_size,
 )
 
 # Wire element overhead: tag byte + u32 length prefix.
 _E = wire.ELEMENT_OVERHEAD
 
 
+def _size(payload):
+    """Wire size of ``payload``: the length of its one encoding."""
+    return len(wire.encode(payload))
+
+
 class TestWireSize:
     def test_int_sizes(self):
-        assert wire_size(0) == _E + 1
-        assert wire_size(255) == _E + 2       # sign bit needs a second byte
-        assert wire_size(1 << 16) == _E + 3
+        assert _size(0) == _E + 1
+        assert _size(255) == _E + 2       # sign bit needs a second byte
+        assert _size(1 << 16) == _E + 3
 
     def test_sizes_match_real_encoding(self):
-        # The size must come from the canonical encoding, not a formula
-        # that could drift from it.
+        # The channel charges the frame around the real encoding.
         for value in (0, 1, 127, 128, 255, 1 << 16, (1 << 64) - 1):
-            assert wire_size(value) == len(wire.encode(value))
+            channel = Channel()
+            channel.client_sends(value)
+            assert channel.trace.total_bytes == FRAME_OVERHEAD + _size(value)
 
     def test_negative_ints_sized_by_twos_complement(self):
         # Regression: the old magnitude-only sizing conflated -255 and
-        # 255. Two's-complement sizing gives each a distinct canonical
+        # 255. Two's-complement encoding gives each a distinct canonical
         # body of well-defined length.
-        assert wire_size(-255) == len(wire.encode(-255))
         assert wire.encode(-255) != wire.encode(255)
-        assert wire_size(-1) == _E + 1            # body 0xFF
-        assert wire_size(-255) == _E + 2          # body 0xFF01
+        assert _size(-1) == _E + 1            # body 0xFF
+        assert _size(-255) == _E + 2          # body 0xFF01
         for value in (-1, -127, -128, -255, -(1 << 16)):
-            assert wire_size(value) == len(wire.encode(value))
+            assert _size(value) == _size(-value)
+            assert wire.encode(value) != wire.encode(-value)
 
     def test_numpy_scalars(self):
-        # Regression: wire_size crashed on numpy scalar types.
-        assert wire_size(np.int64(5)) == wire_size(5)
-        assert wire_size(np.int32(-255)) == wire_size(-255)
-        assert wire_size(np.bool_(True)) == wire_size(True) == 1
-        assert wire_size(np.float64(1.5)) == wire_size(1.5)
+        # Regression: sizing crashed on numpy scalar types.
+        assert wire.encode(np.int64(5)) == wire.encode(5)
+        assert wire.encode(np.int32(-255)) == wire.encode(-255)
+        assert _size(np.bool_(True)) == _size(True) == 1
+        assert wire.encode(np.float64(1.5)) == wire.encode(1.5)
 
     def test_bytes_and_str(self):
-        assert wire_size(b"abc") == _E + 3
-        assert wire_size("abc") == _E + 3
+        assert _size(b"abc") == _E + 3
+        assert _size("abc") == _E + 3
 
     def test_none_and_bool(self):
-        assert wire_size(None) == 1
-        assert wire_size(True) == 1
+        assert _size(None) == 1
+        assert _size(True) == 1
 
     def test_float(self):
-        assert wire_size(1.5) == 1 + 8
+        assert _size(1.5) == 1 + 8
 
     def test_list_recursion(self):
-        assert wire_size([0, 0]) == _E + 2 * (_E + 1)
+        assert _size([0, 0]) == _E + 2 * (_E + 1)
 
     def test_dict_recursion(self):
-        assert wire_size({1: 2}) == _E + 2 * (_E + 1)
+        assert _size({1: 2}) == _E + 2 * (_E + 1)
 
     def test_ciphertext_uses_declared_size(self):
         keys = PaillierKeyPair.generate(key_bits=256, rng=fresh_rng(1))
         ct = keys.public_key.encrypt(5, rng=fresh_rng(2))
-        assert wire_size(ct) == _E + ct.serialized_size_bytes()
+        assert _size(ct) == _E + ct.serialized_size_bytes()
 
     def test_unknown_type_rejected(self):
+        # A payload the codec cannot encode cannot cross the wire, and
+        # nothing is charged for it.
+        channel = Channel()
         with pytest.raises(ChannelError):
-            wire_size(object())
+            channel.send(Direction.CLIENT_TO_SERVER, object())
+        assert channel.trace.total_bytes == 0
+        assert channel.trace.messages == 0
+        assert channel.trace.rounds == 0
 
 
 class TestChannel:
@@ -136,22 +147,12 @@ class TestNetworkModel:
 
 class TestTransportFailureAccounting:
     # Regression: a frame that never crosses the wire must not be
-    # charged. Delivery (transport exchange + size verification) happens
-    # before the trace is touched.
+    # charged. Delivery (the transport exchange) happens before the
+    # trace is touched.
 
     class _ExplodingTransport:
-        last_frame_bytes = 0
-
-        def exchange(self, direction, payload):
+        def exchange(self, direction, body):
             raise ChannelError("link down")
-
-    class _LyingTransport:
-        # Reports a measured frame size that disagrees with the codec.
-        last_frame_bytes = 0
-
-        def exchange(self, direction, payload):
-            self.last_frame_bytes = 1
-            return payload
 
     def test_failed_delivery_leaves_trace_unchanged(self):
         channel = Channel()
@@ -161,14 +162,6 @@ class TestTransportFailureAccounting:
         assert channel.trace.total_bytes == 0
         assert channel.trace.messages == 0
         assert channel.trace.rounds == 0
-
-    def test_size_mismatch_detected_and_not_charged(self):
-        channel = Channel()
-        channel.transport = self._LyingTransport()
-        with pytest.raises(ChannelError):
-            channel.send(Direction.CLIENT_TO_SERVER, 42)
-        assert channel.trace.total_bytes == 0
-        assert channel.trace.messages == 0
 
     def test_failed_delivery_records_no_telemetry(self):
         import repro.telemetry as telemetry

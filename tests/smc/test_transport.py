@@ -107,26 +107,41 @@ class TestParity:
         assert inproc_summary == bare_summary
         assert tcp_summary == bare_summary
 
-        # The far end measured exactly the accounted bytes (the near
-        # end's Channel checks every frame against the trace as it goes).
+        # The far end measured exactly the accounted bytes: the near
+        # end's channel charges the bytes it ships.
         trace = tcp_ctx.trace
         assert mirror.stats["frames"] == trace.messages
         assert mirror.stats["bytes_received"] == trace.total_bytes
         assert mirror.stats["bytes_sent"] == trace.total_bytes
 
-    def test_channel_asserts_frame_size(self):
+    def test_channel_charges_the_shipped_bytes(self):
+        # The channel encodes each message once: the transport ships
+        # exactly the bytes the trace is charged for.
         ctx = _fresh_ctx()
+        inner = InProcessTransport(wire.codec_for_context(ctx))
+        shipped = []
 
-        class LyingTransport:
-            last_frame_bytes = 0
+        class RecordingTransport:
+            def exchange(self, direction, body):
+                shipped.append((direction, body))
+                return inner.exchange(direction, body)
 
-            def exchange(self, direction, payload):
-                self.last_frame_bytes = 1  # deliberately wrong
-                return payload
-
-        ctx.channel.transport = LyingTransport()
-        with pytest.raises(ChannelError, match="disagree"):
-            ctx.channel.client_sends([1, 2, 3])
+        ctx.channel.transport = RecordingTransport()
+        results, _ = _run_protocols(ctx)
+        assert results == [1, 1, 1]
+        trace = ctx.trace
+        assert len(shipped) == trace.messages
+        for direction, charged in (
+            (Direction.CLIENT_TO_SERVER, trace.bytes_client_to_server),
+            (Direction.SERVER_TO_CLIENT, trace.bytes_server_to_client),
+        ):
+            assert charged == sum(
+                wire.FRAME_OVERHEAD + len(body)
+                for sent, body in shipped if sent is direction
+            )
+        with pytest.raises(ChannelError):
+            ctx.channel.client_sends(object())
+        assert len(shipped) == trace.messages
 
 
 def _free_port():
@@ -171,7 +186,7 @@ class TestFaultInjection:
         assert received == [wire.KIND_MSG] * 4
         assert ctx.trace.messages == 3
         with pytest.raises(TransportError, match="closed"):
-            tcp.exchange(Direction.CLIENT_TO_SERVER, 1)
+            tcp.exchange(Direction.CLIENT_TO_SERVER, wire.encode(1))
 
     def test_unresponsive_peer_times_out_cleanly(self):
         # A peer that never answers: the exchange must fail with a
@@ -182,7 +197,9 @@ class TestFaultInjection:
         started = time.monotonic()
         try:
             with pytest.raises(TransportError, match="timed out") as info:
-                tcp.exchange(Direction.CLIENT_TO_SERVER, [1, 2, 3])
+                tcp.exchange(
+                    Direction.CLIENT_TO_SERVER, wire.encode([1, 2, 3])
+                )
         finally:
             tcp.close()
             far.close()

@@ -1,20 +1,25 @@
 """Telemetry-vs-trace reconciliation: the two accountings cannot drift.
 
 :meth:`repro.smc.network.Channel.send` charges the execution trace and
-the telemetry from the same size computation; these tests pin that the
+the telemetry from the same encoded bytes; these tests pin that the
 span-attributed wire bytes (plus any unattributed remainder) always sum
 to the trace's total, both at the channel level and through a real
 protocol run.
 """
 
+import socket
+import threading
+
 import pytest
 
 import repro.telemetry as telemetry
 from repro.core.session import SessionConfig
+from repro.smc import wire
 from repro.smc.comparison import compare_encrypted_client_learns, dgk_compare
 from repro.smc.context import make_context
-from repro.smc.network import Direction
+from repro.smc.network import FRAME_OVERHEAD, Direction
 from repro.smc.protocol import Op
+from repro.smc.transport import TcpTransport, mirror_frames
 
 
 @pytest.fixture()
@@ -64,6 +69,19 @@ class TestChannelReconciliation:
         assert counters["wire.bytes.server_to_client"] == \
             ctx.trace.bytes_server_to_client
         assert counters["wire.frames"] == ctx.trace.messages
+
+
+    def test_tag_names_follow_the_first_byte(self, metered_context):
+        ctx = metered_context
+        for payload in (None, True, False, 1.5, "s", (1,), {1: 2}):
+            ctx.channel.send(Direction.CLIENT_TO_SERVER, payload)
+        counters = telemetry.snapshot()["counters"]
+        assert {
+            name[len("wire.bytes.tag."):] for name in counters
+            if name.startswith("wire.bytes.tag.")
+        } == {"none", "true", "false", "float", "str", "tuple", "dict"}
+        assert counters["wire.bytes.tag.none"] == FRAME_OVERHEAD + 1
+        assert counters["wire.bytes.tag.float"] == FRAME_OVERHEAD + 9
 
 
 class TestProtocolReconciliation:
@@ -162,3 +180,84 @@ class TestOpCounters:
             f"op.{op.value}": times for op, times in ctx.trace.ops.items()
         }
         assert _op_counters(telemetry.snapshot()) == expected
+
+
+#: Per-tag wire bytes of one query (row 0, nothing disclosed) that
+#: crosses a socket transport. Keys and rngs are seeded, so these are
+#: fixed; any change to them is a change to what goes on the wire.
+_SERVED_TAG_BYTES = {
+    "linear": {"list": 4173, "paillier": 212},
+    "naive_bayes": {"list": 7126, "paillier": 212},
+    "tree": {"list": 12174},
+}
+
+
+class TestServedTagCounters:
+    """Per-tag byte counters of a query that crosses a real socket."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        from repro.classifiers.decision_tree import DecisionTreeClassifier
+        from repro.classifiers.linear import LogisticRegressionClassifier
+        from repro.classifiers.naive_bayes import NaiveBayesClassifier
+        from repro.data import generate_warfarin
+        from repro.secure.costing import ProtocolSizes
+        from repro.secure.secure_linear import SecureLinearClassifier
+        from repro.secure.secure_naive_bayes import (
+            SecureNaiveBayesClassifier,
+        )
+        from repro.secure.secure_tree import SecureDecisionTreeClassifier
+
+        sizes = ProtocolSizes(paillier_bits=384, dgk_bits=192)
+        data = generate_warfarin(n_samples=800, seed=0)
+        return data.X[0], {
+            "linear": SecureLinearClassifier(
+                LogisticRegressionClassifier(iterations=40).fit(
+                    data.X, data.y
+                ),
+                data.features, sizes=sizes,
+            ),
+            "naive_bayes": SecureNaiveBayesClassifier(
+                NaiveBayesClassifier(domain_sizes=data.domain_sizes).fit(
+                    data.X, data.y
+                ),
+                data.features, sizes=sizes,
+            ),
+            "tree": SecureDecisionTreeClassifier(
+                DecisionTreeClassifier(max_depth=4).fit(data.X, data.y),
+                data.features, sizes=sizes,
+            ),
+        }
+
+    @pytest.mark.parametrize("family", sorted(_SERVED_TAG_BYTES))
+    def test_tag_bytes_match_the_recorded_query(
+        self, metered_context, models, family
+    ):
+        row, secure = models
+        ctx = metered_context
+        near, far = socket.socketpair()
+        mirrored = {}
+
+        def mirror():
+            with far:
+                mirrored["stats"] = mirror_frames(far)[1]
+
+        peer = threading.Thread(target=mirror, daemon=True)
+        peer.start()
+        ctx.channel.transport = TcpTransport(
+            near, wire.codec_for_context(ctx), 30.0
+        )
+        try:
+            secure[family].classify(ctx, row, [])
+            wire.send_frame(near, wire.KIND_RESULT, wire.encode(None))
+        finally:
+            ctx.channel.transport.close()
+            peer.join(timeout=10)
+        assert not peer.is_alive()
+        counters = telemetry.snapshot()["counters"]
+        assert {
+            name[len("wire.bytes.tag."):]: value
+            for name, value in counters.items()
+            if name.startswith("wire.bytes.tag.")
+        } == _SERVED_TAG_BYTES[family]
+        assert mirrored["stats"]["bytes_received"] == ctx.trace.total_bytes
